@@ -7,7 +7,6 @@ acceptance tests.
 """
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -33,7 +32,6 @@ from .endo import (
     hom_module,
     module_endomorphisms,
     mueller_domdim,
-    pd_over,
     projdim_key_check,
 )
 from .homology import (
@@ -81,9 +79,11 @@ class PropertyResult:
 
     @property
     def ok(self):
-        return self.failed == 0
+        return self.checked > 0 and self.failed == 0
 
     def line(self):
+        if not self.checked:
+            return "%s: FAIL (nothing checked)" % self.name
         if self.ok:
             return "%s: ok (%d checked)" % (self.name, self.checked)
         return "%s: FAIL (%d of %d) first counterexample: %s" % (
@@ -131,15 +131,8 @@ def _tilting_flags(alg):
     return crit, dd2, bij, verified, t
 
 
-def _map_algebras(algebras, job, workers):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, algebras))
-    return [job(alg) for alg in algebras]
-
-
 def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12,
-                  grid_n_max=5, grid_c_max=7, workers=1, **_):
+                  grid_n_max=5, grid_c_max=7, **_):
     props = {
         "criterion equals domdim >= 2": PropertyResult("criterion equals domdim >= 2"),
         "criterion equals syzygy bijection": PropertyResult("criterion equals syzygy bijection"),
@@ -150,8 +143,8 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12,
     }
     algebras = grid_algebras(grid_n_max, grid_c_max)
     algebras += random_algebras(samples, n_max, c_max, seed)
-    flags = _map_algebras(algebras, _tilting_flags, workers)
-    for alg, (crit, dd2, bij, verified, t) in zip(algebras, flags):
+    for alg in algebras:
+        crit, dd2, bij, verified, t = _tilting_flags(alg)
         w = format_algebra(alg)
         props["criterion equals domdim >= 2"].record(crit == dd2, w)
         props["criterion equals syzygy bijection"].record(crit == bij, w)
@@ -194,12 +187,11 @@ def _oracle_counts(alg):
     return len(mods) ** 2, hom_bad, ext_bad, witness
 
 
-def suite_oracle(n_max=4, c_max=6, workers=1, **_):
+def suite_oracle(n_max=4, c_max=6, **_):
     hom_prop = PropertyResult("hom dimension matches matrix oracle")
     ext_prop = PropertyResult("ext^1 dimension matches matrix oracle")
-    algebras = grid_algebras(n_max, c_max)
-    for pairs, hom_bad, ext_bad, witness in _map_algebras(
-            algebras, _oracle_counts, workers):
+    for alg in grid_algebras(n_max, c_max):
+        pairs, hom_bad, ext_bad, witness = _oracle_counts(alg)
         hom_prop.checked += pairs
         hom_prop.failed += hom_bad
         ext_prop.checked += pairs
@@ -221,7 +213,7 @@ def _in_gen_cogen_of_projective_injectives(alg, u):
     return gen and cogen
 
 
-def suite_structural(n_max=5, c_max=7, workers=1, **_):
+def suite_structural(n_max=5, c_max=7, **_):
     names = [
         "pd and id at most gldim minus one inside the subcategory",
         "ext^1 from pd-one modules into the subcategory vanishes",
@@ -234,13 +226,38 @@ def suite_structural(n_max=5, c_max=7, workers=1, **_):
         "tilting-cotilting equals 1-Auslander-Gorenstein",
         "syzygy and cosyzygy are uniserial or zero",
         "ext vanishes beyond the projective dimension",
+        # the properties from here on hold on every algebra of the grid
+        "vertices with c_{i+1} <= c_i are those with injective projective",
+        "canonical tilting is the projective-injectives plus cosyzygies "
+        "of the other projectives",
+        "canonical tilting and cotilting are basic with n summands",
+        "opposite is an involution preserving sum(c)",
+        "selfinjective iff dominant dimension is infinite",
+        "Auslander implies 1-Auslander-Gorenstein",
     ]
     props = {n: PropertyResult(n) for n in names}
 
     def run(alg):
         out = []
         w = format_algebra(alg)
-        gl = gldim(alg)
+        rep = classify(alg)
+        q, split = split_projective_vertices(alg)
+        ok = all((i in q) == is_injective(alg, projective(alg, i))
+                 for i in range(1, alg.n + 1))
+        out.append((names[11], ok, w))
+        op = opposite(alg)
+        out.append((names[14], opposite(op) == alg and sum(op.c) == sum(alg.c), w))
+        out.append((names[15], rep.selfinjective == (rep.domdim == INF), w))
+        out.append((names[16], not rep.auslander or rep.one_aus_gorenstein, w))
+        if not rep.tilting_exists:
+            return out
+
+        alt = list(projective_injectives(alg))
+        alt += [cosyzygy(alg, projective(alg, i)) for i in split]
+        out.append((names[12], rep.t_c == ModuleSum.of(alt), w))
+        ok = all(len(m) == alg.n and m.is_basic() for m in (rep.t_c, rep.c_c))
+        out.append((names[13], ok, w))
+        gl = rep.gldim
         mods = indecomposables(alg)
         members = [u for u in mods if in_tilting_subcat(alg, u)]
         if gl != INF and gl >= 1:
@@ -265,15 +282,12 @@ def suite_structural(n_max=5, c_max=7, workers=1, **_):
             and in_tilting_subcat(alg, injective(alg, socle_vertex(alg, u)))
             for u in members)
         out.append((names[4], ok, w))
-        out.append((names[5], domdim(alg) == domdim(opposite(alg)), w))
+        out.append((names[5], rep.domdim == domdim(op), w))
         if gl != INF:
-            rep = classify(alg)
             ids = [idim(alg, projective(alg, i)) for i in range(1, alg.n + 1)]
             out.append((names[6], rep.gdim == gl and max(ids) == gl, w))
-        q, _ = split_projective_vertices(alg)
         x, _, _ = syzygy_correspondence(alg)
         out.append((names[7], len(q) + len(x) <= alg.n, w))
-        rep = classify(alg)
         out.append((names[8], rep.tilting_cotilting == rep.one_aus_gorenstein, w))
         ok = all(
             (syzygy(alg, u) is None or isinstance(syzygy(alg, u), Uniserial))
@@ -292,14 +306,13 @@ def suite_structural(n_max=5, c_max=7, workers=1, **_):
         out.append((names[10], ok, w))
         return out
 
-    algebras = [a for a in grid_algebras(n_max, c_max) if tilting_criterion(a)]
-    for rows in _map_algebras(algebras, run, workers):
-        for name, ok, w in rows:
+    for alg in grid_algebras(n_max, c_max):
+        for name, ok, w in run(alg):
             props[name].record(ok, w)
     return SuiteReport("structural", list(props.values()))
 
 
-def suite_drop(samples=200, seed=42, cap=30, n_max=6, c_max=8, workers=1, **_):
+def suite_drop(samples=200, seed=42, cap=30, n_max=6, c_max=8, **_):
     holds = PropertyResult("gldim drop equivalence")
     bounds = PropertyResult("endo gldim within one of gldim")
     algebras = [a for a in grid_algebras(4, 5)
@@ -319,11 +332,9 @@ def suite_drop(samples=200, seed=42, cap=30, n_max=6, c_max=8, workers=1, **_):
         seen.add((alg.kind, alg.c))
         algebras.append(alg)
 
-    def run(alg):
+    for alg in algebras:
+        w = format_algebra(alg)
         rec = drop_check(alg, cap)
-        return format_algebra(alg), rec
-
-    for w, rec in _map_algebras(algebras, run, workers):
         holds.record(rec["holds"] is True, w)
         if rec["holds"] is not None:
             bounds.record(
@@ -331,7 +342,7 @@ def suite_drop(samples=200, seed=42, cap=30, n_max=6, c_max=8, workers=1, **_):
     return SuiteReport("drop", [holds, bounds])
 
 
-def suite_endo(seed=42, cap=30, workers=1, **_):
+def suite_endo(seed=42, cap=30, **_):
     dims = PropertyResult("small endomorphism algebra dimensions")
     hered = PropertyResult("hereditary generator-cogenerators give value 2")
     antitone = PropertyResult("mueller value antitone in the summand set")
@@ -395,7 +406,7 @@ def suite_endo(seed=42, cap=30, workers=1, **_):
     return SuiteReport("endo", [dims, hered, antitone, br, key])
 
 
-def suite_it(samples=1000, seed=42, n_max=6, c_max=8, workers=1, **_):
+def suite_it(samples=1000, seed=42, n_max=6, c_max=8, **_):
     match = PropertyResult("both functions equal pd on finite-pd sums")
     base = PropertyResult("selfinjective simples give (0, 0)")
     c22 = AdmissibleSequence("cyclic", (2, 2))

@@ -71,10 +71,6 @@ class _Infinity:
 INF = _Infinity()
 
 
-def is_finite(d):
-    return isinstance(d, int)
-
-
 def dim_str(d):
     """Render a dimension: decimal integer or 'inf'."""
     return str(d)
@@ -263,7 +259,7 @@ def tau_inv(alg, u):
     return Uniserial(alg.normalize(u.top + 1), u.length)
 
 
-def opposite(alg, _check=True):
+def opposite(alg):
     """The opposite algebra, relabeled so arrows again run (i+1 -> i).
 
     The projective of the opposite at the new label i* has the length of the
@@ -275,11 +271,7 @@ def opposite(alg, _check=True):
     for i in range(1, n + 1):
         istar = (n + 1 - i) if alg.kind == "linear" else alg.normalize(1 - i)
         cop[istar - 1] = injective(alg, i).length
-    out = validate(alg.kind, cop)
-    if _check:
-        assert opposite(out, _check=False) == alg
-        assert sum(out.c) == sum(alg.c)
-    return out
+    return validate(alg.kind, cop)
 
 
 # --- direct sums -------------------------------------------------------------

@@ -20,7 +20,6 @@ from .core import (
     format_module,
     injective,
     is_injective,
-    is_projective,
     projective,
 )
 from .homology import (
@@ -28,13 +27,12 @@ from .homology import (
     ext_dim,
     gldim,
     hom_basis,
-    hom_dim,
     identity_hom,
     pdim,
     syzygy,
 )
 from .linalg import kernel_basis, rank, solve
-from .tilting import canonical_tilting, pd_tau_tilting, projective_injectives
+from .tilting import canonical_tilting, pd_tau_tilting
 
 
 @dataclass(frozen=True)

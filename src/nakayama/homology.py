@@ -7,17 +7,21 @@ linear case) and 1 <= k <= min(len u, len v).  These canonical maps form a
 basis of the Hom space, and compositions of canonical maps are canonical with
 structure constant 1 (or zero), so all Hom/Ext arithmetic is integral.
 
-Projective dimension walks the syzygy recursion M(i,l) -> M(i-l, c_i-l) until
-a projective is reached; a revisited module means an infinite resolution.
-Injective dimension and dominant dimension walk injective envelopes the same
-way.
+Projective and injective dimensions come from one directed walker,
+_walk_dims: it follows the syzygy recursion M(i,l) -> M(i-l, c_i-l) until a
+projective is reached, or the cosyzygies through injective envelopes until an
+injective is reached, sharing results along each path; a module revisited on
+its own path means an infinite resolution.  pdim and idim walk only the
+summands they are given, pdim_table and idim_table all sum(c)
+indecomposables, gldim only the simples and gorenstein_dim only the
+projectives.  Dominant dimension walks injective envelopes while they stay
+projective.
 """
 
 from dataclasses import dataclass
 
 from .core import (
     INF,
-    ModuleSum,
     Uniserial,
     indecomposables,
     injective,
@@ -133,107 +137,62 @@ def _summands(m):
     return list(m)
 
 
+def _walk_dims(alg, modules, step, done):
+    """{module: steps from it to one where done holds} for the given modules
+    and every module met on their walks along step.
+
+    Walks share results, and a walk that returns to a module on its own path
+    never ends, so every module on that path gets INF.
+    """
+    memo = {}
+    for w in modules:
+        path = {}    # insertion-ordered set of the modules walked so far
+        while w not in memo and w not in path:
+            if done(alg, w):
+                memo[w] = 0
+            else:
+                path[w] = None
+                w = step(alg, w)
+        base = memo.get(w, INF)
+        for j, wj in enumerate(path):
+            memo[wj] = base + (len(path) - j)
+    return memo
+
+
 def pdim(alg, m):
     """Projective dimension of a module or direct sum (0 for the zero module)."""
-    best = 0
-    for u in _summands(m):
-        seen = set()
-        k = 0
-        w = u
-        while not is_projective(alg, w):
-            if w in seen:
-                k = INF
-                break
-            seen.add(w)
-            w = syzygy(alg, w)
-            k += 1
-        best = max(best, k)
-    return best
+    mods = _summands(m)
+    walk = _walk_dims(alg, mods, syzygy, is_projective)
+    return max((walk[u] for u in mods), default=0)
 
 
 def idim(alg, m):
     """Injective dimension, by the dual walk through injective envelopes."""
-    best = 0
-    for u in _summands(m):
-        seen = set()
-        k = 0
-        w = u
-        while not is_injective(alg, w):
-            if w in seen:
-                k = INF
-                break
-            seen.add(w)
-            w = cosyzygy(alg, w)
-            k += 1
-        best = max(best, k)
-    return best
+    mods = _summands(m)
+    walk = _walk_dims(alg, mods, cosyzygy, is_injective)
+    return max((walk[u] for u in mods), default=0)
 
 
 def pdim_table(alg):
     """pdim of every indecomposable at once, sharing the syzygy walks."""
-    memo = {}
-    for u0 in indecomposables(alg):
-        if u0 in memo:
-            continue
-        path = []
-        on_path = set()
-        w = u0
-        while True:
-            if w in memo:
-                base = memo[w]
-                break
-            if is_projective(alg, w):
-                memo[w] = 0
-                base = 0
-                break
-            if w in on_path:
-                base = INF
-                break
-            on_path.add(w)
-            path.append(w)
-            w = syzygy(alg, w)
-        m = len(path)
-        for j, wj in enumerate(path):
-            memo[wj] = INF if base == INF else base + (m - j)
-    return memo
+    return _walk_dims(alg, indecomposables(alg), syzygy, is_projective)
 
 
 def idim_table(alg):
-    memo = {}
-    for u0 in indecomposables(alg):
-        if u0 in memo:
-            continue
-        path = []
-        on_path = set()
-        w = u0
-        while True:
-            if w in memo:
-                base = memo[w]
-                break
-            if is_injective(alg, w):
-                memo[w] = 0
-                base = 0
-                break
-            if w in on_path:
-                base = INF
-                break
-            on_path.add(w)
-            path.append(w)
-            w = cosyzygy(alg, w)
-        m = len(path)
-        for j, wj in enumerate(path):
-            memo[wj] = INF if base == INF else base + (m - j)
-    return memo
+    return _walk_dims(alg, indecomposables(alg), cosyzygy, is_injective)
 
 
 def simples(alg):
     return [Uniserial(i, 1) for i in range(1, alg.n + 1)]
 
 
+def _projectives(alg):
+    return [projective(alg, i) for i in range(1, alg.n + 1)]
+
+
 def gldim(alg):
     """Global dimension: the maximum of pdim over the simple modules."""
-    table = pdim_table(alg)
-    return max(table[s] for s in simples(alg))
+    return pdim(alg, simples(alg))
 
 
 # --- dominant dimension ------------------------------------------------------
@@ -259,7 +218,7 @@ def domdim_module(alg, u):
 
 def domdim(alg):
     """min over the indecomposable projectives; INF iff selfinjective."""
-    vals = [domdim_module(alg, projective(alg, i)) for i in range(1, alg.n + 1)]
+    vals = [domdim_module(alg, p) for p in _projectives(alg)]
     finite = [v for v in vals if v != INF]
     return min(finite) if finite else INF
 
@@ -267,11 +226,9 @@ def domdim(alg):
 def gorenstein_dim(alg):
     """(injective dimension of the left regular module, same on the right,
     their common value when both are finite else None)."""
-    table = idim_table(alg)
-    id_left = max(table[projective(alg, i)] for i in range(1, alg.n + 1))
     op = opposite(alg)
-    op_table = idim_table(op)
-    id_right = max(op_table[projective(op, i)] for i in range(1, op.n + 1))
+    id_left = idim(alg, _projectives(alg))
+    id_right = idim(op, _projectives(op))
     if id_left != INF and id_right != INF:
         assert id_left == id_right, "finite one-sided selfinjective dimensions must agree"
         return id_left, id_right, id_left

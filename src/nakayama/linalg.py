@@ -128,23 +128,6 @@ def _clear_denominators(v):
     return w
 
 
-def mat_vec(mat, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in mat]
-
-
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(mat):
-    return [list(row) for row in zip(*mat)]
-
-
-def column_space_rank(cols):
-    """Rank of the span of a list of column vectors."""
-    return rank(cols)

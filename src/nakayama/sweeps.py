@@ -1,6 +1,5 @@
 """Enumeration of admissible sequences and batch classification sweeps."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import dim_str, validate
@@ -27,7 +26,6 @@ class SweepSpec:
     elementary: bool = False
     absolutely_elementary: bool = False
     row_cap: int = 0          # 0 = unlimited
-    workers: int = 1
 
     def __post_init__(self):
         if self.kind not in ("cyclic", "linear"):
@@ -36,6 +34,9 @@ class SweepSpec:
             raise ValueError("n must be at least 1")
         if self.max_c < (2 if self.kind == "cyclic" else 1):
             raise ValueError("max_c too small for any admissible sequence")
+        if self.row_cap < 0:
+            raise ValueError("row_cap must be at least 0 (0 = unlimited), got %d"
+                             % self.row_cap)
         for f in self.filters:
             if f not in REPORT_KEYS:
                 raise ValueError("unknown filter %r; choose from report keys" % f)
@@ -119,15 +120,7 @@ def sweep(spec):
     if spec.up_to_rotation and spec.kind == "cyclic":
         seqs = sorted({min_rotation(c) for c in seqs})
     seqs = sorted(set(seqs))
-
-    def job(c):
-        return classify(validate(spec.kind, list(c)))
-
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            reports = list(pool.map(job, seqs))
-    else:
-        reports = [job(c) for c in seqs]
+    reports = [classify(validate(spec.kind, list(c))) for c in seqs]
 
     rows = []
     truncated = False

@@ -27,6 +27,11 @@ def test_property_result_lines():
     assert q.line() == \
         "sometimes false: FAIL (2 of 3) first counterexample: bad case"
 
+    # a property that checked nothing proves nothing
+    z = PropertyResult("never reached")
+    assert not z.ok
+    assert z.line() == "never reached: FAIL (nothing checked)"
+
 
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError, match="available"):
@@ -51,7 +56,7 @@ def test_random_algebras_reproducible():
 
 def test_suite_tilting_small_threaded():
     rep = run_suite("tilting", samples=50, seed=1, n_max=4, c_max=6,
-                    grid_n_max=3, grid_c_max=4, workers=2)
+                    grid_n_max=3, grid_c_max=4)
     assert rep.suite == "tilting"
     assert rep.ok
     lines = rep.lines()

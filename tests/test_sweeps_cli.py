@@ -81,12 +81,8 @@ def test_sweep_spec_validation():
         SweepSpec(kind="cyclic", n=2, max_c=1)
     with pytest.raises(ValueError):
         SweepSpec(kind="cyclic", n=2, max_c=3, filters=("not_a_key",))
-
-
-def test_sweep_workers_deterministic():
-    spec1 = SweepSpec(kind="cyclic", n=4, max_c=4)
-    spec3 = SweepSpec(kind="cyclic", n=4, max_c=4, workers=3)
-    assert sweep(spec1) == sweep(spec3)
+    with pytest.raises(ValueError, match="row_cap"):
+        SweepSpec(kind="cyclic", n=2, max_c=3, row_cap=-1)
 
 
 def test_sweep_row_cap_marks_truncation():
@@ -238,6 +234,21 @@ def test_cli_check_suite(capsys):
     assert "suite tilting: ok" in out
 
 
+def test_cli_check_nothing_checked_fails(capsys):
+    assert main(["check", "--suite", "it", "--samples", "-5"]) == 1
+    out = capsys.readouterr().out
+    assert "both functions equal pd on finite-pd sums: FAIL (nothing checked)" in out
+    assert "suite it: FAIL" in out
+
+
+def test_cli_enumerate_rejects_negative_row_cap(capsys):
+    assert main(["enumerate", "--kind", "cyclic", "-n", "2", "--max-c", "4",
+                 "--row-cap", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "row_cap" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_check_unknown_suite():
     with pytest.raises(SystemExit):
         main(["check", "--suite", "nonsense"])
@@ -253,3 +264,9 @@ def test_cli_oracle_grid(capsys):
     assert main(["oracle", "--n-max", "2", "--c-max", "4"]) == 0
     out = capsys.readouterr().out
     assert "matrix oracle: ok" in out
+
+
+def test_cli_oracle_empty_grid_fails(capsys):
+    assert main(["oracle", "--n-max", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "matrix oracle: FAIL (nothing checked)" in out
