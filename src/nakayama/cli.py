@@ -20,7 +20,7 @@ from .core import (
 from .checks import _oracle_counts, run_suite, SUITES
 from .endo import (
     OverCap,
-    drop_check,
+    _drop_record,
     end_algebra,
     gldim_over,
     mueller_domdim,
@@ -148,8 +148,9 @@ def cmd_endo(args):
     glb = gldim_over(b, args.cap)
     mu = mueller_domdim(alg, basic_gen_cogen(alg))
     drop = None
-    if gldim(alg) != INF:
-        drop = drop_check(alg, args.cap)
+    gl = gldim(alg)
+    if gl != INF:
+        drop = _drop_record(gl, glb, pd_tau_tilting(alg))
     if args.json:
         out = {
             "algebra": format_algebra(alg),

@@ -31,7 +31,7 @@ from .homology import (
     pdim,
     syzygy,
 )
-from .linalg import kernel_basis, rank, solve
+from .linalg import kernel_basis, rank, reduced_kernel
 from .tilting import canonical_tilting, pd_tau_tilting
 
 
@@ -229,14 +229,6 @@ def radical_and_simples(algebra):
     return rad, simple_modules(algebra)
 
 
-def _dense_mats(module):
-    return [module.action_matrix(i) for i in range(module.algebra.dim)]
-
-
-def _column(mat, j):
-    return [row[j] for row in mat]
-
-
 class _Span:
     """Incremental row space over the rationals."""
 
@@ -269,7 +261,10 @@ def syzygy_step(algebra, dim, mats):
     """Kernel of a minimal projective cover, as (dimension, action matrices).
 
     mats may be rational; columns of mats[i] are the images of the basis
-    vectors under the i-th algebra basis element.
+    vectors under the i-th algebra basis element.  The kernel is reduced once;
+    the coordinates of each image sit at its free columns, and its pivot
+    entries are checked against them, so every image is tested exactly for
+    membership in the kernel.
     """
     if dim == 0:
         return 0, []
@@ -278,50 +273,57 @@ def syzygy_step(algebra, dim, mats):
     for i in range(algebra.dim):
         if i in idem:
             continue
-        for j in range(dim):
-            col = _column(mats[i], j)
+        for col in zip(*mats[i]):
             if any(col):
                 rad.add(col)
     gens = []
     for pos, e in enumerate(algebra.idempotents):
         span = rad.copy()
-        for j in range(dim):
-            u = _column(mats[e], j)
+        for u in zip(*mats[e]):
             if any(u) and span.add(u):
                 gens.append((pos, u))
-    col_indices = [[i for i, f in enumerate(algebra.basis)
-                    if f.target == algebra.summands[pos]]
-                   for pos in range(len(algebra.summands))]
-    cover = []       # (algebra basis index, generator vector)
-    for pos, u in gens:
-        cover.extend((i, u) for i in col_indices[pos])
+    summand_pos = {u: pos for pos, u in enumerate(algebra.summands)}
+    col_indices = [[] for _ in algebra.summands]
+    for i, f in enumerate(algebra.basis):
+        col_indices[summand_pos[f.target]].append(i)
+    # cover[c] = (algebra basis index, generator number); generators are
+    # pairwise distinct vectors (independent within one idempotent block,
+    # zero products across blocks), so numbers stand in for the vectors
+    cover = [(i, k) for k, (pos, _) in enumerate(gens) for i in col_indices[pos]]
     theta = [[0] * len(cover) for _ in range(dim)]
-    for c, (i, u) in enumerate(cover):
+    support = [[(j, x) for j, x in enumerate(u) if x] for _, u in gens]
+    for c, (i, k) in enumerate(cover):
         for r in range(dim):
-            theta[r][c] = sum(mats[i][r][k] * u[k] for k in range(dim))
-    kernel = kernel_basis(theta, len(cover)) if cover else []
+            theta[r][c] = sum(mats[i][r][j] * x for j, x in support[k])
+    red, pivots, kernel = reduced_kernel(theta, len(cover))
     kd = len(kernel)
     if kd == 0:
         return 0, []
-    kcols = [list(col) for col in zip(*kernel)]  # len(cover) x kd
+    scale = [(f, vec[f]) for f, vec in kernel.items()]
+    sparse = [[(p, x) for p, x in enumerate(vec) if x] for vec in kernel.values()]
+    position = {}
+    for c, key in enumerate(cover):
+        position.setdefault(key, c)
     new_mats = []
     for g in range(algebra.dim):
+        product = algebra.table[g]
         cols = []
-        for vec in kernel:
-            out = [0] * len(cover)
-            for p, x in enumerate(vec):
-                if not x:
-                    continue
-                i, u = cover[p]
-                t = algebra.table[g][i]
-                if t is None:
-                    continue
-                q = cover.index((t, u))
-                out[q] += x
-            coords = solve(kcols, out)
-            assert coords is not None, "cover kernel is not action-stable"
-            cols.append(coords)
-        new_mats.append([[cols[c][r] for c in range(kd)] for r in range(kd)])
+        for vec in sparse:
+            out = {}
+            for p, x in vec:
+                i, k = cover[p]
+                t = product[i]
+                if t is not None:
+                    q = position[t, k]
+                    out[q] = out.get(q, 0) + x
+            at_free = [(f, x) for f, x in out.items() if f in kernel]
+            for r, p in enumerate(pivots):
+                row = red[r]
+                assert out.get(p, 0) == -sum(row[f] * x for f, x in at_free), \
+                    "cover kernel is not action-stable"
+            cols.append([Fraction(out[f], s) if f in out else 0
+                         for f, s in scale])
+        new_mats.append([list(row) for row in zip(*cols)])
     return kd, new_mats
 
 
@@ -330,8 +332,9 @@ def resolution_dims(algebra, module, cap=30):
     stops at zero or after cap steps."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    dims = [module.dim]
-    d, mats = module.dim, _dense_mats(module)
+    d = module.dim
+    mats = [module.action_matrix(i) for i in range(algebra.dim)]
+    dims = [d]
     for _ in range(cap):
         if d == 0:
             break
@@ -345,17 +348,11 @@ def pd_over(algebra, module, cap=30):
     when the resolution has not terminated after cap syzygies."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    d, mats = module.dim, _dense_mats(module)
-    if d == 0:
-        return 0
-    steps = 0
-    while True:
-        d, mats = syzygy_step(algebra, d, mats)
-        if d == 0:
-            return steps
-        steps += 1
-        if steps > cap:
-            return OverCap(cap)
+    dims = resolution_dims(algebra, module, cap + 1)
+    if dims[-1]:
+        return OverCap(cap)
+    # dims ends with the first zero syzygy; the zero module has pd 0
+    return max(len(dims) - 2, 0)
 
 
 def gldim_over(algebra, cap=30):
@@ -378,9 +375,12 @@ def drop_check(alg, cap=30):
     t = canonical_tilting(alg)
     if t is None:
         raise ValueError("no canonical tilting module: dominant dimension < 2")
-    b = end_algebra(alg, t)
-    glb = gldim_over(b, cap)
-    pdt = pd_tau_tilting(alg)
+    return _drop_record(gl, gldim_over(end_algebra(alg, t), cap),
+                        pd_tau_tilting(alg))
+
+
+def _drop_record(gl, glb, pdt):
+    """The drop_check record for gldim gl, gldim of End(T) glb and pd tau pdt."""
     if isinstance(glb, OverCap):
         holds = None
     else:

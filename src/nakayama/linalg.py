@@ -80,23 +80,34 @@ def rref(mat):
     return mat, pivots
 
 
-def kernel_basis(mat, ncols=None):
-    """Integer basis of {x : mat @ x = 0}; one vector per free column."""
+def reduced_kernel(mat, ncols=None):
+    """The kernel of mat read off one rref over Fraction: (red, pivots, kernel).
+
+    red and pivots are the reduced rows and their pivot columns.  kernel maps
+    each free column f, in increasing order, to the integer vector
+    e_f - sum_r red[r][f] e_{pivots[r]} with its denominators cleared; its
+    entry at f is its positive scale and it is zero at every other free column.
+    """
     m = len(mat)
     if ncols is None:
         ncols = len(mat[0]) if m else 0
-    if m == 0:
-        return [[1 if j == k else 0 for j in range(ncols)] for k in range(ncols)]
     red, pivots = rref([[Fraction(x) for x in row] for row in mat])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
+    is_pivot = set(pivots)
+    kernel = {}
+    for f in range(ncols):
+        if f in is_pivot:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
             v[p] = -red[r][f]
-        basis.append(_clear_denominators(v))
-    return basis
+        kernel[f] = _clear_denominators(v)
+    return red, pivots, kernel
+
+
+def kernel_basis(mat, ncols=None):
+    """Integer basis of {x : mat @ x = 0}; one vector per free column."""
+    return list(reduced_kernel(mat, ncols)[2].values())
 
 
 def solve(mat, rhs):

@@ -17,6 +17,7 @@ from nakayama.core import (
 from nakayama.endo import (
     AlgebraModule,
     OverCap,
+    _Span,
     drop_check,
     end_algebra,
     gldim_over,
@@ -41,6 +42,7 @@ from nakayama.homology import (
     pdim,
     simples,
 )
+from nakayama.linalg import kernel_basis, solve
 from nakayama.tilting import (
     basic_gen_cogen,
     canonical_tilting,
@@ -176,6 +178,79 @@ def test_syzygy_step_matches_resolution():
         d, mats = syzygy_step(a, d, mats)
         dims.append(d)
     assert dims == resolution_dims(a, s)
+
+
+def _reference_syzygy_step(algebra, dim, mats):
+    """syzygy_step with the kernel taken as its cleared integer basis and the
+    coordinates of each image found by one exact solve."""
+    if dim == 0:
+        return 0, []
+    idem = set(algebra.idempotents)
+    rad = _Span()
+    for i in range(algebra.dim):
+        if i not in idem:
+            for j in range(dim):
+                col = [row[j] for row in mats[i]]
+                if any(col):
+                    rad.add(col)
+    cover = []
+    for pos, e in enumerate(algebra.idempotents):
+        span = rad.copy()
+        for j in range(dim):
+            u = [row[j] for row in mats[e]]
+            if any(u) and span.add(u):
+                cover.extend((i, u) for i, f in enumerate(algebra.basis)
+                             if f.target == algebra.summands[pos])
+    theta = [[sum(mats[i][r][k] * u[k] for k in range(dim)) for i, u in cover]
+             for r in range(dim)]
+    kernel = kernel_basis(theta, len(cover)) if cover else []
+    kd = len(kernel)
+    if kd == 0:
+        return 0, []
+    kcols = [list(col) for col in zip(*kernel)]
+    new_mats = []
+    for g in range(algebra.dim):
+        cols = []
+        for vec in kernel:
+            out = [0] * len(cover)
+            for p, x in enumerate(vec):
+                i, u = cover[p]
+                t = algebra.table[g][i]
+                if x and t is not None:
+                    out[cover.index((t, u))] += x
+            coords = solve(kcols, out)
+            assert coords is not None
+            cols.append(coords)
+        new_mats.append([[cols[c][r] for c in range(kd)] for r in range(kd)])
+    return kd, new_mats
+
+
+def test_syzygy_step_equals_kernel_basis_and_solve_route():
+    # every matrix of every resolution step, entry for entry
+    rung = AdmissibleSequence("linear", tuple(min(i, 5) for i in range(1, 13)))
+    steps = 0
+    for alg in (SHARP, LIN5, rung):
+        a = end_algebra(alg, canonical_tilting(alg))
+        for s in simple_modules(a):
+            d, mats = s.dim, [s.action_matrix(i) for i in range(a.dim)]
+            while d:
+                want = _reference_syzygy_step(a, d, mats)
+                d, mats = syzygy_step(a, d, mats)
+                assert (d, mats) == want
+                steps += 1
+    assert steps == 60
+
+
+def test_syzygy_step_rejects_a_non_module():
+    # doubling one radical action entry of a first syzygy breaks the module
+    # axioms, and an image of the cover kernel leaves the kernel
+    a = end_algebra(SHARP, canonical_tilting(SHARP))
+    s = simple_modules(a)[0]
+    d, mats = syzygy_step(a, s.dim, [s.action_matrix(i) for i in range(a.dim)])
+    assert d == 4 and mats[12][2][3] == 1
+    mats[12][2][3] *= 2
+    with pytest.raises(AssertionError, match="action-stable"):
+        syzygy_step(a, d, mats)
 
 
 def test_drop_check_frozen():

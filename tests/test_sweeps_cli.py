@@ -213,6 +213,28 @@ def test_cli_endo_json(capsys):
     assert all(entry[3] == 1 for entry in sc["table"])
 
 
+def test_cli_endo_builds_and_resolves_once(capsys, monkeypatch):
+    import nakayama.cli
+    import nakayama.endo
+
+    calls = {"gldim_over": 0, "end_algebra": 0}
+    for name in calls:
+        real = getattr(nakayama.endo, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in (nakayama.cli, nakayama.endo):
+            monkeypatch.setattr(mod, name, counted)
+    for flag in ("", "--json"):
+        calls.update(gldim_over=0, end_algebra=0)
+        argv = ["endo", "--cyclic", "3,2,3,4,3"] + ([flag] if flag else [])
+        assert main(argv) == 0
+        assert "holds" in capsys.readouterr().out
+        assert calls == {"gldim_over": 1, "end_algebra": 1}
+
+
 def test_cli_endo_over_cap_prints_marker(capsys):
     assert main(["endo", "--cyclic", "2,2", "--cap", "4"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from nakayama.checks import grid_algebras
 from nakayama.core import (
     INF,
     AdmissibleSequence,
@@ -94,6 +95,15 @@ def test_syzygy_correspondence_frozen():
     x, omega, bij = syzygy_correspondence(validate("cyclic", [2, 2]))
     assert x == [] and bij  # vacuous: no non-injective projectives
     assert not syzygy_correspondence(validate("cyclic", [2, 3, 3]))[2]
+
+
+def test_syzygy_correspondence_matches_pd_table_definition():
+    # X = {u : pd u = 1, u in the subcategory}, read off the full pd table
+    for alg in grid_algebras(6, 9):
+        pt = pdim_table(alg)
+        want = [u for u in indecomposables(alg)
+                if pt[u] == 1 and in_tilting_subcat(alg, u)]
+        assert syzygy_correspondence(alg)[0] == want, alg
 
 
 def test_criterion_frozen():
