@@ -171,35 +171,35 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12,
 
 
 def _oracle_counts(alg):
+    """(pairs, hom, ext1) over all pairs of indecomposables of alg.
+
+    hom and ext1 are each (mismatches, first mismatch) for their own kind.
+    """
     mods = indecomposables(alg)
     hom_bad = ext_bad = 0
-    witness = ""
+    hom_witness = ext_witness = ""
     for u in mods:
         for v in mods:
             if hom_dim(alg, u, v) != oracle_hom_dim(alg, u, v):
                 hom_bad += 1
-                witness = witness or "%s hom %s -> %s" % (
+                hom_witness = hom_witness or "%s hom %s -> %s" % (
                     format_algebra(alg), format_module(u), format_module(v))
             if ext_dim(alg, u, v, 1) != oracle_ext1_dim(alg, u, v):
                 ext_bad += 1
-                witness = witness or "%s ext1 %s -> %s" % (
+                ext_witness = ext_witness or "%s ext1 %s -> %s" % (
                     format_algebra(alg), format_module(u), format_module(v))
-    return len(mods) ** 2, hom_bad, ext_bad, witness
+    return len(mods) ** 2, (hom_bad, hom_witness), (ext_bad, ext_witness)
 
 
 def suite_oracle(n_max=4, c_max=6, **_):
     hom_prop = PropertyResult("hom dimension matches matrix oracle")
     ext_prop = PropertyResult("ext^1 dimension matches matrix oracle")
     for alg in grid_algebras(n_max, c_max):
-        pairs, hom_bad, ext_bad, witness = _oracle_counts(alg)
-        hom_prop.checked += pairs
-        hom_prop.failed += hom_bad
-        ext_prop.checked += pairs
-        ext_prop.failed += ext_bad
-        if witness and not hom_prop.first_counterexample:
-            hom_prop.first_counterexample = witness
-        if witness and not ext_prop.first_counterexample:
-            ext_prop.first_counterexample = witness
+        pairs, *counts = _oracle_counts(alg)
+        for prop, (bad, witness) in zip((hom_prop, ext_prop), counts):
+            prop.checked += pairs
+            prop.failed += bad
+            prop.first_counterexample = prop.first_counterexample or witness
     return SuiteReport("oracle", [hom_prop, ext_prop])
 
 

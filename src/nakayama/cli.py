@@ -232,7 +232,7 @@ def cmd_check(args):
 def cmd_oracle(args):
     if args.cyclic is not None or args.linear is not None:
         alg = _algebra_from(args)
-        total, hom_bad, ext_bad, _ = _oracle_counts(alg)
+        total, (hom_bad, _), (ext_bad, _) = _oracle_counts(alg)
         print("algebra: %s" % format_algebra(alg))
         print("pairs: %d" % total)
         print("hom agreements: %d/%d" % (total - hom_bad, total))

@@ -7,9 +7,15 @@ Hom(P_0, N) -> Hom(K, N) for an explicitly constructed projective
 presentation 0 -> K -> P_0 -> M -> 0, all by generic exact elimination.
 Nothing here shares a formula with homology.py: the closed-form image-length
 count and the syzygy index arithmetic never appear.
+
+Every matrix the oracle eliminates has integer entries, so ranks and kernels
+stay on the fraction-free paths of linalg; only the arrow maps of a kernel are
+found by an exact `solve`, and they are checked to be integral.  Each
+uniserial's representation, each presentation and each projective Hom basis
+is built once per algebra and kept only until a call for another algebra.
 """
 
-from functools import lru_cache
+from functools import wraps
 
 from .core import projective
 from .linalg import kernel_basis, mat_mul, rank, solve
@@ -27,19 +33,15 @@ class MatrixRep:
     def of_uniserial(cls, alg, u):
         n = alg.n
         slots_at = [[] for _ in range(n)]
-        vert = []
         for j in range(u.length):
-            v = alg.normalize(u.top - j)
-            vert.append(v)
-            slots_at[v - 1].append(j)
+            slots_at[alg.normalize(u.top - j) - 1].append(j)
         dims = [len(s) for s in slots_at]
         pos = {}
         for v in range(1, n + 1):
             for a, j in enumerate(slots_at[v - 1]):
                 pos[j] = a
         mats = {}
-        for v in _arrow_sources(alg):
-            w = alg.normalize(v - 1)
+        for v, w in _arrows(alg):
             m = [[0] * dims[v - 1] for _ in range(dims[w - 1])]
             for j in slots_at[v - 1]:
                 if j + 1 < u.length:
@@ -48,39 +50,70 @@ class MatrixRep:
         return cls(alg, dims, mats)
 
 
-def _arrow_sources(alg):
-    if alg.kind == "cyclic":
-        return range(1, alg.n + 1)
-    return range(2, alg.n + 1)
+class _OneAlgebraMemo:
+    """Memo for functions f(alg, *args), holding one algebra's entries at a time.
+
+    Every value depends on its algebra, and a sweep finishes one algebra
+    before it starts the next, so the first call for another algebra empties
+    the table.  It never holds more than one algebra's representations,
+    presentations and projective Hom bases, and callers must not mutate what
+    it returns.
+    """
+
+    def __init__(self):
+        self.alg = None
+        self.table = {}
+
+    def __call__(self, fn):
+        @wraps(fn)
+        def memoised(alg, *args):
+            if alg is not self.alg and alg != self.alg:
+                self.alg, self.table = alg, {}
+            key = (fn.__name__,) + args
+            value = self.table.get(key)
+            if value is None:
+                value = self.table[key] = fn(alg, *args)
+            return value
+        return memoised
+
+
+_memo = _OneAlgebraMemo()
+
+
+@_memo
+def _rep(alg, u):
+    return MatrixRep.of_uniserial(alg, u)
+
+
+@_memo
+def _arrows(alg):
+    """(v, w) for each arrow v -> w = v - 1 of the quiver."""
+    first = 1 if alg.kind == "cyclic" else 2
+    return [(v, alg.normalize(v - 1)) for v in range(first, alg.n + 1)]
 
 
 def _intertwiner_system(m_rep, n_rep):
     """Rows of the linear system cutting out Hom(M, N) inside prod Hom(M_v, N_v)."""
-    alg = m_rep.alg
-    offs = []
-    total = 0
-    for v in range(1, alg.n + 1):
-        offs.append(total)
-        total += n_rep.dims[v - 1] * m_rep.dims[v - 1]
-
-    def var(v, r, c):
-        return offs[v - 1] + r * m_rep.dims[v - 1] + c
-
+    md, nd = m_rep.dims, n_rep.dims
+    # f_v is an nd[v-1] x md[v-1] block of variables, row-major from offs[v-1]
+    offs = [0]
+    for a, b in zip(md, nd):
+        offs.append(offs[-1] + a * b)
+    total = offs[-1]
     rows = []
-    for v in _arrow_sources(alg):
-        w = alg.normalize(v - 1)
+    for v, w in _arrows(m_rep.alg):
         ma = m_rep.mats[v]
         na = n_rep.mats[v]
         # f_w @ M(a) - N(a) @ f_v = 0, one equation per (row in N_w, col in M_v)
-        for r in range(n_rep.dims[w - 1]):
-            for c in range(m_rep.dims[v - 1]):
+        for r in range(nd[w - 1]):
+            for c in range(md[v - 1]):
                 row = [0] * total
-                for s in range(m_rep.dims[w - 1]):
+                for s in range(md[w - 1]):
                     if ma[s][c]:
-                        row[var(w, r, s)] += ma[s][c]
-                for t in range(n_rep.dims[v - 1]):
+                        row[offs[w - 1] + r * md[w - 1] + s] += ma[s][c]
+                for t in range(nd[v - 1]):
                     if na[r][t]:
-                        row[var(v, t, c)] -= na[r][t]
+                        row[offs[v - 1] + t * md[v - 1] + c] -= na[r][t]
                 if any(row):
                     rows.append(row)
     return rows, total
@@ -97,24 +130,20 @@ def oracle_hom_dim(alg, u, v):
     """dim Hom(u, v) via intertwiner rank, never via image-length counting."""
     if u is None or v is None:
         return 0
-    rows, total = _intertwiner_system(MatrixRep.of_uniserial(alg, u),
-                                      MatrixRep.of_uniserial(alg, v))
+    rows, total = _intertwiner_system(_rep(alg, u), _rep(alg, v))
     return total - rank(rows)
 
 
-@lru_cache(maxsize=65536)
+@_memo
 def _projective_hom_basis(alg, i, v):
-    basis, total = _hom_space(MatrixRep.of_uniserial(alg, projective(alg, i)),
-                              MatrixRep.of_uniserial(alg, v))
-    return basis, total
+    return _hom_space(_rep(alg, projective(alg, i)), _rep(alg, v))
 
 
-@lru_cache(maxsize=16384)
+@_memo
 def _presentation(alg, u):
     """Explicit kernel K of the cover P(top u) ->> u, with inclusion matrices."""
-    p0 = MatrixRep.of_uniserial(alg, projective(alg, u.top))
-    m = MatrixRep.of_uniserial(alg, u)
     cover = projective(alg, u.top)
+    p0 = _rep(alg, cover)
     # projection sends P_0 slot j to M slot j for j < len(u); rebuild the
     # per-vertex matrices from slot bookkeeping
     p0_slots = [[] for _ in range(alg.n)]
@@ -127,15 +156,11 @@ def _presentation(alg, u):
     kdims = []
     for v in range(1, alg.n + 1):
         pi = [[1 if pj == mj else 0 for pj in p0_slots[v - 1]] for mj in m_slots[v - 1]]
-        if not pi:
-            basis = kernel_basis([], len(p0_slots[v - 1]))
-        else:
-            basis = kernel_basis(pi, len(p0_slots[v - 1]))
+        basis = kernel_basis(pi, len(p0_slots[v - 1]))
         incl[v] = [list(col) for col in zip(*basis)] if basis else [[] for _ in p0_slots[v - 1]]
         kdims.append(len(basis))
     kmats = {}
-    for v in _arrow_sources(alg):
-        w = alg.normalize(v - 1)
+    for v, w in _arrows(alg):
         img = mat_mul(p0.mats[v], incl[v]) if kdims[v - 1] else \
             [[] for _ in range(len(p0.mats[v]))]
         cols = []
@@ -144,7 +169,9 @@ def _presentation(alg, u):
             x = solve(incl[w], column) if incl[w] and len(incl[w][0]) else \
                 ([] if all(e == 0 for e in column) else None)
             assert x is not None, "kernel is not arrow-stable; presentation is broken"
-            cols.append(x)
+            assert all(e.denominator == 1 for e in x), \
+                "kernel arrow map is not integral; presentation is broken"
+            cols.append([int(e) for e in x])
         kmats[v] = [[cols[c][r] for c in range(kdims[v - 1])] for r in range(kdims[w - 1])]
     return MatrixRep(alg, kdims, kmats), incl
 
@@ -155,7 +182,7 @@ def oracle_ext1_dim(alg, u, v):
     if u is None or v is None:
         return 0
     k_rep, incl = _presentation(alg, u)
-    n_rep = MatrixRep.of_uniserial(alg, v)
+    n_rep = _rep(alg, v)
     rows, total = _intertwiner_system(k_rep, n_rep)
     hom_kn = total - rank(rows) if total else 0
     if hom_kn == 0:

@@ -75,3 +75,18 @@ def test_suite_it_small():
     rep = run_suite("it", samples=30, seed=2, n_max=4, c_max=6)
     assert rep.ok
     assert sum(p.checked for p in rep.properties) >= 30
+
+
+def test_oracle_witness_names_its_own_kind(monkeypatch):
+    # ext^1 goes wrong on n = 1 and hom on n = 2; the grid reaches n = 1
+    # first, so a witness shared by both kinds would name ext1 on the hom line
+    from nakayama import checks
+    hom, ext1 = checks.oracle_hom_dim, checks.oracle_ext1_dim
+    monkeypatch.setattr(checks, "oracle_hom_dim",
+                        lambda alg, u, v: hom(alg, u, v) + (alg.n == 2))
+    monkeypatch.setattr(checks, "oracle_ext1_dim",
+                        lambda alg, u, v: ext1(alg, u, v) + (alg.n == 1))
+    hom_prop, ext_prop = run_suite("oracle", n_max=2, c_max=3).properties
+    assert hom_prop.failed and ext_prop.failed
+    assert hom_prop.first_counterexample.startswith("cyclic:2,2 hom ")
+    assert ext_prop.first_counterexample.startswith("cyclic:2 ext1 ")
