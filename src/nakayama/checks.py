@@ -33,6 +33,7 @@ from .endo import (
     module_endomorphisms,
     mueller_domdim,
     projdim_key_check,
+    radical_and_simples,
 )
 from .homology import (
     cosyzygy,
@@ -348,6 +349,8 @@ def suite_endo(seed=42, cap=30, **_):
     antitone = PropertyResult("mueller value antitone in the summand set")
     br = PropertyResult("column endomorphisms match base-side dimensions")
     key = PropertyResult("hom transport drops projective dimension by one")
+    radical = PropertyResult(
+        "trace-form radical is spanned by the non-identity maps")
 
     a2 = AdmissibleSequence("linear", (1, 2))
     x = basic_gen_cogen(a2)
@@ -388,6 +391,10 @@ def suite_endo(seed=42, cap=30, **_):
             continue
         t = canonical_tilting(alg)
         b = end_algebra(alg, t)
+        rad, _ = radical_and_simples(b)
+        radical.record(len(rad) == b.dim - len(b.summands)
+                       and not any(v[e] for v in rad for e in b.idempotents),
+                       format_algebra(alg))
         q = projective_injectives(alg)
         want = sum(hom_dim(alg, u, v) for u in q for v in q)
         br.record(module_endomorphisms(b, hom_module(b, q)) == want,
@@ -403,7 +410,7 @@ def suite_endo(seed=42, cap=30, **_):
                 key.record(projdim_key_check(alg, m, cap) is True,
                            "%s %s" % (format_algebra(alg), format_module(m)))
                 checked_pairs += 1
-    return SuiteReport("endo", [dims, hered, antitone, br, key])
+    return SuiteReport("endo", [dims, hered, antitone, br, key, radical])
 
 
 def suite_it(samples=1000, seed=42, n_max=6, c_max=8, **_):

@@ -24,7 +24,6 @@ from .endo import (
     end_algebra,
     gldim_over,
     mueller_domdim,
-    radical_and_simples,
 )
 from .homology import gldim
 from .sweeps import CSV_COLUMNS, SweepSpec, csv_row, sweep
@@ -144,7 +143,7 @@ def cmd_endo(args):
               file=sys.stderr)
         return 1
     b = end_algebra(alg, t)
-    rad, _ = radical_and_simples(b)
+    rad_dim = b.dim - len(b.summands)  # one identity map per summand
     glb = gldim_over(b, args.cap)
     mu = mueller_domdim(alg, basic_gen_cogen(alg))
     drop = None
@@ -156,7 +155,7 @@ def cmd_endo(args):
             "algebra": format_algebra(alg),
             "tilting": [format_module(u) for u in t],
             "dim": b.dim,
-            "radical_dim": len(rad),
+            "radical_dim": rad_dim,
             "gldim_endo": _json_endo_value(glb),
             "mueller_domdim": _json_endo_value(mu),
             "drop": None if drop is None else {
@@ -169,7 +168,7 @@ def cmd_endo(args):
     print("algebra: %s" % format_algebra(alg))
     print("tilting: %s" % t)
     print("dim: %d" % b.dim)
-    print("radical_dim: %d" % len(rad))
+    print("radical_dim: %d" % rad_dim)
     print("gldim_endo: %s" % _endo_value(glb))
     print("mueller_domdim: %s" % _endo_value(mu))
     if drop is None:
@@ -232,11 +231,14 @@ def cmd_check(args):
 def cmd_oracle(args):
     if args.cyclic is not None or args.linear is not None:
         alg = _algebra_from(args)
-        total, (hom_bad, _), (ext_bad, _) = _oracle_counts(alg)
+        total, (hom_bad, hom_w), (ext_bad, ext_w) = _oracle_counts(alg)
         print("algebra: %s" % format_algebra(alg))
         print("pairs: %d" % total)
         print("hom agreements: %d/%d" % (total - hom_bad, total))
         print("ext1 agreements: %d/%d" % (total - ext_bad, total))
+        for kind, witness in (("hom", hom_w), ("ext1", ext_w)):
+            if witness:
+                print("%s witness: %s" % (kind, witness))
         ok = hom_bad == ext_bad == 0
         print("ok" if ok else "MISMATCH")
         return 0 if ok else 1

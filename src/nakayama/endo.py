@@ -31,7 +31,7 @@ from .homology import (
     pdim,
     syzygy,
 )
-from .linalg import kernel_basis, rank, reduced_kernel
+from .linalg import kernel_basis, pivot_columns, rank, reduced_kernel
 from .tilting import canonical_tilting, pd_tau_tilting
 
 
@@ -211,77 +211,42 @@ def radical_and_simples(algebra):
 
     Over the rationals the radical is exactly the radical of the form
     (x, y) -> trace(L_{x*y}).  For canonical Hom bases this must come out as
-    the span of the non-identity basis maps, which is asserted.
+    the span of the non-identity basis maps, which the endo suite checks.
     """
     n = algebra.dim
     t = algebra.table
     tr = [sum(1 for j in range(n) if t[z][j] == j) for z in range(n)]
     gram = [[tr[t[i][j]] if t[i][j] is not None else 0 for j in range(n)]
             for i in range(n)]
-    rad = kernel_basis(gram, n)
-    idem = set(algebra.idempotents)
-    assert len(rad) == n - len(algebra.summands)
-    for i in range(n):
-        if i in idem:
-            assert gram[i][i] != 0
-        else:
-            assert not any(gram[i])  # non-identity rows vanish identically
-    return rad, simple_modules(algebra)
-
-
-class _Span:
-    """Incremental row space over the rationals."""
-
-    def __init__(self):
-        self.rows = []   # reduced, each with leading pivot position
-
-    def _reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for pivot, row in self.rows:
-            if v[pivot]:
-                coef = v[pivot]
-                v = [a - coef * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec):
-        v = self._reduce(vec)
-        for pivot, x in enumerate(v):
-            if x:
-                self.rows.append((pivot, [a / x for a in v]))
-                return True
-        return False
-
-    def copy(self):
-        out = _Span()
-        out.rows = list(self.rows)
-        return out
+    return kernel_basis(gram, n), simple_modules(algebra)
 
 
 def syzygy_step(algebra, dim, mats):
     """Kernel of a minimal projective cover, as (dimension, action matrices).
 
     mats may be rational; columns of mats[i] are the images of the basis
-    vectors under the i-th algebra basis element.  The kernel is reduced once;
-    the coordinates of each image sit at its free columns, and its pivot
-    entries are checked against them, so every image is tested exactly for
-    membership in the kernel.
+    vectors under the i-th algebra basis element.  The cover's generators are
+    chosen by one fraction-free pivot pass over the radical columns followed
+    by the idempotent blocks.  The kernel is reduced once; the coordinates of
+    each image sit at its free columns, and its pivot entries are checked
+    against them, so every image is tested exactly for membership in the
+    kernel.
     """
     if dim == 0:
         return 0, []
     idem = set(algebra.idempotents)
-    rad = _Span()
-    for i in range(algebra.dim):
-        if i in idem:
-            continue
-        for col in zip(*mats[i]):
-            if any(col):
-                rad.add(col)
-    gens = []
-    for pos, e in enumerate(algebra.idempotents):
-        span = rad.copy()
-        for u in zip(*mats[e]):
-            if any(u) and span.add(u):
-                gens.append((pos, u))
+    vecs = [col for i in range(algebra.dim) if i not in idem
+            for col in zip(*mats[i]) if any(col)]
+    nrad = len(vecs)
+    blocks = [(pos, u) for pos, e in enumerate(algebra.idempotents)
+              for u in zip(*mats[e]) if any(u)]
+    vecs += [u for _, u in blocks]
+    # a column u of block e is a pivot iff u is not in rad M + the columns
+    # before it.  rad M is the direct sum of the e' rad M and u lies in eM, so
+    # the earlier blocks' columns (in the other e'M) never matter: block e
+    # keeps the u outside rad M + its own earlier columns
+    gens = [blocks[c - nrad] for c in pivot_columns(list(zip(*vecs)))
+            if c >= nrad]
     summand_pos = {u: pos for pos, u in enumerate(algebra.summands)}
     col_indices = [[] for _ in algebra.summands]
     for i, f in enumerate(algebra.basis):
@@ -319,7 +284,8 @@ def syzygy_step(algebra, dim, mats):
             at_free = [(f, x) for f, x in out.items() if f in kernel]
             for r, p in enumerate(pivots):
                 row = red[r]
-                assert out.get(p, 0) == -sum(row[f] * x for f, x in at_free), \
+                assert row[p] * out.get(p, 0) == -sum(
+                    row[f] * x for f, x in at_free), \
                     "cover kernel is not action-stable"
             cols.append([Fraction(out[f], s) if f in out else 0
                          for f, s in scale])
@@ -384,7 +350,6 @@ def _drop_record(gl, glb, pdt):
     if isinstance(glb, OverCap):
         holds = None
     else:
-        assert gl - 1 <= glb <= gl
         holds = (glb < gl) == (pdt < gl)
     return {"gldim": gl, "gldim_endo": glb, "pd_tau": pdt, "holds": holds}
 

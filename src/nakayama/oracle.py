@@ -8,11 +8,11 @@ presentation 0 -> K -> P_0 -> M -> 0, all by generic exact elimination.
 Nothing here shares a formula with homology.py: the closed-form image-length
 count and the syzygy index arithmetic never appear.
 
-Every matrix the oracle eliminates has integer entries, so ranks and kernels
-stay on the fraction-free paths of linalg; only the arrow maps of a kernel are
-found by an exact `solve`, and they are checked to be integral.  Each
-uniserial's representation, each presentation and each projective Hom basis
-is built once per algebra and kept only until a call for another algebra.
+Every matrix the oracle eliminates has integer entries; only the arrow maps
+of a kernel are found by an exact `solve`, and they are checked to be
+integral.  Each uniserial's representation, each presentation and each
+projective Hom basis is built once per algebra and kept only until a call for
+another algebra.
 """
 
 from functools import wraps

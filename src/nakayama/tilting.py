@@ -38,7 +38,6 @@ from .homology import (
     simples,
     syzygy,
 )
-from .linalg import rank
 
 
 def split_projective_vertices(alg):
@@ -328,52 +327,6 @@ def gldim_drop_conditions(alg):
     return out
 
 
-class K0Vector:
-    """Element of the free abelian group on the non-projective uniserials."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        self.coefficients = {u: c for u, c in coefficients.items() if c}
-
-    @classmethod
-    def of_module(cls, alg, m):
-        coeffs = {}
-        if m is not None:
-            summands = m.summands if isinstance(m, ModuleSum) else (m,)
-            for u in summands:
-                if not is_projective(alg, u):
-                    coeffs[u] = coeffs.get(u, 0) + 1
-        return cls(coeffs)
-
-    def __add__(self, other):
-        out = dict(self.coefficients)
-        for u, c in other.coefficients.items():
-            out[u] = out.get(u, 0) + c
-        return K0Vector(out)
-
-    def __eq__(self, other):
-        return isinstance(other, K0Vector) and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(frozenset(self.coefficients.items()))
-
-    def is_zero(self):
-        return not self.coefficients
-
-
-def k0_rank(vectors):
-    support = sorted({u for v in vectors for u in v.coefficients})
-    col = {u: j for j, u in enumerate(support)}
-    rows = []
-    for v in vectors:
-        row = [0] * len(support)
-        for u, c in v.coefficients.items():
-            row[col[u]] = c
-        rows.append(row)
-    return rank(rows)
-
-
 def igusa_todorov(alg, m):
     """The functions (phi, psi) of a module.
 
@@ -393,7 +346,9 @@ def igusa_todorov(alg, m):
         state = frozenset(w for w in (syzygy(alg, u) for u in state)
                           if w is not None and not is_projective(alg, w))
     cycle_start = seen[state]
-    ranks = [k0_rank([K0Vector.of_module(alg, u) for u in st]) for st in states]
+    # each state is a set of distinct non-projective uniserials, whose classes
+    # are distinct basis vectors of the class group
+    ranks = [len(st) for st in states]
     assert all(ranks[i] >= ranks[i + 1] for i in range(len(ranks) - 1))
     eventual = ranks[cycle_start]
     assert all(r == eventual for r in ranks[cycle_start:])

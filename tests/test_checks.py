@@ -90,3 +90,18 @@ def test_oracle_witness_names_its_own_kind(monkeypatch):
     assert hom_prop.failed and ext_prop.failed
     assert hom_prop.first_counterexample.startswith("cyclic:2,2 hom ")
     assert ext_prop.first_counterexample.startswith("cyclic:2 ext1 ")
+
+
+def test_drop_bound_violation_is_reported_not_raised(monkeypatch):
+    # an End(T) global dimension one above gldim breaks the bound; the
+    # property must record it instead of an assert raising out of the suite
+    from nakayama import endo
+    from nakayama.homology import gldim
+    monkeypatch.setattr(endo, "gldim_over",
+                        lambda algebra, cap=30: gldim(algebra.alg) + 1)
+    rep = run_suite("drop", samples=2, seed=3, cap=20, n_max=4, c_max=5)
+    bounds = next(p for p in rep.properties
+                  if p.name == "endo gldim within one of gldim")
+    assert bounds.checked and bounds.failed == bounds.checked
+    assert bounds.line().startswith("endo gldim within one of gldim: FAIL")
+    assert not rep.ok

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,6 @@ from nakayama.core import (
 from nakayama.endo import (
     AlgebraModule,
     OverCap,
-    _Span,
     drop_check,
     end_algebra,
     gldim_over,
@@ -185,6 +185,34 @@ def test_syzygy_step_matches_resolution():
         dims.append(d)
     assert not d, "no zero syzygy after %d steps" % STEP_CAP
     assert dims == resolution_dims(a, s)
+
+
+class _Span:
+    """Incremental row space over the rationals."""
+
+    def __init__(self):
+        self.rows = []   # reduced, each with leading pivot position
+
+    def _reduce(self, vec):
+        v = [Fraction(x) for x in vec]
+        for pivot, row in self.rows:
+            if v[pivot]:
+                coef = v[pivot]
+                v = [a - coef * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        v = self._reduce(vec)
+        for pivot, x in enumerate(v):
+            if x:
+                self.rows.append((pivot, [a / x for a in v]))
+                return True
+        return False
+
+    def copy(self):
+        out = _Span()
+        out.rows = list(self.rows)
+        return out
 
 
 def _reference_syzygy_step(algebra, dim, mats):

@@ -1,18 +1,23 @@
 """Exact linear algebra against a plain Fraction Gauss-Jordan reference.
 
-Integer input takes the fraction-free paths of rank and kernel_basis, Fraction
-input the Fraction ones; both must agree with the reference, and
-kernel_basis must return exactly the vectors of reduced_kernel.
+linalg eliminates only in integers: a Fraction row is first scaled by the lcm
+of its denominators.  rank, pivot_columns, kernel_basis and solve must agree
+with the reference on int and Fraction input alike, kernel_basis must return
+exactly the vectors of reduced_kernel, and a Fraction matrix must give the
+same answers as its row-scaled integer copy.
 """
 
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
-import pytest
-
-from nakayama import linalg
-from nakayama.linalg import kernel_basis, rank, reduced_kernel
+from nakayama.linalg import (
+    kernel_basis,
+    pivot_columns,
+    rank,
+    reduced_kernel,
+    solve,
+)
 
 # (rows, cols) of the random matrices: empty, wide, tall and square
 SHAPES = [(0, 0), (0, 4), (1, 1), (1, 6), (2, 7), (3, 9), (9, 3), (7, 2),
@@ -99,14 +104,75 @@ def test_kernel_basis_matches_reference_and_reduced_kernel():
     assert checked == len(SHAPES) * 31 + sum(1 for m, n in SHAPES if m and n)
 
 
-def test_integer_input_never_reduces_over_fraction(monkeypatch):
-    def no_fraction_rref(mat):
-        raise AssertionError("integer input reached the Fraction rref")
-    monkeypatch.setattr(linalg, "rref", no_fraction_rref)
-    rng = random.Random(11)
-    for m, n in SHAPES:
-        mat = _random_matrix(rng, m, n, False)
-        rank(mat)
-        kernel_basis(mat, n)
-    with pytest.raises(AssertionError, match="Fraction rref"):
-        kernel_basis([[Fraction(1, 2), 1]], 2)
+def _reference_solve(mat, rhs):
+    """The solution with free variables 0 read off the reference rref of the
+    augmented matrix, or None when a pivot falls in the right-hand side."""
+    n = len(mat[0]) if mat else 0
+    red, pivots = _reference_rref([list(row) + [b] for row, b in zip(mat, rhs)])
+    if pivots and pivots[-1] == n:
+        return None
+    x = [Fraction(0)] * n
+    for r, p in enumerate(pivots):
+        x[p] = red[r][n]
+    return x
+
+
+def _scaled(rows):
+    """Each row times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        d = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * d) for x in row])
+    return out
+
+
+def test_pivot_columns_match_reference():
+    for mat, _ in _matrices():
+        assert pivot_columns(mat) == _reference_rref(mat)[1], mat
+
+
+def test_solve_matches_reference():
+    rng = random.Random(13)
+    kinds = {"consistent": 0, "inconsistent": 0}
+    assert solve([], []) == []
+    assert solve([[], []], [0, 0]) == []
+    assert solve([[], []], [0, Fraction(1, 2)]) is None
+    for mat, n in _matrices():
+        m = len(mat)
+        x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        hit = [sum(a * x for a, x in zip(row, x0)) for row in mat]
+        for rhs in (hit, [rng.randint(-3, 3) for _ in range(m)]):
+            want = _reference_solve(mat, rhs)
+            got = solve(mat, rhs)
+            assert got == want, (mat, rhs)
+            if got is None:
+                kinds["inconsistent"] += 1
+            else:
+                kinds["consistent"] += 1
+                assert [sum(a * x for a, x in zip(row, got))
+                        for row in mat] == list(rhs)
+    assert kinds["consistent"] > 100 and kinds["inconsistent"] > 50, kinds
+
+
+def test_fraction_rows_reduce_as_their_integer_multiples():
+    rng = random.Random(17)
+    checked = 0
+    for mat, n in _matrices():
+        if all(type(x) is int for row in mat for x in row):
+            continue
+        ints = _scaled(mat)
+        assert rank(mat) == rank(ints)
+        assert pivot_columns(mat) == pivot_columns(ints)
+        assert kernel_basis(mat, n) == kernel_basis(ints, n)
+        red, pivots, kernel = reduced_kernel(mat, n)
+        assert (red, pivots, kernel) == reduced_kernel(ints, n)
+        assert all(type(x) is int for row in red for x in row)
+        for r, p in enumerate(pivots):
+            assert red[r][p] > 0
+            assert all(red[i][p] == 0 for i in range(len(red)) if i != r)
+        rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in mat]
+        aug = _scaled([row + [b] for row, b in zip(mat, rhs)])
+        assert solve(mat, rhs) == solve([row[:-1] for row in aug],
+                                        [row[-1] for row in aug]), (mat, rhs)
+        checked += 1
+    assert checked > 100

@@ -91,3 +91,23 @@ def test_oracle_none_inputs():
     alg = validate("cyclic", [2, 2])
     assert oracle_hom_dim(alg, None, projective(alg, 1)) == 0
     assert oracle_ext1_dim(alg, projective(alg, 1), None) == 0
+
+
+def test_oracle_imports_only_core_and_linalg():
+    # the oracle must share no formula with homology: inside the package it
+    # may import only the module data types and the elimination routines
+    import ast
+    import nakayama.oracle
+    with open(nakayama.oracle.__file__) as fh:
+        tree = ast.parse(fh.read())
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                inside.add(node.module or "")
+            elif (node.module or "").split(".")[0] == "nakayama":
+                inside.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            inside |= {a.name.partition(".")[2] for a in node.names
+                       if a.name.split(".")[0] == "nakayama"}
+    assert inside == {"core", "linalg"}

@@ -292,3 +292,17 @@ def test_cli_oracle_empty_grid_fails(capsys):
     assert main(["oracle", "--n-max", "0"]) == 1
     out = capsys.readouterr().out
     assert "matrix oracle: FAIL (nothing checked)" in out
+
+
+def test_cli_oracle_single_names_the_mismatched_pair(capsys, monkeypatch):
+    from nakayama import checks
+    hom = checks.oracle_hom_dim
+    monkeypatch.setattr(checks, "oracle_hom_dim",
+                        lambda alg, u, v: hom(alg, u, v) + 1)
+    assert main(["oracle", "--cyclic", "2,2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    witness = next(ln for ln in lines if ln.startswith("hom witness: "))
+    assert witness.startswith("hom witness: cyclic:2,2 hom M(")
+    assert " -> M(" in witness
+    assert not any(ln.startswith("ext1 witness: ") for ln in lines)
+    assert lines.index(witness) < lines.index("MISMATCH")

@@ -24,7 +24,6 @@ from nakayama.core import (
 from nakayama.homology import domdim, ext_dim, gldim, idim, pdim, pdim_table
 from nakayama.tilting import (
     ClassificationReport,
-    K0Vector,
     basic_gen_cogen,
     canonical_cotilting,
     canonical_tilting,
@@ -32,7 +31,6 @@ from nakayama.tilting import (
     gldim_drop_conditions,
     igusa_todorov,
     in_tilting_subcat,
-    k0_rank,
     pd_tau_tilting,
     projective_injectives,
     split_projective_vertices,
@@ -316,17 +314,6 @@ def test_igusa_todorov_plateau_then_drop():
         assert 0 <= phi <= psi
         if all(pdim(alg, u) != INF for u in m):
             assert psi == max(pdim(alg, u) for u in m)
-
-
-def test_k0_vectors():
-    u, v = make_module(SHARP, 2, 1), make_module(SHARP, 4, 2)
-    a = K0Vector.of_module(SHARP, u)
-    b = K0Vector.of_module(SHARP, ModuleSum.of([u, v, v]))
-    assert (a + a).coefficients == {u: 2}
-    assert b.coefficients == {u: 1, v: 2}
-    assert K0Vector.of_module(SHARP, projective(SHARP, 1)).is_zero()
-    assert k0_rank([a, b, a + b]) == 2
-    assert k0_rank([]) == 0
 
 
 def test_gen_cogen_contains_all_proj_inj():
