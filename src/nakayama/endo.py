@@ -7,6 +7,12 @@ below are left modules via g . phi = phi after g.  Products of canonical
 maps are canonical or zero, so every structure constant is 0 or 1 and module
 actions are column maps (each basis vector goes to a basis vector or to 0).
 
+Every algebra and module is validated at construction.  A basis map only
+composes with maps that start where it ends, so after an O(dim^2) check that
+the table is zero off composable pairs and that each product runs from the
+first source to the last target, associativity and the module axioms need
+checking only on composable chains: on any other triple both sides are zero.
+
 All ranks and kernels are exact rational computations.
 """
 
@@ -50,7 +56,10 @@ class StructureConstantAlgebra:
 
     basis[i] is a HomMap between summands of X; table[i][j] is the basis
     index of basis[i] * basis[j], or None when the product is zero or the
-    targets do not line up.
+    targets do not line up.  Construction validates the table: zero off
+    composable pairs, products from source to target, associativity on
+    composable chains (which with the zero pattern is associativity on all
+    triples), orthogonal idempotents and two-sided units.
     """
 
     def __init__(self, alg, x):
@@ -83,13 +92,29 @@ class StructureConstantAlgebra:
 
     def _validate(self):
         t = self.table
+        src = [self.summand_position(f.source) for f in self.basis]
+        tgt = [self.summand_position(f.target) for f in self.basis]
+        by_source = [[] for _ in self.summands]
+        for i, p in enumerate(src):
+            by_source[p].append(i)
         for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    ij = t[i][j]
-                    jk = t[j][k]
-                    left = t[ij][k] if ij is not None else None
-                    right = t[i][jk] if jk is not None else None
+            for j, ij in enumerate(t[i]):
+                if ij is not None:
+                    assert tgt[i] == src[j], "product of maps that do not compose"
+                    assert src[ij] == src[i] and tgt[ij] == tgt[j], \
+                        "product has the wrong source or target"
+        # with the pattern above, a triple that is not a chain i -> j -> k
+        # has None on both sides
+        for i in range(self.dim):
+            ti = t[i]
+            for j in by_source[tgt[i]]:
+                ij = ti[j]
+                tj = t[j]
+                tij = t[ij] if ij is not None else None
+                for k in by_source[tgt[j]]:
+                    jk = tj[k]
+                    left = tij[k] if tij is not None else None
+                    right = ti[jk] if jk is not None else None
                     assert left == right, "associativity fails at basis triple"
         idem = set(self.idempotents)
         for e in idem:
@@ -127,8 +152,11 @@ class AlgebraModule:
 
     labels[j] is a HomMap from some summand of X into the underlying module;
     cols[i][j] gives the index of basis[i] . labels[j], or None for zero.
-    Unit decomposition and compatibility with the full multiplication table
-    are validated at construction.
+    Construction validates the unit decomposition, that cols is zero unless
+    basis[i] ends where labels[j] starts (the result then starts where
+    basis[i] does), and i . (j . m) == (i * j) . m on every composable chain;
+    on any other triple both sides are zero, so this is compatibility with
+    the full multiplication table.
     """
 
     def __init__(self, algebra, labels, cols):
@@ -145,12 +173,25 @@ class AlgebraModule:
             for j in range(self.dim):
                 want = j if src[j] == pos else None
                 assert self.cols[e][j] == want, "unit decomposition broken"
+        bsrc = [a.summand_position(f.source) for f in a.basis]
+        btgt = [a.summand_position(f.target) for f in a.basis]
+        by_target = [[] for _ in a.summands]
+        for i, p in enumerate(btgt):
+            by_target[p].append(i)
         for i in range(a.dim):
-            for j in range(a.dim):
-                ij = a.table[i][j]
-                for m in range(self.dim):
-                    step = self.cols[j][m]
+            for m, im in enumerate(self.cols[i]):
+                if im is not None:
+                    assert btgt[i] == src[m], "action of a map that does not compose"
+                    assert src[im] == bsrc[i], "action lands in the wrong block"
+        # with the pattern above, i . (j . m) and (i * j) . m are both zero
+        # unless i, j, m form a chain; j runs over every map into m's block,
+        # including those with j . m zero, where (i * j) . m must be zero too
+        for m in range(self.dim):
+            for j in by_target[src[m]]:
+                step = self.cols[j][m]
+                for i in by_target[bsrc[j]]:
                     composite = self.cols[i][step] if step is not None else None
+                    ij = a.table[i][j]
                     direct = self.cols[ij][m] if ij is not None else None
                     assert composite == direct, "action ignores the table"
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nakayama.checks import grid_algebras
 from nakayama.core import (
     INF,
     AdmissibleSequence,
@@ -38,6 +39,7 @@ from nakayama.homology import (
     ext_dim,
     gldim,
     hom_dim,
+    identity_hom,
     idim,
     pdim,
     simples,
@@ -171,6 +173,150 @@ def test_resolution_dims_end_at_zero_for_finite_pd():
         assert dims[0] == 1
         assert dims[-1] == 0
         assert len(dims) - 2 == pd_over(a, s)
+
+
+def _reference_validate_algebra(algebra):
+    """The brute-force check: associativity on all dim^3 basis triples, then
+    orthogonal idempotents and two-sided units."""
+    t = algebra.table
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            for k in range(algebra.dim):
+                ij = t[i][j]
+                jk = t[j][k]
+                left = t[ij][k] if ij is not None else None
+                right = t[i][jk] if jk is not None else None
+                assert left == right, "associativity fails at basis triple"
+    idem = set(algebra.idempotents)
+    for e in idem:
+        for f in idem:
+            assert t[e][f] == (e if e == f else None)
+    for i, f in enumerate(algebra.basis):
+        src = algebra.index[identity_hom(algebra.alg, f.source)]
+        tgt = algebra.index[identity_hom(algebra.alg, f.target)]
+        for e in idem:
+            assert t[e][i] == (i if e == src else None)
+            assert t[i][e] == (i if e == tgt else None)
+
+
+def _reference_validate_module(algebra, labels, cols):
+    """The brute-force check: unit decomposition, then the action against the
+    full table on all dim^2 * m triples."""
+    a = algebra
+    src = [a.summand_position(phi.source) for phi in labels]
+    for pos, e in enumerate(a.idempotents):
+        for j in range(len(labels)):
+            want = j if src[j] == pos else None
+            assert cols[e][j] == want, "unit decomposition broken"
+    for i in range(a.dim):
+        for j in range(a.dim):
+            ij = a.table[i][j]
+            for m in range(len(labels)):
+                step = cols[j][m]
+                composite = cols[i][step] if step is not None else None
+                direct = cols[ij][m] if ij is not None else None
+                assert composite == direct, "action ignores the table"
+
+
+def _rejects(check, *args):
+    try:
+        check(*args)
+    except AssertionError:
+        return True
+    return False
+
+
+def _corrupt(rows, rng):
+    """A copy of rows with one entry moved to another index or to None."""
+    i = rng.randrange(len(rows))
+    j = rng.randrange(len(rows[i]))
+    choices = [None] + list(range(len(rows[0])))
+    choices.remove(rows[i][j])
+    out = [list(r) for r in rows]
+    out[i][j] = rng.choice(choices)
+    return out
+
+
+def test_chain_validators_reject_what_the_full_check_rejects():
+    # seeded single-entry corruptions of End(T) tables and of the simple and
+    # regular modules over them, on every other algebra of grid_algebras(4, 6)
+    # with a canonical tilting module
+    rng = random.Random(2017)
+    algebras = [end_algebra(alg, t) for alg in grid_algebras(4, 6)
+                for t in [canonical_tilting(alg)] if t is not None][::2]
+    assert len(algebras) == 45
+    verdicts = {"algebra": [0, 0], "module": [0, 0]}
+    for a in algebras:
+        table = a.table
+        for _ in range(12):
+            a.table = _corrupt(table, rng)
+            want = _rejects(_reference_validate_algebra, a)
+            assert _rejects(a._validate) == want
+            verdicts["algebra"][want] += 1
+        a.table = table
+        for mod in simple_modules(a) + [regular_module(a)]:
+            for _ in range(3):
+                cols = _corrupt(mod.cols, rng)
+                want = _rejects(_reference_validate_module, a, mod.labels, cols)
+                assert _rejects(AlgebraModule, a, mod.labels, cols) == want
+                verdicts["module"][want] += 1
+    # both outcomes occur, so neither validator passes by rejecting everything
+    assert all(kept and rejected for kept, rejected in verdicts.values())
+
+
+def test_validators_reject_entries_off_composable_pairs():
+    # the full check rejects these through the units; the pattern checks are
+    # what let the chain loops skip every triple that does not compose
+    a = end_algebra(SHARP, canonical_tilting(SHARP))
+    basis, table = a.basis, a.table
+    i, j = next((i, j) for i, f in enumerate(basis)
+                for j, g in enumerate(basis) if f.target != g.source)
+    k, l = next((k, l) for k, row in enumerate(table)
+                for l, kl in enumerate(row)
+                if kl is not None and basis[k].source != basis[l].source)
+    for (r, c, value), match in [((i, j, i), "do not compose"),
+                                 ((k, l, l), "wrong source or target")]:
+        a.table = [list(row) for row in table]
+        a.table[r][c] = value
+        with pytest.raises(AssertionError, match=match):
+            a._validate()
+        with pytest.raises(AssertionError):
+            _reference_validate_algebra(a)
+    a.table = table
+    reg = regular_module(a)
+    idem = set(a.idempotents)
+    i, m = next((i, m) for i, f in enumerate(basis) if i not in idem
+                for m, phi in enumerate(reg.labels) if f.target != phi.source)
+    k, q = next((k, q) for k, col in enumerate(reg.cols) if k not in idem
+                for q, kq in enumerate(col)
+                if kq is not None and basis[k].source != reg.labels[q].source)
+    for (r, c, value), match in [((i, m, m), "does not compose"),
+                                 ((k, q, q), "wrong block")]:
+        cols = [list(col) for col in reg.cols]
+        cols[r][c] = value
+        with pytest.raises(AssertionError, match=match):
+            AlgebraModule(a, reg.labels, cols)
+        with pytest.raises(AssertionError):
+            _reference_validate_module(a, reg.labels, cols)
+
+
+def test_module_rejects_a_zero_step_under_a_nonzero_composite():
+    # j . m set to zero while (i * j) . m stays nonzero: the chain loop must
+    # visit pairs whose first step is zero
+    a = end_algebra(SHARP, canonical_tilting(SHARP))
+    reg = regular_module(a)
+    idem = set(a.idempotents)
+    i, j, m = next(
+        (i, j, m) for m in range(reg.dim) for j in range(a.dim)
+        if j not in idem and reg.cols[j][m] is not None
+        for i in range(a.dim)
+        if a.table[i][j] is not None and reg.cols[a.table[i][j]][m] is not None)
+    cols = [list(c) for c in reg.cols]
+    cols[j][m] = None
+    with pytest.raises(AssertionError, match="ignores the table"):
+        AlgebraModule(a, reg.labels, cols)
+    with pytest.raises(AssertionError):
+        _reference_validate_module(a, reg.labels, cols)
 
 
 def test_syzygy_step_matches_resolution():

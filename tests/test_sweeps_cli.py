@@ -263,6 +263,22 @@ def test_cli_check_nothing_checked_fails(capsys):
     assert "suite it: FAIL" in out
 
 
+def test_cli_check_over_cap_is_a_named_failure(capsys):
+    # an End(T) resolution that hits the cap refutes nothing; it still fails,
+    # and the witness says the run was undecided
+    assert main(["check", "--suite", "drop", "--samples", "0", "--cap", "1"]) == 1
+    out = capsys.readouterr().out
+    assert ("gldim drop equivalence: FAIL (27 of 29) first counterexample: "
+            "cyclic:2,3 (endo resolution over cap 1)") in out
+    assert "suite drop: FAIL" in out
+    assert main(["check", "--suite", "endo", "--cap", "1"]) == 1
+    out = capsys.readouterr().out
+    assert ("hom transport drops projective dimension by one: FAIL (59 of 120) "
+            "first counterexample: cyclic:2,2,3 M(3,2) "
+            "(endo resolution over cap 1)") in out
+    assert "suite endo: FAIL" in out
+
+
 def test_cli_enumerate_rejects_negative_row_cap(capsys):
     assert main(["enumerate", "--kind", "cyclic", "-n", "2", "--max-c", "4",
                  "--row-cap", "-1"]) == 1
