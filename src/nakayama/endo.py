@@ -76,6 +76,10 @@ class StructureConstantAlgebra:
             for f in hom_basis(alg, a, b))
         self.index = {f: i for i, f in enumerate(self.basis)}
         self.dim = len(self.basis)
+        pos = {u: p for p, u in enumerate(self.summands)}
+        # summand positions of the source and of the target of each basis map
+        self.source_pos = tuple(pos[f.source] for f in self.basis)
+        self.target_pos = tuple(pos[f.target] for f in self.basis)
         self.idempotents = tuple(
             self.index[identity_hom(alg, a)] for a in self.summands)
         self.table = []
@@ -92,8 +96,7 @@ class StructureConstantAlgebra:
 
     def _validate(self):
         t = self.table
-        src = [self.summand_position(f.source) for f in self.basis]
-        tgt = [self.summand_position(f.target) for f in self.basis]
+        src, tgt = self.source_pos, self.target_pos
         by_source = [[] for _ in self.summands]
         for i, p in enumerate(src):
             by_source[p].append(i)
@@ -173,8 +176,7 @@ class AlgebraModule:
             for j in range(self.dim):
                 want = j if src[j] == pos else None
                 assert self.cols[e][j] == want, "unit decomposition broken"
-        bsrc = [a.summand_position(f.source) for f in a.basis]
-        btgt = [a.summand_position(f.target) for f in a.basis]
+        bsrc, btgt = a.source_pos, a.target_pos
         by_target = [[] for _ in a.summands]
         for i, p in enumerate(btgt):
             by_target[p].append(i)
@@ -288,10 +290,9 @@ def syzygy_step(algebra, dim, mats):
     # keeps the u outside rad M + its own earlier columns
     gens = [blocks[c - nrad] for c in pivot_columns(list(zip(*vecs)))
             if c >= nrad]
-    summand_pos = {u: pos for pos, u in enumerate(algebra.summands)}
     col_indices = [[] for _ in algebra.summands]
-    for i, f in enumerate(algebra.basis):
-        col_indices[summand_pos[f.target]].append(i)
+    for i, pos in enumerate(algebra.target_pos):
+        col_indices[pos].append(i)
     # cover[c] = (algebra basis index, generator number); generators are
     # pairwise distinct vectors (independent within one idempotent block,
     # zero products across blocks), so numbers stand in for the vectors
@@ -453,9 +454,8 @@ def module_endomorphisms(algebra, module):
             pos_in_block[j] = p
 
     rows = []
-    for gi, g in enumerate(algebra.basis):
-        s = algebra.summand_position(g.source)
-        t = algebra.summand_position(g.target)
+    for gi in range(algebra.dim):
+        s, t = algebra.source_pos[gi], algebra.target_pos[gi]
         # the action of g maps block t into block s
         act = [[0] * sizes[t] for _ in range(sizes[s])]
         col = module.cols[gi]
