@@ -1,8 +1,9 @@
 """Record BENCH_<n>.json: medians and quartiles of the benchmark's end-to-end metrics.
 
-    python3 scripts/record_bench.py --pr N [--runs K] [--seed S]
+    python3 scripts/record_bench.py --number N [--runs K] [--seed S]
 
-Run from anywhere inside the repository.  Each run calls
+N numbers the output, BENCH_<N>.json; give each recorded change the next
+number.  Run from anywhere inside the repository.  Each run calls
 ``perfbench/run.py --trace 0`` once per workload listed in BENCHMARK.json,
 for as many seconds as BENCHMARK.json sets, with seed S + run number, so the
 runs see different item orders.  BENCH_<N>.json at the repository root then
@@ -37,8 +38,8 @@ def summarize(values):
     return {"median": median, "q1": q1, "q3": q3, "values": list(values)}
 
 
-def aggregate(pr, seeds, runs, metric_names):
-    """The BENCH_<pr>.json record for runs, a list of (workload, metadata,
+def aggregate(number, seeds, runs, metric_names):
+    """The BENCH_<number>.json record for runs, a list of (workload, metadata,
     result) triples in run order from one checkout, keeping the metrics in
     metric_names."""
     meta = runs[0][1]
@@ -56,7 +57,7 @@ def aggregate(pr, seeds, runs, metric_names):
                                           for res in results]))
                 for metric in metric_names},
         }
-    return {"pr": pr, "seeds": list(seeds),
+    return {"number": number, "seeds": list(seeds),
             **{key: meta[key] for key in
                ("python", "nproc", "git_sha", "src_nonblank_lines")},
             "workloads": workloads}
@@ -64,7 +65,7 @@ def aggregate(pr, seeds, runs, metric_names):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--pr", type=int, required=True)
+    ap.add_argument("--number", type=int, required=True)
     ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -89,8 +90,8 @@ def main():
             print("%s seed=%d wall_s=%.4f correct=%s" % (
                 workload, seed, result["metrics"]["wall_s"]["value"],
                 result["correct"]), flush=True)
-    out = ROOT / ("BENCH_%d.json" % args.pr)
-    out.write_text(json.dumps(aggregate(args.pr, seeds, runs, metric_names),
+    out = ROOT / ("BENCH_%d.json" % args.number)
+    out.write_text(json.dumps(aggregate(args.number, seeds, runs, metric_names),
                               indent=1) + "\n")
     print("wrote %s" % out)
 

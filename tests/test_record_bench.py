@@ -40,8 +40,8 @@ def test_aggregate_gives_median_and_quartiles_per_workload():
             if r < len(walls[name]):
                 runs.append((name,) + record_bench.parse_run_output(
                     run_output(walls[name][r], 20.0 + r, failed=int(name == "b" and r))))
-    rec = record_bench.aggregate(7, [3, 4, 5, 6, 7], runs, ["wall_s", "peak_rss_mb"])
-    assert rec["pr"] == 7 and rec["seeds"] == [3, 4, 5, 6, 7]
+    rec = record_bench.aggregate(12, [3, 4, 5, 6, 7], runs, ["wall_s", "peak_rss_mb"])
+    assert rec["number"] == 12 and rec["seeds"] == [3, 4, 5, 6, 7]
     assert (rec["python"], rec["nproc"], rec["git_sha"], rec["src_nonblank_lines"]) \
         == ("3.11.7", 2, "abc123", 2500)
     a, b = rec["workloads"]["a"], rec["workloads"]["b"]
@@ -58,7 +58,7 @@ def test_aggregate_gives_median_and_quartiles_per_workload():
 
 def test_single_run_has_collapsed_quartiles():
     runs = [("a",) + record_bench.parse_run_output(run_output(0.25, 20.0))]
-    got = record_bench.aggregate(7, [0], runs, ["wall_s"])
+    got = record_bench.aggregate(12, [0], runs, ["wall_s"])
     assert got["workloads"]["a"]["metrics"]["wall_s"] == {
         "unit": "s", "median": 0.25, "q1": 0.25, "q3": 0.25, "values": [0.25]}
 
