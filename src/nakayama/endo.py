@@ -13,6 +13,11 @@ the table is zero off composable pairs and that each product runs from the
 first source to the last target, associativity and the module axioms need
 checking only on composable chains: on any other triple both sides are zero.
 
+Resolutions carry each module action as sparse columns: the action of the
+i-th basis element is a list whose entry j is the image of basis vector j as
+{row: coefficient}, with zeros not stored ({} for a zero image), so a syzygy
+step costs the nonzero entries, not dim End * dim M^2.
+
 All ranks and kernels are exact rational computations.
 """
 
@@ -154,7 +159,8 @@ class AlgebraModule:
     """Left module on a canonical Hom basis; actions are column maps.
 
     labels[j] is a HomMap from some summand of X into the underlying module;
-    cols[i][j] gives the index of basis[i] . labels[j], or None for zero.
+    cols[i][j] gives the index of basis[i] . labels[j], or None for zero;
+    action_matrix(i) gives the same map as sparse columns.
     Construction validates the unit decomposition, that cols is zero unless
     basis[i] ends where labels[j] starts (the result then starts where
     basis[i] does), and i . (j . m) == (i * j) . m on every composable chain;
@@ -198,11 +204,9 @@ class AlgebraModule:
                     assert composite == direct, "action ignores the table"
 
     def action_matrix(self, i):
-        mat = [[0] * self.dim for _ in range(self.dim)]
-        for j, tgt in enumerate(self.cols[i]):
-            if tgt is not None:
-                mat[tgt][j] = 1
-        return mat
+        """The action of basis[i] as sparse columns: entry j is {} when
+        basis[i] . labels[j] is zero and {index: 1} otherwise."""
+        return [{} if t is None else {t: 1} for t in self.cols[i]]
 
     def block_of(self, j):
         """Index of the summand of X the j-th basis map starts from."""
@@ -265,31 +269,36 @@ def radical_and_simples(algebra):
 
 
 def syzygy_step(algebra, dim, mats):
-    """Kernel of a minimal projective cover, as (dimension, action matrices).
+    """Kernel of a minimal projective cover, as (dimension, action columns).
 
-    mats may be rational; columns of mats[i] are the images of the basis
-    vectors under the i-th algebra basis element.  The cover's generators are
-    chosen by one fraction-free pivot pass over the radical columns followed
-    by the idempotent blocks.  The kernel is reduced once; the coordinates of
-    each image sit at its free columns, and its pivot entries are checked
-    against them, so every image is tested exactly for membership in the
+    mats[i][j] is the image of basis vector j under the i-th algebra basis
+    element as a sparse column {row: coefficient}; coefficients may be
+    rational, zeros are not stored and a zero image is {}.  The result's
+    actions have the same form.  The cover's generators are chosen by one
+    fraction-free pivot pass over the radical columns followed by the
+    idempotent blocks.  The kernel is reduced once; the coordinates of each
+    image sit at its free columns, and its pivot entries are checked against
+    them, so every nonzero image is tested exactly for membership in the
     kernel.
     """
     if dim == 0:
         return 0, []
     idem = set(algebra.idempotents)
     vecs = [col for i in range(algebra.dim) if i not in idem
-            for col in zip(*mats[i]) if any(col)]
+            for col in mats[i] if col]
     nrad = len(vecs)
     blocks = [(pos, u) for pos, e in enumerate(algebra.idempotents)
-              for u in zip(*mats[e]) if any(u)]
+              for u in mats[e] if u]
     vecs += [u for _, u in blocks]
+    dense = [[0] * len(vecs) for _ in range(dim)]
+    for c, col in enumerate(vecs):
+        for r, x in col.items():
+            dense[r][c] = x
     # a column u of block e is a pivot iff u is not in rad M + the columns
     # before it.  rad M is the direct sum of the e' rad M and u lies in eM, so
     # the earlier blocks' columns (in the other e'M) never matter: block e
     # keeps the u outside rad M + its own earlier columns
-    gens = [blocks[c - nrad] for c in pivot_columns(list(zip(*vecs)))
-            if c >= nrad]
+    gens = [blocks[c - nrad] for c in pivot_columns(dense) if c >= nrad]
     col_indices = [[] for _ in algebra.summands]
     for i, pos in enumerate(algebra.target_pos):
         col_indices[pos].append(i)
@@ -298,15 +307,17 @@ def syzygy_step(algebra, dim, mats):
     # zero products across blocks), so numbers stand in for the vectors
     cover = [(i, k) for k, (pos, _) in enumerate(gens) for i in col_indices[pos]]
     theta = [[0] * len(cover) for _ in range(dim)]
-    support = [[(j, x) for j, x in enumerate(u) if x] for _, u in gens]
     for c, (i, k) in enumerate(cover):
-        for r in range(dim):
-            theta[r][c] = sum(mats[i][r][j] * x for j, x in support[k])
+        act = mats[i]
+        for j, x in gens[k][1].items():
+            for r, y in act[j].items():
+                theta[r][c] += y * x
     red, pivots, kernel = reduced_kernel(theta, len(cover))
     kd = len(kernel)
     if kd == 0:
         return 0, []
-    scale = [(f, vec[f]) for f, vec in kernel.items()]
+    # kernel vector number and scale of each free column
+    coord = {f: (c, vec[f]) for c, (f, vec) in enumerate(kernel.items())}
     sparse = [[(p, x) for p, x in enumerate(vec) if x] for vec in kernel.values()]
     position = {}
     for c, key in enumerate(cover):
@@ -323,15 +334,20 @@ def syzygy_step(algebra, dim, mats):
                 if t is not None:
                     q = position[t, k]
                     out[q] = out.get(q, 0) + x
-            at_free = [(f, x) for f, x in out.items() if f in kernel]
-            for r, p in enumerate(pivots):
-                row = red[r]
-                assert row[p] * out.get(p, 0) == -sum(
-                    row[f] * x for f, x in at_free), \
-                    "cover kernel is not action-stable"
-            cols.append([Fraction(out[f], s) if f in out else 0
-                         for f, s in scale])
-        new_mats.append([list(row) for row in zip(*cols)])
+            col = {}
+            if out:
+                at_free = [(f, x) for f, x in out.items() if f in coord]
+                for r, p in enumerate(pivots):
+                    row = red[r]
+                    assert row[p] * out.get(p, 0) == -sum(
+                        row[f] * x for f, x in at_free), \
+                        "cover kernel is not action-stable"
+                for f, x in at_free:
+                    if x:
+                        c, s = coord[f]
+                        col[c] = Fraction(x, s)
+            cols.append(col)
+        new_mats.append(cols)
     return kd, new_mats
 
 

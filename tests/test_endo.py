@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from nakayama.core import (
     AdmissibleSequence,
     ModuleSum,
     Uniserial,
+    format_algebra,
     injective,
     is_injective,
     is_projective,
@@ -333,6 +336,69 @@ def test_syzygy_step_matches_resolution():
     assert dims == resolution_dims(a, s)
 
 
+def _dense(mats, d):
+    """Sparse action columns as dense d x d matrices (rows of entries)."""
+    out = []
+    for cols in mats:
+        mat = [[0] * d for _ in range(d)]
+        for j, col in enumerate(cols):
+            for r, x in col.items():
+                mat[r][j] = x
+        out.append(mat)
+    return out
+
+
+def test_action_matrix_is_the_column_map_as_sparse_columns():
+    a = end_algebra(SHARP, canonical_tilting(SHARP))
+    reg = regular_module(a)
+    for i in range(a.dim):
+        cols = reg.action_matrix(i)
+        dense = _dense([cols], reg.dim)[0]
+        assert dense == [[1 if reg.cols[i][j] == r else 0
+                          for j in range(reg.dim)] for r in range(reg.dim)]
+
+
+def test_syzygy_step_stores_no_zeros():
+    # a stored zero would make "if col" take a zero column for a generator
+    # candidate
+    steps = 0
+    for alg in (SHARP, LIN5):
+        a = end_algebra(alg, canonical_tilting(alg))
+        for s in simple_modules(a):
+            d, mats = s.dim, [s.action_matrix(i) for i in range(a.dim)]
+            for _ in range(STEP_CAP):
+                if not d:
+                    break
+                d, mats = syzygy_step(a, d, mats)
+                assert len(mats) == (a.dim if d else 0)
+                for cols in mats:
+                    assert len(cols) == d
+                    for col in cols:
+                        assert all(x != 0 for x in col.values())
+                        assert set(col) <= set(range(d))
+                steps += 1
+            assert not d, "no zero syzygy after %d steps" % STEP_CAP
+    assert steps == 28
+
+
+def test_resolution_dims_digest():
+    # the syzygy dimensions of every simple of End(T) over the 90 tilting
+    # algebras of grid_algebras(4, 6) and four linear ladder rungs, pinned
+    algs = [alg for alg in grid_algebras(4, 6)
+            if canonical_tilting(alg) is not None]
+    assert len(algs) == 90
+    algs += [AdmissibleSequence("linear", tuple(min(i, k) for i in range(1, n + 1)))
+             for n, k in [(12, 5), (16, 6), (20, 6), (30, 8)]]
+    rows = []
+    for alg in algs:
+        b = end_algebra(alg, canonical_tilting(alg))
+        rows.append([format_algebra(alg),
+                     [resolution_dims(b, s) for s in simple_modules(b)]])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == \
+        "27c565dfcd1022e499f064b32a1170002ee18a09e0e375b28347fd0a9ec6951f"
+
+
 class _Span:
     """Incremental row space over the rationals."""
 
@@ -417,9 +483,9 @@ def test_syzygy_step_equals_kernel_basis_and_solve_route():
             for _ in range(STEP_CAP):
                 if not d:
                     break
-                want = _reference_syzygy_step(a, d, mats)
+                want = _reference_syzygy_step(a, d, _dense(mats, d))
                 d, mats = syzygy_step(a, d, mats)
-                assert (d, mats) == want
+                assert (d, _dense(mats, d)) == want
                 steps += 1
             assert not d, "no zero syzygy after %d steps" % STEP_CAP
     assert steps == 60
@@ -431,8 +497,8 @@ def test_syzygy_step_rejects_a_non_module():
     a = end_algebra(SHARP, canonical_tilting(SHARP))
     s = simple_modules(a)[0]
     d, mats = syzygy_step(a, s.dim, [s.action_matrix(i) for i in range(a.dim)])
-    assert d == 4 and mats[12][2][3] == 1
-    mats[12][2][3] *= 2
+    assert d == 4 and mats[12][3][2] == 1
+    mats[12][3][2] *= 2
     with pytest.raises(AssertionError, match="action-stable"):
         syzygy_step(a, d, mats)
 
