@@ -2,17 +2,25 @@
 
 A uniserial is realized as a representation of the quiver: one coordinate
 slot per composition factor, arrows acting as index shifts.  Hom spaces are
-then computed as intertwiner kernels and Ext^1 as the cokernel of
-Hom(P_0, N) -> Hom(K, N) for an explicitly constructed projective
-presentation 0 -> K -> P_0 -> M -> 0, all by generic exact elimination.
-Nothing here shares a formula with homology.py: the closed-form image-length
-count and the syzygy index arithmetic never appear.
+intertwiner kernels, found by generic exact elimination.  Ext^1(M, N) is a
+dimension count for an explicitly constructed projective presentation
+0 -> K -> P_0 -> M -> 0: since Ext^1(P_0, N) = 0, the sequence
+
+    0 -> Hom(M, N) -> Hom(P_0, N) -> Hom(K, N) -> Ext^1(M, N) -> 0
+
+is exact (Assem-Simson-Skowronski, Elements of the Representation Theory of
+Associative Algebras I, IV.2 and A.4).  Nothing here shares a formula with
+homology.py: the closed-form image-length count and the syzygy index
+arithmetic never appear.
 
 Every matrix the oracle eliminates has integer entries; only the arrow maps
 of a kernel are found by an exact `solve`, and they are checked to be
-integral.  Each uniserial's representation, each presentation and each
-projective Hom basis is built once per algebra and kept only until a call for
-another algebra.
+integral.  Within one algebra the oracle keeps one object per distinct
+representation: each new one, a uniserial's or a kernel's, is replaced by
+the first built with the same vertex dimensions and arrow matrices, so a
+kernel comes back as the very object of the uniserial it equals.  Hom
+dimensions are memoised on pairs of these objects.  Everything is kept only
+until a call for another algebra.
 """
 
 from functools import wraps
@@ -56,8 +64,8 @@ class _OneAlgebraMemo:
     Every value depends on its algebra, and a sweep finishes one algebra
     before it starts the next, so the first call for another algebra empties
     the table.  It never holds more than one algebra's representations,
-    presentations and projective Hom bases, and callers must not mutate what
-    it returns.
+    presentations and Hom dimensions, and callers must not mutate what it
+    returns.
     """
 
     def __init__(self):
@@ -80,9 +88,23 @@ class _OneAlgebraMemo:
 _memo = _OneAlgebraMemo()
 
 
+def _content_key(rep):
+    return ("_content", tuple(rep.dims),
+            tuple(tuple(map(tuple, rep.mats[v])) for v, _ in _arrows(rep.alg)))
+
+
+def _unique(rep):
+    """The first representation built with rep's dims and arrow matrices.
+
+    Call it only inside a memoised function of rep.alg, so that the memo's
+    table is that algebra's.
+    """
+    return _memo.table.setdefault(_content_key(rep), rep)
+
+
 @_memo
 def _rep(alg, u):
-    return MatrixRep.of_uniserial(alg, u)
+    return _unique(MatrixRep.of_uniserial(alg, u))
 
 
 @_memo
@@ -119,24 +141,18 @@ def _intertwiner_system(m_rep, n_rep):
     return rows, total
 
 
-def _hom_space(m_rep, n_rep):
+@_memo
+def _hom(alg, m_rep, n_rep):
+    """dim Hom(M, N): variables minus the rank of the intertwiner system."""
     rows, total = _intertwiner_system(m_rep, n_rep)
-    if total == 0:
-        return [], 0
-    return kernel_basis(rows, total), total
+    return total - rank(rows) if total else 0
 
 
 def oracle_hom_dim(alg, u, v):
     """dim Hom(u, v) via intertwiner rank, never via image-length counting."""
     if u is None or v is None:
         return 0
-    rows, total = _intertwiner_system(_rep(alg, u), _rep(alg, v))
-    return total - rank(rows)
-
-
-@_memo
-def _projective_hom_basis(alg, i, v):
-    return _hom_space(_rep(alg, projective(alg, i)), _rep(alg, v))
+    return _hom(alg, _rep(alg, u), _rep(alg, v))
 
 
 @_memo
@@ -173,37 +189,16 @@ def _presentation(alg, u):
                 "kernel arrow map is not integral; presentation is broken"
             cols.append([int(e) for e in x])
         kmats[v] = [[cols[c][r] for c in range(kdims[v - 1])] for r in range(kdims[w - 1])]
-    return MatrixRep(alg, kdims, kmats), incl
+    return _unique(MatrixRep(alg, kdims, kmats)), incl
 
 
 def oracle_ext1_dim(alg, u, v):
-    """dim Ext^1(u, v) as coker(Hom(P_0, N) -> Hom(K, N)) for the explicit
-    presentation 0 -> K -> P_0 -> u -> 0."""
+    """dim Ext^1(u, v) = dim Hom(K, N) - dim Hom(P_0, N) + dim Hom(u, N) for
+    the explicit presentation 0 -> K -> P_0 -> u -> 0."""
     if u is None or v is None:
         return 0
-    k_rep, incl = _presentation(alg, u)
-    n_rep = _rep(alg, v)
-    rows, total = _intertwiner_system(k_rep, n_rep)
-    hom_kn = total - rank(rows) if total else 0
-    if hom_kn == 0:
-        return 0
-    basis, _ = _projective_hom_basis(alg, u.top, v)
-    res_rows = []
-    for f in basis:
-        # unpack f into per-vertex blocks and restrict along the inclusion
-        row = []
-        off = 0
-        for w in range(1, alg.n + 1):
-            nv = n_rep.dims[w - 1]
-            pv = len(incl[w])
-            block = [f[off + r * pv: off + (r + 1) * pv] for r in range(nv)]
-            off += nv * pv
-            kd = k_rep.dims[w - 1]
-            restricted = mat_mul(block, incl[w]) if nv and kd else [[0] * kd for _ in range(nv)]
-            for r in range(nv):
-                row.extend(restricted[r])
-        res_rows.append(row)
-    image_rank = rank(res_rows) if res_rows else 0
-    e = hom_kn - image_rank
+    k_rep, _ = _presentation(alg, u)
+    p0_rep, m_rep, n_rep = _rep(alg, projective(alg, u.top)), _rep(alg, u), _rep(alg, v)
+    e = _hom(alg, k_rep, n_rep) - _hom(alg, p0_rep, n_rep) + _hom(alg, m_rep, n_rep)
     assert e >= 0
     return e

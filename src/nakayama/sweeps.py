@@ -105,7 +105,8 @@ def random_algebra(rng, kind, n, c_max):
 
 
 def sweep(spec):
-    """Classify every sequence selected by the spec.
+    """Classify the sequences selected by the spec, in sorted order, until
+    row_cap rows pass the filters.
 
     Returns (rows, truncated); rows are ClassificationReports in sorted
     sequence order, truncated marks a hit row_cap.
@@ -119,12 +120,10 @@ def sweep(spec):
         seqs = sorted({difference_class_rep(spec.kind, c) for c in seqs})
     if spec.up_to_rotation and spec.kind == "cyclic":
         seqs = sorted({min_rotation(c) for c in seqs})
-    seqs = sorted(set(seqs))
-    reports = [classify(validate(spec.kind, list(c))) for c in seqs]
-
     rows = []
     truncated = False
-    for rep in reports:
+    for c in sorted(set(seqs)):
+        rep = classify(validate(spec.kind, list(c)))
         if all(getattr(rep, f) for f in spec.filters):
             rows.append(rep)
             if spec.row_cap and len(rows) >= spec.row_cap:

@@ -48,11 +48,14 @@ def test_caches_hold_one_algebra():
                 if hasattr(obj, "cache_info")]
     last = algs[-1]
     mods = indecomposables(last)
+    reps = ({oracle._rep(last, u) for u in mods}
+            | {_presentation(last, u)[0] for u in mods})
+    assert all(rep.alg == last for rep in reps)
     one_algebra = ({("_arrows",)}
                    | {("_rep", u) for u in mods}
                    | {("_presentation", u) for u in mods}
-                   | {("_projective_hom_basis", i, v)
-                      for i in range(1, last.n + 1) for v in mods})
+                   | {("_hom", m, n) for m in reps for n in reps}
+                   | {oracle._content_key(rep) for rep in reps})
     assert oracle._memo.alg == last
     assert oracle._memo.table and set(oracle._memo.table) <= one_algebra
 

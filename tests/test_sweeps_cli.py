@@ -91,6 +91,23 @@ def test_sweep_row_cap_marks_truncation():
     assert truncated and len(rows) == 5
 
 
+@pytest.mark.parametrize("cap", [1, 3])
+def test_sweep_classifies_only_up_to_the_row_cap(monkeypatch, cap):
+    import nakayama.sweeps
+
+    full, _ = sweep(SweepSpec(kind="cyclic", n=4, max_c=6))
+    calls = []
+
+    def counted(alg):
+        calls.append(alg)
+        return classify(alg)
+
+    monkeypatch.setattr(nakayama.sweeps, "classify", counted)
+    rows, truncated = sweep(SweepSpec(kind="cyclic", n=4, max_c=6, row_cap=cap))
+    assert len(calls) == cap and truncated
+    assert rows == full[:cap] and len(full) > cap
+
+
 def test_random_algebra_valid_and_reproducible():
     out1 = [random_algebra(random.Random(99), k, n, 9)
             for k in ("cyclic", "linear") for n in (1, 3, 6)]
