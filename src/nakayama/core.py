@@ -259,6 +259,11 @@ def tau_inv(alg, u):
     return Uniserial(alg.normalize(u.top + 1), u.length)
 
 
+def _star(alg, i):
+    """The label i* over the opposite algebra of the vertex i here."""
+    return alg.n + 1 - i if alg.kind == "linear" else alg.normalize(1 - i)
+
+
 def opposite(alg):
     """The opposite algebra, relabeled so arrows again run (i+1 -> i).
 
@@ -266,12 +271,20 @@ def opposite(alg):
     injective envelope I(S_i) here, where i* = n+1-i (linear) or i* = 1-i mod n
     (cyclic).  Applying the map twice returns the original sequence.
     """
-    n = alg.n
-    cop = [0] * n
-    for i in range(1, n + 1):
-        istar = (n + 1 - i) if alg.kind == "linear" else alg.normalize(1 - i)
-        cop[istar - 1] = injective(alg, i).length
+    cop = [0] * alg.n
+    for i in range(1, alg.n + 1):
+        cop[_star(alg, i) - 1] = injective(alg, i).length
     return validate(alg.kind, cop)
+
+
+def dual(alg, u):
+    """The dual D u = Hom_k(u, k), a module over opposite(alg).
+
+    D reverses composition series, so D M(i, l) = M(s*, l) for the socle
+    vertex s of M(i, l), and it swaps projectives and injectives.  Applied
+    again from the opposite it returns u.
+    """
+    return Uniserial(_star(alg, socle_vertex(alg, u)), u.length)
 
 
 # --- direct sums -------------------------------------------------------------

@@ -7,15 +7,16 @@ linear case) and 1 <= k <= min(len u, len v).  These canonical maps form a
 basis of the Hom space, and compositions of canonical maps are canonical with
 structure constant 1 (or zero), so all Hom/Ext arithmetic is integral.
 
-Projective and injective dimensions come from one directed walker,
-_walk_dims: it follows the syzygy recursion M(i,l) -> M(i-l, c_i-l) until a
-projective is reached, or the cosyzygies through injective envelopes until an
-injective is reached, sharing results along each path; a module revisited on
-its own path means an infinite resolution.  pdim and idim walk only the
+Projective dimensions come from one walker, _walk_dims: it follows the
+syzygy recursion M(i,l) -> M(i-l, c_i-l) until a projective is reached,
+sharing results along each path; a module revisited on its own path means an
+infinite resolution.  Injective dimensions are projective dimensions over the
+opposite algebra, id_A(M) = pd_{A^op}(DM) (Assem-Simson-Skowronski I, A.4), so
+no dimension walk needs an injective envelope.  pdim and idim walk only the
 summands they are given, pdim_table and idim_table all sum(c)
-indecomposables, gldim only the simples and gorenstein_dim only the
-projectives.  Dominant dimension walks injective envelopes while they stay
-projective.
+indecomposables, gldim only the simples and gorenstein_dim only the duals of
+the projectives on each side.  Dominant dimension walks injective envelopes
+while they stay projective.
 """
 
 from dataclasses import dataclass
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 from .core import (
     INF,
     Uniserial,
+    dual,
     indecomposables,
     injective,
-    is_injective,
     is_projective,
     opposite,
     projective,
@@ -137,9 +138,9 @@ def _summands(m):
     return list(m)
 
 
-def _walk_dims(alg, modules, step, done):
-    """{module: steps from it to one where done holds} for the given modules
-    and every module met on their walks along step.
+def _walk_dims(alg, modules):
+    """{module: its projective dimension} for the given modules and every
+    module met on their syzygy walks.
 
     Walks share results, and a walk that returns to a module on its own path
     never ends, so every module on that path gets INF.
@@ -148,11 +149,11 @@ def _walk_dims(alg, modules, step, done):
     for w in modules:
         path = {}    # insertion-ordered set of the modules walked so far
         while w not in memo and w not in path:
-            if done(alg, w):
+            if is_projective(alg, w):
                 memo[w] = 0
             else:
                 path[w] = None
-                w = step(alg, w)
+                w = syzygy(alg, w)
         base = memo.get(w, INF)
         for j, wj in enumerate(path):
             memo[wj] = base + (len(path) - j)
@@ -162,24 +163,26 @@ def _walk_dims(alg, modules, step, done):
 def pdim(alg, m):
     """Projective dimension of a module or direct sum (0 for the zero module)."""
     mods = _summands(m)
-    walk = _walk_dims(alg, mods, syzygy, is_projective)
+    walk = _walk_dims(alg, mods)
     return max((walk[u] for u in mods), default=0)
 
 
 def idim(alg, m):
-    """Injective dimension, by the dual walk through injective envelopes."""
-    mods = _summands(m)
-    walk = _walk_dims(alg, mods, cosyzygy, is_injective)
-    return max((walk[u] for u in mods), default=0)
+    """Injective dimension (0 for the zero module): the projective dimension
+    of the dual over the opposite algebra."""
+    return pdim(opposite(alg), [dual(alg, u) for u in _summands(m)])
 
 
 def pdim_table(alg):
     """pdim of every indecomposable at once, sharing the syzygy walks."""
-    return _walk_dims(alg, indecomposables(alg), syzygy, is_projective)
+    return _walk_dims(alg, indecomposables(alg))
 
 
 def idim_table(alg):
-    return _walk_dims(alg, indecomposables(alg), cosyzygy, is_injective)
+    """idim of every indecomposable: pdim_table over the opposite, read back
+    through the dual."""
+    op = opposite(alg)
+    return {dual(op, w): d for w, d in pdim_table(op).items()}
 
 
 def simples(alg):
@@ -225,10 +228,15 @@ def domdim(alg):
 
 def gorenstein_dim(alg):
     """(injective dimension of the left regular module, same on the right,
-    their common value when both are finite else None)."""
+    their common value when both are finite else None).
+
+    By duality these are the projective dimensions of the duals of the
+    projectives: over the opposite for the left side, and here, where the
+    duals of the opposite's projectives are the injectives, for the right.
+    """
     op = opposite(alg)
-    id_left = idim(alg, _projectives(alg))
-    id_right = idim(op, _projectives(op))
+    id_left = pdim(op, [dual(alg, p) for p in _projectives(alg)])
+    id_right = pdim(alg, [dual(op, p) for p in _projectives(op)])
     if id_left != INF and id_right != INF:
         assert id_left == id_right, "finite one-sided selfinjective dimensions must agree"
         return id_left, id_right, id_left

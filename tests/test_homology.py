@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nakayama.checks import grid_algebras
 from nakayama.core import (
     INF,
     ModuleSum,
@@ -270,6 +271,50 @@ def test_duality_against_opposite():
             u, v = rng.choice(mods), rng.choice(mods)
             assert hom_dim(alg, u, v) == hom_dim(op, _dual(alg, op, v), _dual(alg, op, u))
             assert ext_dim(alg, u, v, 1) == ext_dim(op, _dual(alg, op, v), _dual(alg, op, u), 1)
+
+
+def _reference_idim(alg, modules):
+    """{module: injective dimension} for the given modules and every module
+    met on their walks along cosyzygies through injective envelopes.
+
+    Independent of dual and opposite, so it checks the duality route that
+    idim, idim_table and gorenstein_dim take.
+    """
+    memo = {}
+    for w in modules:
+        path = {}
+        while w not in memo and w not in path:
+            if is_injective(alg, w):
+                memo[w] = 0
+            else:
+                path[w] = None
+                w = cosyzygy(alg, w)
+        base = memo.get(w, INF)
+        for j, wj in enumerate(path):
+            memo[wj] = base + (len(path) - j)
+    return memo
+
+
+def _projectives(alg):
+    return [projective(alg, i) for i in range(1, alg.n + 1)]
+
+
+def test_injective_dimensions_match_the_cosyzygy_walk():
+    for alg in grid_algebras(6, 9):
+        mods = indecomposables(alg)
+        ref = _reference_idim(alg, mods)
+        assert idim_table(alg) == ref, alg
+        # one idim call per module costs a few seconds at n = 6, so single
+        # modules are checked up to n = 5, the benchmark's grid
+        for u in mods if alg.n <= 5 else ():
+            assert idim(alg, u) == ref[u], (alg, u)
+        id_left = max(ref[p] for p in _projectives(alg))
+        assert idim(alg, ModuleSum.of(_projectives(alg))) == id_left, alg
+        op = opposite(alg)
+        op_ref = _reference_idim(op, _projectives(op))
+        id_right = max(op_ref[p] for p in _projectives(op))
+        common = id_left if INF not in (id_left, id_right) else None
+        assert gorenstein_dim(alg) == (id_left, id_right, common), alg
 
 
 def test_hom_map_ordering_and_repr():

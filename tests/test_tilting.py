@@ -1,5 +1,6 @@
 """Canonical tilting/cotilting modules, classification, drop conditions, IT."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -102,6 +103,16 @@ def test_syzygy_correspondence_matches_pd_table_definition():
         want = [u for u in indecomposables(alg)
                 if pt[u] == 1 and in_tilting_subcat(alg, u)]
         assert syzygy_correspondence(alg)[0] == want, alg
+
+
+def test_classification_digest_over_the_n6_grid():
+    # pinned before injective dimensions moved to the opposite algebra; the
+    # benchmark's pins cover n <= 5 only
+    rows = [classify(alg).json_dict() for alg in grid_algebras(6, 9)]
+    text = json.dumps(rows, sort_keys=True)
+    assert len(rows) == 3705
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "35b85846098343a899743457a55a5c5c3c10af443e14e28695d1ed4995a2befe")
 
 
 def test_criterion_frozen():
