@@ -106,8 +106,7 @@ def test_syzygy_correspondence_matches_pd_table_definition():
 
 
 def test_classification_digest_over_the_n6_grid():
-    # pinned before injective dimensions moved to the opposite algebra; the
-    # benchmark's pins cover n <= 5 only
+    # classify's outputs up to n = 6; the benchmark's pins stop at n = 5
     rows = [classify(alg).json_dict() for alg in grid_algebras(6, 9)]
     text = json.dumps(rows, sort_keys=True)
     assert len(rows) == 3705
