@@ -42,7 +42,7 @@ from .homology import (
     ext_dim,
     gldim,
     hom_dim,
-    idim,
+    idim_table,
     pdim,
     simples,
     syzygy,
@@ -54,6 +54,7 @@ from .tilting import (
     canonical_cotilting,
     canonical_tilting,
     classify,
+    gldim_drop_conditions,
     igusa_todorov,
     in_tilting_subcat,
     projective_injectives,
@@ -83,13 +84,16 @@ class PropertyResult:
     def ok(self):
         return self.checked > 0 and self.failed == 0
 
-    def line(self):
+    def status(self):
         if not self.checked:
-            return "%s: FAIL (nothing checked)" % self.name
+            return "FAIL (nothing checked)"
         if self.ok:
-            return "%s: ok (%d checked)" % (self.name, self.checked)
-        return "%s: FAIL (%d of %d) first counterexample: %s" % (
-            self.name, self.failed, self.checked, self.first_counterexample)
+            return "ok (%d checked)" % self.checked
+        return "FAIL (%d of %d) first counterexample: %s" % (
+            self.failed, self.checked, self.first_counterexample)
+
+    def line(self):
+        return "%s: %s" % (self.name, self.status())
 
 
 @dataclass
@@ -236,6 +240,7 @@ def suite_structural(n_max=5, c_max=7, **_):
         "opposite is an involution preserving sum(c)",
         "selfinjective iff dominant dimension is infinite",
         "Auslander implies 1-Auslander-Gorenstein",
+        "finite one-sided selfinjective dimensions agree",
     ]
     props = {n: PropertyResult(n) for n in names}
 
@@ -251,6 +256,8 @@ def suite_structural(n_max=5, c_max=7, **_):
         out.append((names[14], opposite(op) == alg and sum(op.c) == sum(alg.c), w))
         out.append((names[15], rep.selfinjective == (rep.domdim == INF), w))
         out.append((names[16], not rep.auslander or rep.one_aus_gorenstein, w))
+        out.append((names[17], INF in (rep.id_left, rep.id_right)
+                    or rep.id_left == rep.id_right, w))
         if not rep.tilting_exists:
             return out
 
@@ -262,10 +269,11 @@ def suite_structural(n_max=5, c_max=7, **_):
         gl = rep.gldim
         mods = indecomposables(alg)
         members = [u for u in mods if in_tilting_subcat(alg, u)]
+        ids = idim_table(alg) if gl != INF else {}
         if gl != INF and gl >= 1:
             # the bound is empty for semisimple algebras, where every module
             # has pd 0 and the subcategory is everything
-            ok = all(pdim(alg, u) <= gl - 1 and idim(alg, u) <= gl - 1
+            ok = all(pdim(alg, u) <= gl - 1 and ids[u] <= gl - 1
                      for u in members)
             out.append((names[0], ok, w))
         pd_one = [y for y in mods if pdim(alg, y) == 1]
@@ -286,8 +294,8 @@ def suite_structural(n_max=5, c_max=7, **_):
         out.append((names[4], ok, w))
         out.append((names[5], rep.domdim == domdim(op), w))
         if gl != INF:
-            ids = [idim(alg, projective(alg, i)) for i in range(1, alg.n + 1)]
-            out.append((names[6], rep.gdim == gl and max(ids) == gl, w))
+            top = max(ids[projective(alg, i)] for i in range(1, alg.n + 1))
+            out.append((names[6], rep.gdim == gl and top == gl, w))
         x, _, _ = syzygy_correspondence(alg)
         out.append((names[7], len(q) + len(x) <= alg.n, w))
         out.append((names[8], rep.tilting_cotilting == rep.one_aus_gorenstein, w))
@@ -323,6 +331,7 @@ def _over_cap(witness, cap):
 def suite_drop(samples=200, seed=42, cap=30, n_max=6, c_max=8, **_):
     holds = PropertyResult("gldim drop equivalence")
     bounds = PropertyResult("endo gldim within one of gldim")
+    agree = PropertyResult("the four drop conditions agree")
     algebras = [a for a in grid_algebras(4, 5)
                 if gldim(a) != INF and tilting_criterion(a)]
     rng = random.Random(seed)
@@ -349,7 +358,8 @@ def suite_drop(samples=200, seed=42, cap=30, n_max=6, c_max=8, **_):
             holds.record(rec["holds"], w)
             bounds.record(
                 rec["gldim"] - 1 <= rec["gldim_endo"] <= rec["gldim"], w)
-    return SuiteReport("drop", [holds, bounds])
+        agree.record(len(set(gldim_drop_conditions(alg).values())) == 1, w)
+    return SuiteReport("drop", [holds, bounds, agree])
 
 
 def suite_endo(seed=42, cap=30, **_):

@@ -1,30 +1,20 @@
 """Command-line front end.
 
 Subcommands: classify | tilting | endo | enumerate | check | oracle.
+Each builds one record (a dict) and prints it through `_emit`: as JSON under
+--json, else as one `key: value` line per entry.
 Exit code 0 on success, 1 on validation errors or failed checks.
 """
 
 import argparse
 import csv
+import io
 import json
 import sys
 
-from .core import (
-    INF,
-    AdmissibleSequence,
-    dim_json,
-    dim_str,
-    format_algebra,
-    format_module,
-)
+from .core import INF, AdmissibleSequence, ModuleSum, format_algebra
 from .checks import _oracle_counts, run_suite, SUITES
-from .endo import (
-    OverCap,
-    _drop_record,
-    end_algebra,
-    gldim_over,
-    mueller_domdim,
-)
+from .endo import _drop_record, end_algebra, gldim_over, mueller_domdim
 from .homology import gldim
 from .sweeps import CSV_COLUMNS, SweepSpec, csv_row, sweep
 from .tilting import (
@@ -61,129 +51,113 @@ def _algebra_from(args):
     return AdmissibleSequence(kind, c)
 
 
-def _endo_value(v):
-    if isinstance(v, OverCap):
-        return str(v)
-    return dim_str(v)
+def _text(v):
+    """A record value as text: lists comma-joined or (empty), dicts as k=v,
+    None and booleans in lower case, anything else (modules, sums of
+    modules as M(..) + M(..), INF, OverCap) as str."""
+    if isinstance(v, list):
+        return ", ".join(map(_text, v)) or "(empty)"
+    if isinstance(v, dict):
+        return " ".join("%s=%s" % (k, _text(x)) for k, x in v.items())
+    if v is None or isinstance(v, bool):
+        return str(v).lower()
+    return str(v)
 
 
-def _json_endo_value(v):
-    if isinstance(v, OverCap):
-        return str(v)
-    if v == INF:
-        return "inf"
-    return v
+def _json_value(v):
+    """JSON for what json cannot encode: a sum of modules as the list of its
+    summands; modules, INF and OverCap as str ("M(i,l)", "inf", ">N")."""
+    return list(v) if isinstance(v, ModuleSum) else str(v)
+
+
+def _lines(record):
+    return ["%s: %s" % (key, _text(value)) for key, value in record.items()]
+
+
+def _emit(args, record, text=None, code=0):
+    """Print a command's record and return its exit code: JSON under --json,
+    else the text lines given (CSV, enumerate's rows, oracle's closing
+    verdict), else _lines(record)."""
+    if getattr(args, "json", False):
+        print(json.dumps(record, indent=2, default=_json_value))
+    else:
+        for line in _lines(record) if text is None else text:
+            print(line)
+    return code
+
+
+def _csv(reps):
+    """CSV lines: the header, then one row per ClassificationReport."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [CSV_COLUMNS] + [csv_row(rep) for rep in reps])
+    return buf.getvalue().splitlines()
 
 
 def cmd_classify(args):
-    alg = _algebra_from(args)
-    rep = classify(alg)
-    if args.json:
-        print(json.dumps(rep.json_dict(), indent=2))
-    elif args.csv:
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        w.writerow(csv_row(rep))
-    else:
-        for key, value in rep.json_dict().items():
-            if isinstance(value, (list, tuple)):
-                value = ", ".join(str(x) for x in value)
-            elif value is None:
-                value = "none"
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            print("%s: %s" % (key, value))
-    return 0
+    rep = classify(_algebra_from(args))
+    return _emit(args, rep.json_dict(), _csv([rep]) if args.csv else None)
 
 
 def cmd_tilting(args):
     alg = _algebra_from(args)
-    crit = tilting_criterion(alg)
     t = canonical_tilting(alg)
     c = canonical_cotilting(alg)
     x, _, bij = syzygy_correspondence(alg)
     record = {
         "algebra": format_algebra(alg),
-        "criterion": crit,
+        "criterion": tilting_criterion(alg),
         "syzygy_bijection": bij,
-        "x": [format_module(u) for u in x],
-        "t_c": None if t is None else [format_module(u) for u in t],
-        "c_c": None if c is None else [format_module(u) for u in c],
+        "x": x,
+        "t_c": None if t is None else list(t),
+        "c_c": None if c is None else list(c),
         "verify_tilting": None if t is None else verify_tilting(alg, t),
         "verify_cotilting": None if c is None else verify_cotilting(alg, c),
-        "pd_tau": None,
+        "pd_tau": None if t is None else pd_tau_tilting(alg),
         "drop_conditions": None,
     }
-    if t is not None:
-        record["pd_tau"] = dim_json(pd_tau_tilting(alg))
-        if gldim(alg) != INF:
-            record["drop_conditions"] = gldim_drop_conditions(alg)
-    if args.json:
-        print(json.dumps(record, indent=2))
-        return 0
-    for key, value in record.items():
-        if isinstance(value, list):
-            value = ", ".join(value) if value else "(empty)"
-        elif isinstance(value, dict):
-            value = " ".join(
-                "%s=%s" % (k, str(v).lower()) for k, v in value.items())
-        elif value is None:
-            value = "none"
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        print("%s: %s" % (key, value))
-    return 0
+    if t is not None and gldim(alg) != INF:
+        record["drop_conditions"] = gldim_drop_conditions(alg)
+    return _emit(args, record)
 
 
 def cmd_endo(args):
     alg = _algebra_from(args)
     t = canonical_tilting(alg)
     if t is None:
-        print("no canonical tilting module: dominant dimension < 2",
-              file=sys.stderr)
-        return 1
+        raise ValueError("no canonical tilting module: dominant dimension < 2")
     b = end_algebra(alg, t)
-    rad_dim = b.dim - len(b.summands)  # one identity map per summand
-    glb = gldim_over(b, args.cap)
-    mu = mueller_domdim(alg, basic_gen_cogen(alg))
-    drop = None
+    record = {
+        "algebra": format_algebra(alg),
+        "tilting": t,
+        "dim": b.dim,
+        "radical_dim": b.dim - len(b.summands),  # one identity per summand
+        "gldim_endo": gldim_over(b, args.cap),
+        "mueller_domdim": mueller_domdim(alg, basic_gen_cogen(alg)),
+        "drop": None if args.json else
+                "not applicable (infinite global dimension)",
+    }
     gl = gldim(alg)
     if gl != INF:
-        drop = _drop_record(gl, glb, pd_tau_tilting(alg))
+        record["drop"] = _drop_record(gl, record["gldim_endo"],
+                                      pd_tau_tilting(alg))
     if args.json:
-        out = {
-            "algebra": format_algebra(alg),
-            "tilting": [format_module(u) for u in t],
-            "dim": b.dim,
-            "radical_dim": rad_dim,
-            "gldim_endo": _json_endo_value(glb),
-            "mueller_domdim": _json_endo_value(mu),
-            "drop": None if drop is None else {
-                k: _json_endo_value(v) if not isinstance(v, bool) else v
-                for k, v in drop.items()},
-            "structure_constants": b.json_dict(),
-        }
-        print(json.dumps(out, indent=2))
-        return 0
-    print("algebra: %s" % format_algebra(alg))
-    print("tilting: %s" % t)
-    print("dim: %d" % b.dim)
-    print("radical_dim: %d" % rad_dim)
-    print("gldim_endo: %s" % _endo_value(glb))
-    print("mueller_domdim: %s" % _endo_value(mu))
-    if drop is None:
-        print("drop: not applicable (infinite global dimension)")
-    else:
-        print("drop: gldim=%s gldim_endo=%s pd_tau=%s holds=%s" % (
-            dim_str(drop["gldim"]), _endo_value(drop["gldim_endo"]),
-            dim_str(drop["pd_tau"]), str(drop["holds"]).lower()))
-    return 0
+        record["structure_constants"] = b.json_dict()
+    return _emit(args, record)
+
+
+def _row_line(rep):
+    """enumerate's text row: the algebra, then its main invariants as k=v."""
+    return "%s %s" % (format_algebra(rep), _text({
+        "gldim": rep.gldim, "domdim": rep.domdim,
+        "gdim": "na" if rep.gdim is None else rep.gdim,
+        "selfinjective": rep.selfinjective, "auslander": rep.auslander,
+        "one_AG": rep.one_aus_gorenstein, "tilting": rep.tilting_exists}))
 
 
 def cmd_enumerate(args):
-    kind = "cyclic" if args.kind == "cyclic" else "linear"
     spec = SweepSpec(
-        kind=kind, n=args.n, max_c=args.max_c,
+        kind=args.kind, n=args.n, max_c=args.max_c,
         filters=tuple(args.filter or ()),
         up_to_rotation=args.up_to_rotation,
         up_to_difference_class=args.up_to_difference_class,
@@ -191,66 +165,41 @@ def cmd_enumerate(args):
         absolutely_elementary=args.absolutely_elementary,
         row_cap=args.row_cap)
     rows, truncated = sweep(spec)
-    if args.json:
-        print(json.dumps([rep.json_dict() for rep in rows], indent=2))
-    elif args.csv:
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for rep in rows:
-            w.writerow(csv_row(rep))
-    else:
-        for rep in rows:
-            d = rep.json_dict()
-            print("%s:%s gldim=%s domdim=%s gdim=%s selfinjective=%s "
-                  "auslander=%s one_AG=%s tilting=%s" % (
-                      d["kind"], ",".join(str(x) for x in d["c"]),
-                      d["gldim"], d["domdim"],
-                      "na" if d["gdim"] is None else d["gdim"],
-                      str(d["selfinjective"]).lower(),
-                      str(d["auslander"]).lower(),
-                      str(d["one_aus_gorenstein"]).lower(),
-                      str(d["tilting_exists"]).lower()))
+    text = _csv(rows) if args.csv else [_row_line(rep) for rep in rows]
+    code = _emit(args, [rep.json_dict() for rep in rows], text)
     if truncated:
         print("# truncated at %d rows" % spec.row_cap, file=sys.stderr)
-    return 0
+    return code
 
 
-def cmd_check(args):
+def cmd_check(args, suite=None):
     params = {}
     for name in ("samples", "seed", "n_max", "c_max", "cap"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    report = run_suite(args.suite, **params)
-    for line in report.lines():
-        print(line)
-    print("suite %s: %s" % (report.suite, "ok" if report.ok else "FAIL"))
-    return 0 if report.ok else 1
+        if getattr(args, name, None) is not None:
+            params[name] = getattr(args, name)
+    report = run_suite(suite or args.suite, **params)
+    record = {p.name: p.status() for p in report.properties}
+    record["suite %s" % report.suite] = "ok" if report.ok else "FAIL"
+    return _emit(args, record, code=0 if report.ok else 1)
 
 
 def cmd_oracle(args):
-    if args.cyclic is not None or args.linear is not None:
-        alg = _algebra_from(args)
-        total, (hom_bad, hom_w), (ext_bad, ext_w) = _oracle_counts(alg)
-        print("algebra: %s" % format_algebra(alg))
-        print("pairs: %d" % total)
-        print("hom agreements: %d/%d" % (total - hom_bad, total))
-        print("ext1 agreements: %d/%d" % (total - ext_bad, total))
-        for kind, witness in (("hom", hom_w), ("ext1", ext_w)):
-            if witness:
-                print("%s witness: %s" % (kind, witness))
-        ok = hom_bad == ext_bad == 0
-        print("ok" if ok else "MISMATCH")
-        return 0 if ok else 1
-    params = {}
-    if args.n_max is not None:
-        params["n_max"] = args.n_max
-    if args.c_max is not None:
-        params["c_max"] = args.c_max
-    report = run_suite("oracle", **params)
-    for line in report.lines():
-        print(line)
-    return 0 if report.ok else 1
+    if args.cyclic is None and args.linear is None:
+        return cmd_check(args, "oracle")
+    alg = _algebra_from(args)
+    total, (hom_bad, hom_w), (ext_bad, ext_w) = _oracle_counts(alg)
+    record = {
+        "algebra": format_algebra(alg),
+        "pairs": total,
+        "hom agreements": "%d/%d" % (total - hom_bad, total),
+        "ext1 agreements": "%d/%d" % (total - ext_bad, total),
+    }
+    for kind, witness in (("hom", hom_w), ("ext1", ext_w)):
+        if witness:
+            record[kind + " witness"] = witness
+    ok = hom_bad == ext_bad == 0
+    return _emit(args, record, _lines(record) + ["ok" if ok else "MISMATCH"],
+                 0 if ok else 1)
 
 
 def build_parser():

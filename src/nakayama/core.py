@@ -71,11 +71,6 @@ class _Infinity:
 INF = _Infinity()
 
 
-def dim_str(d):
-    """Render a dimension: decimal integer or 'inf'."""
-    return str(d)
-
-
 def dim_json(d):
     """JSON value for a dimension: int, or the string 'inf'."""
     return d if isinstance(d, int) else "inf"

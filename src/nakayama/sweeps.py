@@ -1,15 +1,11 @@
 """Enumeration of admissible sequences and batch classification sweeps."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .core import dim_str, validate
-from .tilting import classify
+from .core import validate
+from .tilting import ClassificationReport, classify
 
-REPORT_KEYS = (
-    "kind", "c", "gldim", "domdim", "id_left", "id_right", "gdim",
-    "selfinjective", "auslander", "m_auslander", "one_aus_gorenstein",
-    "dtr_selfinjective", "tilting_exists", "t_c", "c_c", "tilting_cotilting",
-)
+REPORT_KEYS = tuple(f.name for f in fields(ClassificationReport))
 
 CSV_COLUMNS = ("kind", "n", "c", "gldim", "domdim", "gdim",
                "selfinjective", "auslander", "one_AG", "tilting_exists")
@@ -136,8 +132,8 @@ def csv_row(rep):
     def b(x):
         return "true" if x else "false"
 
-    gdim = dim_str(rep.gdim) if rep.gdim is not None else "na"
+    gdim = str(rep.gdim) if rep.gdim is not None else "na"
     return (rep.kind, str(len(rep.c)), ",".join(map(str, rep.c)),
-            dim_str(rep.gldim), dim_str(rep.domdim), gdim,
+            str(rep.gldim), str(rep.domdim), gdim,
             b(rep.selfinjective), b(rep.auslander),
             b(rep.one_aus_gorenstein), b(rep.tilting_exists))

@@ -288,7 +288,7 @@ def gldim_drop_conditions(alg):
     of injective dimension d), 'cover' (tau-inverse of the (d-1)-st cosyzygy
     of such S has projective-injective cover), 'nu' (the terminal coresolution
     term of such S is the injective at a vertex with injective projective).
-    Equivalence is asserted.  d = 0 returns all true.
+    The drop suite checks that they agree.  d = 0 returns all true.
     """
     d = gldim(alg)
     if d == INF:
@@ -322,9 +322,7 @@ def gldim_drop_conditions(alg):
         if not is_injective(alg, projective(alg, socle_vertex(alg, last))):
             cond_nu = False
 
-    out = dict(zip(keys, (cond_pd, cond_ext, cond_cover, cond_nu)))
-    assert len(set(out.values())) == 1
-    return out
+    return dict(zip(keys, (cond_pd, cond_ext, cond_cover, cond_nu)))
 
 
 def igusa_todorov(alg, m):

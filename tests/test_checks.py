@@ -105,3 +105,36 @@ def test_drop_bound_violation_is_reported_not_raised(monkeypatch):
     assert bounds.checked and bounds.failed == bounds.checked
     assert bounds.line().startswith("endo gldim within one of gldim: FAIL")
     assert not rep.ok
+
+
+def test_structural_catches_disagreeing_selfinjective_sides(monkeypatch):
+    # a classify whose finite right side is one more than its left side
+    import dataclasses
+    from nakayama import checks
+    from nakayama.core import INF
+    real = checks.classify
+
+    def broken(alg):
+        rep = real(alg)
+        if rep.id_right == INF:
+            return rep
+        return dataclasses.replace(rep, id_right=rep.id_right + 1)
+
+    monkeypatch.setattr(checks, "classify", broken)
+    rep = run_suite("structural", n_max=2, c_max=3)
+    sides = next(p for p in rep.properties
+                 if p.name == "finite one-sided selfinjective dimensions agree")
+    assert sides.checked and sides.failed
+    assert not rep.ok
+
+
+def test_drop_catches_disagreeing_conditions(monkeypatch):
+    from nakayama import checks
+    monkeypatch.setattr(
+        checks, "gldim_drop_conditions",
+        lambda alg: {"pd": True, "ext": False, "cover": True, "nu": True})
+    rep = run_suite("drop", samples=2, seed=3, cap=20, n_max=4, c_max=5)
+    agree = next(p for p in rep.properties
+                 if p.name == "the four drop conditions agree")
+    assert agree.checked and agree.failed == agree.checked
+    assert not rep.ok
