@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .core import INF, AdmissibleSequence, ModuleSum, format_algebra
@@ -211,8 +212,9 @@ def build_parser():
 
     p = sub.add_parser("classify", help="homological profile of one algebra")
     _add_algebra_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true")
+    out.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("tilting", help="canonical tilting/cotilting data")
@@ -241,8 +243,9 @@ def build_parser():
     p.add_argument("--up-to-rotation", action="store_true")
     p.add_argument("--up-to-difference-class", action="store_true")
     p.add_argument("--row-cap", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true")
+    out.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("check", help="run a property suite")
@@ -271,6 +274,10 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: no traceback, and no failing flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -15,103 +15,88 @@ arithmetic never appear.
 
 Every matrix the oracle eliminates has integer entries; only the arrow maps
 of a kernel are found by an exact `solve`, and they are checked to be
-integral.  Within one algebra the oracle keeps one object per distinct
-representation: each new one, a uniserial's or a kernel's, is replaced by
-the first built with the same vertex dimensions and arrow matrices, so a
-kernel comes back as the very object of the uniserial it equals.  Hom
-dimensions are memoised on pairs of these objects.  Everything is kept only
-until a call for another algebra.
+integral.  The tables are kept per quiver (kind, n), shared by every algebra
+on it, and never emptied.  A uniserial's representation reads only the
+quiver, and A-mod = rep(Q, I) is a full subcategory of rep(Q) (ibid. III.1),
+so Hom between A-modules is Hom of quiver representations; the algebra
+enters only through the cover P_0 = M(top u, c_top), so presentations are
+kept by (u, cover).  Each new representation, a uniserial's or a kernel's,
+is replaced by the first built over the quiver with the same dims and arrow
+matrices (a kernel comes back as the very object of the uniserial it
+equals), and Hom dimensions are memoised on pairs of these objects, so the
+tables grow with the module lengths seen, not with the number of algebras.
 """
-
-from functools import wraps
 
 from .core import projective
 from .linalg import kernel_basis, mat_mul, rank, solve
 
 
+class _Quiver:
+    """The quiver (kind, n) of an algebra and the oracle's tables over it."""
+
+    def __init__(self, alg):
+        first = 1 if alg.kind == "cyclic" else 2
+        # (v, w) for each arrow v -> w = v - 1
+        self.arrows = [(v, alg.normalize(v - 1)) for v in range(first, alg.n + 1)]
+        self.reps = {}           # Uniserial -> MatrixRep
+        self.contents = {}       # (dims, arrow matrices) -> MatrixRep
+        self.presentations = {}  # (u, cover) -> (kernel MatrixRep, inclusions)
+        self.homs = {}           # (MatrixRep, MatrixRep) -> dim Hom
+
+    def unique(self, rep):
+        """The first representation built with rep's dims and arrow matrices."""
+        key = (tuple(rep.dims),
+               tuple(tuple(map(tuple, rep.mats[v])) for v, _ in self.arrows))
+        return self.contents.setdefault(key, rep)
+
+
+_quivers = {}  # (kind, n) -> _Quiver
+
+
+def _quiver(alg):
+    q = _quivers.get((alg.kind, alg.n))
+    if q is None:
+        q = _quivers[alg.kind, alg.n] = _Quiver(alg)
+    return q
+
+
+def _slots(alg, u):
+    """Slot numbers j (0 at the top) of u's composition factors, per vertex."""
+    slots_at = [[] for _ in range(alg.n)]
+    for j in range(u.length):
+        slots_at[alg.normalize(u.top - j) - 1].append(j)
+    return slots_at
+
+
 class MatrixRep:
     """A quiver representation: dims per vertex, one matrix per arrow v -> v-1."""
 
-    def __init__(self, alg, dims, mats):
-        self.alg = alg
+    def __init__(self, quiver, dims, mats):
+        self.quiver = quiver      # the _Quiver it lives on
         self.dims = dims          # list, entry v-1 = dim at vertex v
         self.mats = mats          # dict v -> matrix of the arrow out of v
 
     @classmethod
     def of_uniserial(cls, alg, u):
-        n = alg.n
-        slots_at = [[] for _ in range(n)]
-        for j in range(u.length):
-            slots_at[alg.normalize(u.top - j) - 1].append(j)
+        quiver, slots_at = _quiver(alg), _slots(alg, u)
         dims = [len(s) for s in slots_at]
-        pos = {}
-        for v in range(1, n + 1):
-            for a, j in enumerate(slots_at[v - 1]):
-                pos[j] = a
+        pos = {j: a for slots in slots_at for a, j in enumerate(slots)}
         mats = {}
-        for v, w in _arrows(alg):
+        for v, w in quiver.arrows:
             m = [[0] * dims[v - 1] for _ in range(dims[w - 1])]
             for j in slots_at[v - 1]:
                 if j + 1 < u.length:
                     m[pos[j + 1]][pos[j]] = 1
             mats[v] = m
-        return cls(alg, dims, mats)
+        return cls(quiver, dims, mats)
 
 
-class _OneAlgebraMemo:
-    """Memo for functions f(alg, *args), holding one algebra's entries at a time.
-
-    Every value depends on its algebra, and a sweep finishes one algebra
-    before it starts the next, so the first call for another algebra empties
-    the table.  It never holds more than one algebra's representations,
-    presentations and Hom dimensions, and callers must not mutate what it
-    returns.
-    """
-
-    def __init__(self):
-        self.alg = None
-        self.table = {}
-
-    def __call__(self, fn):
-        @wraps(fn)
-        def memoised(alg, *args):
-            if alg is not self.alg and alg != self.alg:
-                self.alg, self.table = alg, {}
-            key = (fn.__name__,) + args
-            value = self.table.get(key)
-            if value is None:
-                value = self.table[key] = fn(alg, *args)
-            return value
-        return memoised
-
-
-_memo = _OneAlgebraMemo()
-
-
-def _content_key(rep):
-    return ("_content", tuple(rep.dims),
-            tuple(tuple(map(tuple, rep.mats[v])) for v, _ in _arrows(rep.alg)))
-
-
-def _unique(rep):
-    """The first representation built with rep's dims and arrow matrices.
-
-    Call it only inside a memoised function of rep.alg, so that the memo's
-    table is that algebra's.
-    """
-    return _memo.table.setdefault(_content_key(rep), rep)
-
-
-@_memo
 def _rep(alg, u):
-    return _unique(MatrixRep.of_uniserial(alg, u))
-
-
-@_memo
-def _arrows(alg):
-    """(v, w) for each arrow v -> w = v - 1 of the quiver."""
-    first = 1 if alg.kind == "cyclic" else 2
-    return [(v, alg.normalize(v - 1)) for v in range(first, alg.n + 1)]
+    q = _quiver(alg)
+    rep = q.reps.get(u)
+    if rep is None:
+        rep = q.reps[u] = q.unique(MatrixRep.of_uniserial(alg, u))
+    return rep
 
 
 def _intertwiner_system(m_rep, n_rep):
@@ -123,9 +108,8 @@ def _intertwiner_system(m_rep, n_rep):
         offs.append(offs[-1] + a * b)
     total = offs[-1]
     rows = []
-    for v, w in _arrows(m_rep.alg):
-        ma = m_rep.mats[v]
-        na = n_rep.mats[v]
+    for v, w in m_rep.quiver.arrows:
+        ma, na = m_rep.mats[v], n_rep.mats[v]
         # f_w @ M(a) - N(a) @ f_v = 0, one equation per (row in N_w, col in M_v)
         for r in range(nd[w - 1]):
             for c in range(md[v - 1]):
@@ -141,42 +125,41 @@ def _intertwiner_system(m_rep, n_rep):
     return rows, total
 
 
-@_memo
-def _hom(alg, m_rep, n_rep):
+def _hom(m_rep, n_rep):
     """dim Hom(M, N): variables minus the rank of the intertwiner system."""
-    rows, total = _intertwiner_system(m_rep, n_rep)
-    return total - rank(rows) if total else 0
+    homs = m_rep.quiver.homs
+    d = homs.get((m_rep, n_rep))
+    if d is None:
+        rows, total = _intertwiner_system(m_rep, n_rep)
+        d = homs[m_rep, n_rep] = total - rank(rows) if total else 0
+    return d
 
 
 def oracle_hom_dim(alg, u, v):
     """dim Hom(u, v) via intertwiner rank, never via image-length counting."""
     if u is None or v is None:
         return 0
-    return _hom(alg, _rep(alg, u), _rep(alg, v))
+    return _hom(_rep(alg, u), _rep(alg, v))
 
 
-@_memo
 def _presentation(alg, u):
     """Explicit kernel K of the cover P(top u) ->> u, with inclusion matrices."""
-    cover = projective(alg, u.top)
+    q, cover = _quiver(alg), projective(alg, u.top)
+    found = q.presentations.get((u, cover))
+    if found is not None:
+        return found
     p0 = _rep(alg, cover)
     # projection sends P_0 slot j to M slot j for j < len(u); rebuild the
     # per-vertex matrices from slot bookkeeping
-    p0_slots = [[] for _ in range(alg.n)]
-    for j in range(cover.length):
-        p0_slots[alg.normalize(cover.top - j) - 1].append(j)
-    m_slots = [[] for _ in range(alg.n)]
-    for j in range(u.length):
-        m_slots[alg.normalize(u.top - j) - 1].append(j)
-    incl = {}
-    kdims = []
+    p0_slots, m_slots = _slots(alg, cover), _slots(alg, u)
+    incl, kdims = {}, []
     for v in range(1, alg.n + 1):
         pi = [[1 if pj == mj else 0 for pj in p0_slots[v - 1]] for mj in m_slots[v - 1]]
         basis = kernel_basis(pi, len(p0_slots[v - 1]))
         incl[v] = [list(col) for col in zip(*basis)] if basis else [[] for _ in p0_slots[v - 1]]
         kdims.append(len(basis))
     kmats = {}
-    for v, w in _arrows(alg):
+    for v, w in q.arrows:
         img = mat_mul(p0.mats[v], incl[v]) if kdims[v - 1] else \
             [[] for _ in range(len(p0.mats[v]))]
         cols = []
@@ -189,7 +172,7 @@ def _presentation(alg, u):
                 "kernel arrow map is not integral; presentation is broken"
             cols.append([int(e) for e in x])
         kmats[v] = [[cols[c][r] for c in range(kdims[v - 1])] for r in range(kdims[w - 1])]
-    return _unique(MatrixRep(alg, kdims, kmats)), incl
+    return q.presentations.setdefault((u, cover), (q.unique(MatrixRep(q, kdims, kmats)), incl))
 
 
 def oracle_ext1_dim(alg, u, v):
@@ -199,6 +182,6 @@ def oracle_ext1_dim(alg, u, v):
         return 0
     k_rep, _ = _presentation(alg, u)
     p0_rep, m_rep, n_rep = _rep(alg, projective(alg, u.top)), _rep(alg, u), _rep(alg, v)
-    e = _hom(alg, k_rep, n_rep) - _hom(alg, p0_rep, n_rep) + _hom(alg, m_rep, n_rep)
+    e = _hom(k_rep, n_rep) - _hom(p0_rep, n_rep) + _hom(m_rep, n_rep)
     assert e >= 0
     return e

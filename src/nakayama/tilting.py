@@ -34,8 +34,8 @@ from .homology import (
     gldim,
     gorenstein_dim,
     idim,
+    idim_table,
     pdim,
-    simples,
     syzygy,
 )
 
@@ -300,7 +300,7 @@ def gldim_drop_conditions(alg):
     if d == 0:
         return dict.fromkeys(keys, True)
 
-    deep = [s for s in simples(alg) if idim(alg, s) == d]
+    deep = [s for s, i in idim_table(alg).items() if s.length == 1 and i == d]
     tau_parts = [tau(alg, u) for u in t if not is_projective(alg, u)]
 
     cond_pd = pd_tau_tilting(alg) < d

@@ -1,15 +1,17 @@
-"""The matrix oracle's memo: answers free of call order, one algebra held
-at a time, and the integrality check on a presentation's arrow maps."""
+"""The matrix oracle's tables: one per quiver (kind, n), answers free of call
+order, rank work bounded by the distinct representations, and the
+integrality check on a presentation's arrow maps."""
+
+import random
+from collections import defaultdict
 
 import pytest
 
 from nakayama import oracle
 from nakayama.checks import grid_algebras
-from nakayama.core import Uniserial, indecomposables, projective, validate
+from nakayama.core import Uniserial, indecomposables, validate
 from nakayama.homology import ext_dim, hom_dim
-from nakayama.oracle import _presentation, oracle_ext1_dim, oracle_hom_dim
-
-COLD = validate("cyclic", [2, 2])
+from nakayama.oracle import MatrixRep, _presentation, oracle_ext1_dim, oracle_hom_dim
 
 
 def _answers(calls):
@@ -17,12 +19,18 @@ def _answers(calls):
             for alg, u, v in calls]
 
 
-def _empty_caches():
-    # a call for another algebra empties the memo
-    _answers([(COLD, projective(COLD, 1), projective(COLD, 2))])
+def _empty_caches(monkeypatch):
+    # fresh tables for this test; the shared ones come back afterwards
+    monkeypatch.setattr(oracle, "_quivers", {})
 
 
-def test_answers_do_not_depend_on_call_order():
+def _grid_pass(algs):
+    for alg in algs:
+        mods = indecomposables(alg)
+        _answers([(alg, u, v) for u in mods for v in mods])
+
+
+def test_answers_do_not_depend_on_call_order(monkeypatch):
     a, b = validate("cyclic", [3, 4, 4]), validate("linear", [1, 2, 3, 3])
     calls = {alg: [(alg, u, v) for u in indecomposables(alg)
                    for v in indecomposables(alg)] for alg in (a, b)}
@@ -34,38 +42,82 @@ def test_answers_do_not_depend_on_call_order():
         [call for pair in zip(calls[a], calls[b]) for call in pair],
     ]
     for order in orders:
-        _empty_caches()
+        _empty_caches(monkeypatch)
         assert dict(zip(order, _answers(order))) == \
             {call: want[call] for call in order}
 
 
-def test_caches_hold_one_algebra():
-    algs = grid_algebras(4, 6)
-    for alg in algs:
-        mods = indecomposables(alg)
-        _answers([(alg, u, v) for u in mods for v in mods])
+def _counting(calls):
+    real = oracle.rank
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+    return counted
+
+
+@pytest.fixture(scope="module")
+def grid_order_pass():
+    """One pass over grid_algebras(4, 6) in grid order from empty tables:
+    (the algebras, the tables it leaves, its number of oracle.rank calls)."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_quivers", {})
+        mp.setattr(oracle, "rank", _counting(calls))
+        algs = grid_algebras(4, 6)
+        _grid_pass(algs)
+        return algs, oracle._quivers, len(calls)
+
+
+def test_tables_are_kept_per_quiver(grid_order_pass):
+    algs, quivers, _ = grid_order_pass
     assert not [name for name, obj in vars(oracle).items()
                 if hasattr(obj, "cache_info")]
-    last = algs[-1]
-    mods = indecomposables(last)
-    reps = ({oracle._rep(last, u) for u in mods}
-            | {_presentation(last, u)[0] for u in mods})
-    assert all(rep.alg == last for rep in reps)
-    one_algebra = ({("_arrows",)}
-                   | {("_rep", u) for u in mods}
-                   | {("_presentation", u) for u in mods}
-                   | {("_hom", m, n) for m in reps for n in reps}
-                   | {oracle._content_key(rep) for rep in reps})
-    assert oracle._memo.alg == last
-    assert oracle._memo.table and set(oracle._memo.table) <= one_algebra
+    assert set(quivers) == {(alg.kind, alg.n) for alg in algs}
+    for (kind, n), q in quivers.items():
+        reps = set(q.contents.values())
+        assert all(rep.quiver is q for rep in reps)
+        assert set(q.reps.values()) <= reps
+        assert {k for k, _ in q.presentations.values()} <= reps
+        assert q.homs and all(m in reps and k in reps for m, k in q.homs)
+        assert all(u in q.reps and cover in q.reps and cover.top == u.top
+                   for u, cover in q.presentations), (kind, n)
+
+
+def test_a_uniserials_representation_depends_only_on_the_quiver():
+    seen = defaultdict(dict)  # (kind, n) -> {u: (dims, mats)}
+    compared = 0
+    for alg in grid_algebras(4, 6):
+        table = seen[alg.kind, alg.n]
+        for u in indecomposables(alg):
+            rep = MatrixRep.of_uniserial(alg, u)
+            compared += u in table
+            assert table.setdefault(u, (rep.dims, rep.mats)) == \
+                (rep.dims, rep.mats), (alg, u)
+    assert compared > 0
+
+
+def test_rank_runs_once_per_distinct_hom(grid_order_pass, monkeypatch):
+    algs, _, grid_order_calls = grid_order_pass
+    assert grid_order_calls == 1130
+    shuffled = algs[:]
+    random.Random(12).shuffle(shuffled)
+    calls = []
+    _empty_caches(monkeypatch)
+    monkeypatch.setattr(oracle, "rank", _counting(calls))
+    _grid_pass(shuffled)
+    assert len(calls) == 1130
+    calls.clear()
+    _grid_pass(shuffled)
+    assert calls == []
 
 
 def test_presentation_rejects_a_non_integral_arrow_map(monkeypatch):
     real = oracle.solve
+    _empty_caches(monkeypatch)
     monkeypatch.setattr(oracle, "solve", lambda mat, rhs: [
         x / 2 for x in real(mat, rhs)])
     alg = validate("cyclic", [3, 3])
     u = Uniserial(1, 1)  # the kernel M(2,2) of P_1 = M(1,3) ->> u has an arrow
-    _empty_caches()
     with pytest.raises(AssertionError, match="not integral"):
         _presentation(alg, u)

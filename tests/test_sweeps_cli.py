@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import nakayama
 from nakayama.cli import main
 from nakayama.core import (
     AdmissibleSequence,
@@ -163,6 +167,34 @@ def test_cli_classify_rejects_bad_sequence(capsys):
     assert "c_2" in capsys.readouterr().err
     assert main(["classify", "--cyclic", "2,2", "--linear", "1,2"]) == 1
     assert main(["classify", "--cyclic", "a,b"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--cyclic", "2,2", "--json", "--csv"],
+    ["enumerate", "--kind", "cyclic", "-n", "2", "--max-c", "3", "--csv", "--json"],
+])
+def test_cli_json_and_csv_exclude_each_other(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code != 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage:") and "not allowed with argument" in err
+
+
+def test_cli_closed_stdout_leaves_no_traceback():
+    src = os.path.dirname(os.path.dirname(nakayama.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nakayama", "enumerate", "--kind", "cyclic",
+         "-n", "5", "--max-c", "7", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().strip() == b"["
+    proc.stdout.close()  # the record is far larger than a pipe buffer
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b"", err  # no traceback, nothing at all
 
 
 def test_cli_classify_infinite_dims_as_inf(capsys):
