@@ -3,7 +3,7 @@
 Subcommands: classify | tilting | endo | enumerate | check | oracle.
 Each builds one record (a dict) and prints it through `_emit`: as JSON under
 --json, else as one `key: value` line per entry.
-Exit code 0 on success, 1 on validation errors or failed checks.
+Exit code 0 on success, 1 on usage errors, validation errors or failed checks.
 """
 
 import argparse
@@ -203,8 +203,17 @@ def cmd_oracle(args):
                  0 if ok else 1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, as all bad input does;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nakayama",
         description="Exact homological computations for Nakayama algebras "
                     "given by admissible sequences.")

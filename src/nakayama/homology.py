@@ -254,12 +254,13 @@ def ext_dim(alg, u, v, k):
         return hom_dim(alg, u, v)
     w = u
     for _ in range(k - 1):
-        if is_projective(alg, w):
-            return 0
         w = syzygy(alg, w)
-    if is_projective(alg, w):
+        if w is None:
+            return 0
+    omega = syzygy(alg, w)
+    if omega is None:
         return 0
-    e = hom_dim(alg, syzygy(alg, w), v) - hom_dim(alg, projective(alg, w.top), v) \
+    e = hom_dim(alg, omega, v) - hom_dim(alg, projective(alg, w.top), v) \
         + hom_dim(alg, w, v)
     assert e >= 0
     return e

@@ -19,12 +19,17 @@ integral.  The tables are kept per quiver (kind, n), shared by every algebra
 on it, and never emptied.  A uniserial's representation reads only the
 quiver, and A-mod = rep(Q, I) is a full subcategory of rep(Q) (ibid. III.1),
 so Hom between A-modules is Hom of quiver representations; the algebra
-enters only through the cover P_0 = M(top u, c_top), so presentations are
-kept by (u, cover).  Each new representation, a uniserial's or a kernel's,
-is replaced by the first built over the quiver with the same dims and arrow
-matrices (a kernel comes back as the very object of the uniserial it
-equals), and Hom dimensions are memoised on pairs of these objects, so the
-tables grow with the module lengths seen, not with the number of algebras.
+enters only through the cover P_0 = M(top u, c_top), so a presentation is
+kept by (top u, len u, c_top), one record (K, inclusions, P_0, u) each.
+Representations are kept by (top, length).  The keys are tuples of ints
+rather than `Uniserial`s because a frozen dataclass hashes and compares in
+Python on every lookup, while an int tuple does it in C.  Each new
+representation, a uniserial's or a kernel's, is replaced by the first built
+over the quiver with the same dims and arrow matrices (a kernel comes back
+as the very object of the uniserial it equals), and Hom dimensions are
+memoised on pairs of these objects, so the tables grow with the module
+lengths seen, not with the number of algebras.  Each public call looks its
+quiver up once and hands it down.
 """
 
 from .core import projective
@@ -38,9 +43,9 @@ class _Quiver:
         first = 1 if alg.kind == "cyclic" else 2
         # (v, w) for each arrow v -> w = v - 1
         self.arrows = [(v, alg.normalize(v - 1)) for v in range(first, alg.n + 1)]
-        self.reps = {}           # Uniserial -> MatrixRep
+        self.reps = {}           # (top, length) -> MatrixRep
         self.contents = {}       # (dims, arrow matrices) -> MatrixRep
-        self.presentations = {}  # (u, cover) -> (kernel MatrixRep, inclusions)
+        self.presentations = {}  # (top, length, c_top) -> (K, incl, P_0, u) reps
         self.homs = {}           # (MatrixRep, MatrixRep) -> dim Hom
 
     def unique(self, rep):
@@ -77,8 +82,8 @@ class MatrixRep:
         self.mats = mats          # dict v -> matrix of the arrow out of v
 
     @classmethod
-    def of_uniserial(cls, alg, u):
-        quiver, slots_at = _quiver(alg), _slots(alg, u)
+    def of_uniserial(cls, quiver, alg, u):
+        slots_at = _slots(alg, u)
         dims = [len(s) for s in slots_at]
         pos = {j: a for slots in slots_at for a, j in enumerate(slots)}
         mats = {}
@@ -91,11 +96,10 @@ class MatrixRep:
         return cls(quiver, dims, mats)
 
 
-def _rep(alg, u):
-    q = _quiver(alg)
-    rep = q.reps.get(u)
+def _rep(q, alg, u):
+    rep = q.reps.get((u.top, u.length))
     if rep is None:
-        rep = q.reps[u] = q.unique(MatrixRep.of_uniserial(alg, u))
+        rep = q.reps[u.top, u.length] = q.unique(MatrixRep.of_uniserial(q, alg, u))
     return rep
 
 
@@ -139,16 +143,19 @@ def oracle_hom_dim(alg, u, v):
     """dim Hom(u, v) via intertwiner rank, never via image-length counting."""
     if u is None or v is None:
         return 0
-    return _hom(_rep(alg, u), _rep(alg, v))
+    q = _quiver(alg)
+    return _hom(_rep(q, alg, u), _rep(q, alg, v))
 
 
-def _presentation(alg, u):
-    """Explicit kernel K of the cover P(top u) ->> u, with inclusion matrices."""
-    q, cover = _quiver(alg), projective(alg, u.top)
-    found = q.presentations.get((u, cover))
+def _presentation(q, alg, u):
+    """(K, incl, P_0, u): the representations of the explicit kernel K of the
+    cover P_0 = P(top u) ->> u, of P_0 and of u, with K's inclusion matrices."""
+    key = (u.top, u.length, alg.c[u.top - 1])
+    found = q.presentations.get(key)
     if found is not None:
         return found
-    p0 = _rep(alg, cover)
+    cover = projective(alg, u.top)
+    p0 = _rep(q, alg, cover)
     # projection sends P_0 slot j to M slot j for j < len(u); rebuild the
     # per-vertex matrices from slot bookkeeping
     p0_slots, m_slots = _slots(alg, cover), _slots(alg, u)
@@ -172,7 +179,8 @@ def _presentation(alg, u):
                 "kernel arrow map is not integral; presentation is broken"
             cols.append([int(e) for e in x])
         kmats[v] = [[cols[c][r] for c in range(kdims[v - 1])] for r in range(kdims[w - 1])]
-    return q.presentations.setdefault((u, cover), (q.unique(MatrixRep(q, kdims, kmats)), incl))
+    return q.presentations.setdefault(
+        key, (q.unique(MatrixRep(q, kdims, kmats)), incl, p0, _rep(q, alg, u)))
 
 
 def oracle_ext1_dim(alg, u, v):
@@ -180,8 +188,9 @@ def oracle_ext1_dim(alg, u, v):
     the explicit presentation 0 -> K -> P_0 -> u -> 0."""
     if u is None or v is None:
         return 0
-    k_rep, _ = _presentation(alg, u)
-    p0_rep, m_rep, n_rep = _rep(alg, projective(alg, u.top)), _rep(alg, u), _rep(alg, v)
+    q = _quiver(alg)
+    k_rep, _, p0_rep, m_rep = _presentation(q, alg, u)
+    n_rep = _rep(q, alg, v)
     e = _hom(k_rep, n_rep) - _hom(p0_rep, n_rep) + _hom(m_rep, n_rep)
     assert e >= 0
     return e

@@ -20,6 +20,7 @@ from nakayama.oracle import (
     oracle_hom_dim,
     _intertwiner_system,
     _presentation,
+    _quiver,
     _rep,
 )
 
@@ -41,13 +42,14 @@ def _reference_ext1(alg, u, v):
     presentation 0 -> K -> P_0 -> u -> 0."""
     if u is None or v is None:
         return 0
-    k_rep, incl = _presentation(alg, u)
-    n_rep = _rep(alg, v)
+    q = _quiver(alg)
+    k_rep, incl = _presentation(q, alg, u)[:2]
+    n_rep = _rep(q, alg, v)
     rows, total = _intertwiner_system(k_rep, n_rep)
     hom_kn = total - rank(rows) if total else 0
     if hom_kn == 0:
         return 0
-    rows, total = _intertwiner_system(_rep(alg, projective(alg, u.top)), n_rep)
+    rows, total = _intertwiner_system(_rep(q, alg, projective(alg, u.top)), n_rep)
     basis = kernel_basis(rows, total) if total else []
     res_rows = []
     for f in basis:
@@ -72,11 +74,11 @@ def _reference_ext1(alg, u, v):
 
 def test_rep_dimensions():
     alg = validate("cyclic", [3, 2, 3, 4, 3])
-    rep = MatrixRep.of_uniserial(alg, projective(alg, 4))  # M(4,4)
+    rep = MatrixRep.of_uniserial(_quiver(alg), alg, projective(alg, 4))  # M(4,4)
     assert sum(rep.dims) == 4
     assert rep.dims == [1, 1, 1, 1, 0]
     big = validate("cyclic", [7, 7, 7])
-    rep = MatrixRep.of_uniserial(big, projective(big, 1))
+    rep = MatrixRep.of_uniserial(_quiver(big), big, projective(big, 1))
     assert rep.dims == [3, 2, 2]  # length 7 wraps the cycle twice
 
 
@@ -119,12 +121,13 @@ def test_presentation_kernel_is_the_syzygy():
     # the explicitly computed kernel must have the vertex dimensions of the
     # uniserial the index formula names
     for alg in EXHAUSTIVE:
+        q = _quiver(alg)
         for u in indecomposables(alg):
             if is_projective(alg, u):
                 continue
-            k_rep, _ = _presentation(alg, u)
+            k_rep, _ = _presentation(q, alg, u)[:2]
             w = syzygy(alg, u)
-            want = MatrixRep.of_uniserial(alg, w)
+            want = MatrixRep.of_uniserial(q, alg, w)
             assert k_rep.dims == want.dims, (alg, u)
 
 
@@ -132,9 +135,11 @@ def test_presentation_kernel_is_the_syzygys_object():
     # the kernel is found equal to a uniserial by comparing matrices, and the
     # oracle then hands back that uniserial's own representation
     for alg in EXHAUSTIVE:
+        q = _quiver(alg)
         for u in indecomposables(alg):
             if not is_projective(alg, u):
-                assert _presentation(alg, u)[0] is _rep(alg, syzygy(alg, u)), (alg, u)
+                k_rep, _ = _presentation(q, alg, u)[:2]
+                assert k_rep is _rep(q, alg, syzygy(alg, u)), (alg, u)
 
 
 def test_ext1_count_matches_the_cokernel_route():

@@ -1,5 +1,6 @@
 """The matrix oracle's tables: one per quiver (kind, n), answers free of call
-order, rank work bounded by the distinct representations, and the
+order, rank work bounded by the distinct representations, one quiver lookup
+per public call and no cover rebuilt once a presentation is kept, and the
 integrality check on a presentation's arrow maps."""
 
 import random
@@ -47,12 +48,10 @@ def test_answers_do_not_depend_on_call_order(monkeypatch):
             {call: want[call] for call in order}
 
 
-def _counting(calls):
-    real = oracle.rank
-
-    def counted(rows):
-        calls.append(rows)
-        return real(rows)
+def _counting(calls, real):
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
     return counted
 
 
@@ -63,7 +62,7 @@ def grid_order_pass():
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_quivers", {})
-        mp.setattr(oracle, "rank", _counting(calls))
+        mp.setattr(oracle, "rank", _counting(calls, oracle.rank))
         algs = grid_algebras(4, 6)
         _grid_pass(algs)
         return algs, oracle._quivers, len(calls)
@@ -78,10 +77,17 @@ def test_tables_are_kept_per_quiver(grid_order_pass):
         reps = set(q.contents.values())
         assert all(rep.quiver is q for rep in reps)
         assert set(q.reps.values()) <= reps
-        assert {k for k, _ in q.presentations.values()} <= reps
+        assert {k for k, _, _, _ in q.presentations.values()} <= reps
         assert q.homs and all(m in reps and k in reps for m, k in q.homs)
-        assert all(u in q.reps and cover in q.reps and cover.top == u.top
-                   for u, cover in q.presentations), (kind, n)
+        # keys are ints: (top, length) of a uniserial, and (top, length, c_top)
+        # of a presentation, whose record holds the reps of u = M(top, length)
+        # and of its cover M(top, c_top), which has the same top
+        assert all(type(x) is int for key in (*q.reps, *q.presentations)
+                   for x in key), (kind, n)
+        assert all(m is q.reps[top, length] and p0 is q.reps[top, c_top]
+                   and length <= c_top
+                   for (top, length, c_top), (_, _, p0, m)
+                   in q.presentations.items()), (kind, n)
 
 
 def test_a_uniserials_representation_depends_only_on_the_quiver():
@@ -90,7 +96,7 @@ def test_a_uniserials_representation_depends_only_on_the_quiver():
     for alg in grid_algebras(4, 6):
         table = seen[alg.kind, alg.n]
         for u in indecomposables(alg):
-            rep = MatrixRep.of_uniserial(alg, u)
+            rep = MatrixRep.of_uniserial(oracle._quiver(alg), alg, u)
             compared += u in table
             assert table.setdefault(u, (rep.dims, rep.mats)) == \
                 (rep.dims, rep.mats), (alg, u)
@@ -104,12 +110,40 @@ def test_rank_runs_once_per_distinct_hom(grid_order_pass, monkeypatch):
     random.Random(12).shuffle(shuffled)
     calls = []
     _empty_caches(monkeypatch)
-    monkeypatch.setattr(oracle, "rank", _counting(calls))
+    monkeypatch.setattr(oracle, "rank", _counting(calls, oracle.rank))
     _grid_pass(shuffled)
     assert len(calls) == 1130
     calls.clear()
     _grid_pass(shuffled)
     assert calls == []
+
+
+def _pairs(algs):
+    return sum(len(indecomposables(alg)) ** 2 for alg in algs)
+
+
+def test_each_public_call_looks_its_quiver_up_once(monkeypatch):
+    _empty_caches(monkeypatch)
+    lookups = []
+    monkeypatch.setattr(oracle, "_quiver", _counting(lookups, oracle._quiver))
+    algs = grid_algebras(3, 4)
+    _grid_pass(algs)
+    assert len(lookups) == 2 * _pairs(algs)
+
+
+def test_a_warm_pass_builds_no_cover(monkeypatch):
+    _empty_caches(monkeypatch)
+    lookups, covers = [], []
+    monkeypatch.setattr(oracle, "_quiver", _counting(lookups, oracle._quiver))
+    monkeypatch.setattr(oracle, "projective", _counting(covers, oracle.projective))
+    algs = grid_algebras(3, 4)
+    _grid_pass(algs)
+    assert covers
+    lookups.clear()
+    covers.clear()
+    _grid_pass(algs)
+    assert covers == []
+    assert len(lookups) == 2 * _pairs(algs)
 
 
 def test_presentation_rejects_a_non_integral_arrow_map(monkeypatch):
@@ -120,4 +154,4 @@ def test_presentation_rejects_a_non_integral_arrow_map(monkeypatch):
     alg = validate("cyclic", [3, 3])
     u = Uniserial(1, 1)  # the kernel M(2,2) of P_1 = M(1,3) ->> u has an arrow
     with pytest.raises(AssertionError, match="not integral"):
-        _presentation(alg, u)
+        _presentation(oracle._quiver(alg), alg, u)

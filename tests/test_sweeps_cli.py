@@ -176,10 +176,20 @@ def test_cli_classify_rejects_bad_sequence(capsys):
 def test_cli_json_and_csv_exclude_each_other(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code != 0
+    assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage:") and "not allowed with argument" in err
+
+
+def test_cli_usage_errors_exit_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--kind", "foo", "-n", "2", "--max-c", "3"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: nakayama enumerate")
+    assert "error: argument --kind: invalid choice: 'foo'" in err
 
 
 def test_cli_closed_stdout_leaves_no_traceback():
