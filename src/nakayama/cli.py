@@ -77,8 +77,8 @@ def _lines(record):
 
 def _emit(args, record, text=None, code=0):
     """Print a command's record and return its exit code: JSON under --json,
-    else the text lines given (CSV, enumerate's rows, oracle's closing
-    verdict), else _lines(record)."""
+    else the text lines given (CSV, enumerate's rows, check's status lines,
+    oracle's closing verdict), else _lines(record)."""
     if getattr(args, "json", False):
         print(json.dumps(record, indent=2, default=_json_value))
     else:
@@ -179,9 +179,16 @@ def cmd_check(args, suite=None):
         if getattr(args, name, None) is not None:
             params[name] = getattr(args, name)
     report = run_suite(suite or args.suite, **params)
-    record = {p.name: p.status() for p in report.properties}
-    record["suite %s" % report.suite] = "ok" if report.ok else "FAIL"
-    return _emit(args, record, code=0 if report.ok else 1)
+    verdict = "suite %s: %s" % (report.suite, "ok" if report.ok else "FAIL")
+    record = {
+        "suite": report.suite,
+        "properties": {p.name: {"checked": p.checked, "failed": p.failed,
+                                "first_counterexample": p.first_counterexample or None}
+                       for p in report.properties},
+        "ok": report.ok,
+    }
+    return _emit(args, record, report.lines() + [verdict],
+                 0 if report.ok else 1)
 
 
 def cmd_oracle(args):
@@ -199,8 +206,8 @@ def cmd_oracle(args):
         if witness:
             record[kind + " witness"] = witness
     ok = hom_bad == ext_bad == 0
-    return _emit(args, record, _lines(record) + ["ok" if ok else "MISMATCH"],
-                 0 if ok else 1)
+    return _emit(args, dict(record, ok=ok),
+                 _lines(record) + ["ok" if ok else "MISMATCH"], 0 if ok else 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,6 +271,7 @@ def build_parser():
     p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("--c-max", type=int, dest="c_max")
     p.add_argument("--cap", type=int)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="compare formulas with the matrix "
@@ -271,6 +279,7 @@ def build_parser():
     _add_algebra_flags(p)
     p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("--c-max", type=int, dest="c_max")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -88,7 +88,13 @@ KINDS = ("cyclic", "linear")
 
 @dataclass(frozen=True)
 class AdmissibleSequence:
-    """A Nakayama algebra, given by its kind and admissible sequence."""
+    """A Nakayama algebra, given by its kind and admissible sequence.
+
+    Besides the fields it keeps n = len(c), stored once at construction
+    because every Hom count and walk reads it, and the opposite algebra,
+    built by `opposite` on first use.  Neither takes part in equality,
+    hashing or repr, which use (kind, c) only.
+    """
 
     kind: str
     c: tuple
@@ -99,6 +105,8 @@ class AdmissibleSequence:
         c = tuple(int(x) for x in self.c)
         object.__setattr__(self, "c", c)
         n = len(c)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_opposite", None)
         if n == 0:
             raise ValueError("empty sequence")
         if self.kind == "cyclic":
@@ -118,10 +126,6 @@ class AdmissibleSequence:
                 if c[i] > c[i - 1] + 1:
                     raise ValueError("c_%d = %d exceeds c_%d + 1 = %d"
                                      % (i + 1, c[i], i, c[i - 1] + 1))
-
-    @property
-    def n(self):
-        return len(self.c)
 
     def normalize(self, i):
         """Bring a vertex index into 1..n (mod n in the cyclic case)."""
@@ -265,11 +269,18 @@ def opposite(alg):
     The projective of the opposite at the new label i* has the length of the
     injective envelope I(S_i) here, where i* = n+1-i (linear) or i* = 1-i mod n
     (cyclic).  Applying the map twice returns the original sequence.
+
+    Built on the first call and kept on alg, so every later call returns
+    the same object.
     """
-    cop = [0] * alg.n
-    for i in range(1, alg.n + 1):
-        cop[_star(alg, i) - 1] = injective(alg, i).length
-    return validate(alg.kind, cop)
+    op = alg._opposite
+    if op is None:
+        cop = [0] * alg.n
+        for i in range(1, alg.n + 1):
+            cop[_star(alg, i) - 1] = injective(alg, i).length
+        op = validate(alg.kind, cop)
+        object.__setattr__(alg, "_opposite", op)
+    return op
 
 
 def dual(alg, u):

@@ -7,13 +7,22 @@ linear case) and 1 <= k <= min(len u, len v).  These canonical maps form a
 basis of the Hom space, and compositions of canonical maps are canonical with
 structure constant 1 (or zero), so all Hom/Ext arithmetic is integral.
 
+The counting layer works on plain ints, not on Uniserial objects: one
+private count, _hom_count(n, cyclic, top_u, len_u, top_v, len_v), serves
+hom_dim and each of the three Hom terms of ext_dim, and it shares its
+image-length arithmetic with hom_basis.  Syzygies are (top, length) pairs
+from _syzygy_pair, and a Uniserial is built only where a public function
+returns one.
+
 Projective dimensions come from one walker, _walk_dims: it follows the
-syzygy recursion M(i,l) -> M(i-l, c_i-l) until a projective is reached,
-sharing results along each path; a module revisited on its own path means an
-infinite resolution.  Injective dimensions are projective dimensions over the
-opposite algebra, id_A(M) = pd_{A^op}(DM) (Assem-Simson-Skowronski I, A.4), so
-no dimension walk needs an injective envelope.  pdim and idim walk only the
-summands they are given, pdim_table and idim_table all sum(c)
+syzygy recursion (i, l) -> (i-l, c_i-l) on (top, length) pairs until a
+projective is reached, sharing results along each path; a pair revisited on
+its own path means an infinite resolution.  Injective dimensions are
+projective dimensions over the opposite algebra, id_A(M) = pd_{A^op}(DM)
+(Assem-Simson-Skowronski I, A.4), so no dimension walk needs an injective
+envelope; the opposite is built once per algebra and kept on it (see
+core.opposite).  pdim and idim walk only the summands they are given and
+return the maximum over them, pdim_table and idim_table all sum(c)
 indecomposables, gldim only the simples and gorenstein_dim only the duals of
 the projectives on each side.  Dominant dimension walks injective envelopes
 while they stay projective.
@@ -48,42 +57,39 @@ class HomMap:
         return "Hom[%r -> %r, k=%d]" % (self.source, self.target, self.k)
 
 
-def _first_image_length(alg, u, v):
-    """Smallest admissible image length, or 0 if there is none."""
-    if alg.kind == "linear":
-        k = u.top - v.top + v.length
-        return k if 1 <= k <= min(u.length, v.length) else 0
-    k = (u.top - v.top + v.length) % alg.n
-    if k == 0:
-        k = alg.n
-    return k if k <= min(u.length, v.length) else 0
+def _first_image_length(n, cyclic, top_u, len_u, top_v, len_v):
+    """Smallest admissible image length of a map M(top_u, len_u) ->
+    M(top_v, len_v), or 0 if there is none."""
+    k = top_u - top_v + len_v
+    if cyclic:
+        k = (k - 1) % n + 1
+    return k if 1 <= k <= (len_u if len_u < len_v else len_v) else 0
+
+
+def _hom_count(n, cyclic, top_u, len_u, top_v, len_v):
+    """dim Hom(M(top_u, len_u), M(top_v, len_v)): one canonical map per
+    image length k, k + n, ... up to min(len_u, len_v) from the first
+    admissible k.  Linear lengths never exceed n, so there is at most one."""
+    k = _first_image_length(n, cyclic, top_u, len_u, top_v, len_v)
+    return ((len_u if len_u < len_v else len_v) - k) // n + 1 if k else 0
 
 
 def hom_dim(alg, u, v):
     """dim Hom(u, v); zero modules give 0."""
     if u is None or v is None:
         return 0
-    k = _first_image_length(alg, u, v)
-    if k == 0:
-        return 0
-    if alg.kind == "linear":
-        return 1
-    return (min(u.length, v.length) - k) // alg.n + 1
+    return _hom_count(alg.n, alg.kind == "cyclic", u.top, u.length, v.top, v.length)
 
 
 def hom_basis(alg, u, v):
-    """The canonical maps u -> v, ordered by ascending image length."""
+    """The canonical maps u -> v, ordered by ascending image length: the
+    lengths _hom_count counts."""
     if u is None or v is None:
         return []
-    k = _first_image_length(alg, u, v)
+    k = _first_image_length(alg.n, alg.kind == "cyclic", u.top, u.length, v.top, v.length)
     if k == 0:
         return []
-    step = alg.n if alg.kind == "cyclic" else min(u.length, v.length) + 1
-    out = []
-    while k <= min(u.length, v.length):
-        out.append(HomMap(u, v, k))
-        k += step
-    return out
+    return [HomMap(u, v, j) for j in range(k, min(u.length, v.length) + 1, alg.n)]
 
 
 def identity_hom(alg, u):
@@ -112,12 +118,23 @@ def compose(alg, f, g):
 
 # --- syzygies ----------------------------------------------------------------
 
+def _syzygy_pair(n, c, top, length):
+    """(top, length) of the syzygy M(top - length, c_top - length) of
+    M(top, length), or None when that module is projective.  The top is
+    taken mod n; a linear non-projective has length < c_top <= top, so its
+    syzygy's top already lies in 1..n-1."""
+    c_top = c[top - 1]
+    if length == c_top:
+        return None
+    return (top - length - 1) % n + 1, c_top - length
+
+
 def syzygy(alg, u):
     """Kernel of the projective cover P(top u) -> u; None iff u is projective."""
-    if u is None or is_projective(alg, u):
+    if u is None:
         return None
-    c = alg.c[u.top - 1]
-    return Uniserial(alg.normalize(u.top - u.length), c - u.length)
+    w = _syzygy_pair(alg.n, alg.c, u.top, u.length)
+    return None if w is None else Uniserial(*w)
 
 
 def cosyzygy(alg, u):
@@ -138,22 +155,24 @@ def _summands(m):
     return list(m)
 
 
-def _walk_dims(alg, modules):
-    """{module: its projective dimension} for the given modules and every
-    module met on their syzygy walks.
+def _walk_dims(alg, pairs):
+    """{(top, length): projective dimension} for the given (top, length)
+    pairs and every pair met on their syzygy walks.
 
     Walks share results, and a walk that returns to a module on its own path
     never ends, so every module on that path gets INF.
     """
+    n, c = alg.n, alg.c
     memo = {}
-    for w in modules:
-        path = {}    # insertion-ordered set of the modules walked so far
+    for w in pairs:
+        path = {}    # insertion-ordered set of the pairs walked so far
         while w not in memo and w not in path:
-            if is_projective(alg, w):
+            nxt = _syzygy_pair(n, c, *w)
+            if nxt is None:
                 memo[w] = 0
             else:
                 path[w] = None
-                w = syzygy(alg, w)
+                w = nxt
         base = memo.get(w, INF)
         for j, wj in enumerate(path):
             memo[wj] = base + (len(path) - j)
@@ -162,9 +181,9 @@ def _walk_dims(alg, modules):
 
 def pdim(alg, m):
     """Projective dimension of a module or direct sum (0 for the zero module)."""
-    mods = _summands(m)
-    walk = _walk_dims(alg, mods)
-    return max((walk[u] for u in mods), default=0)
+    pairs = [(u.top, u.length) for u in _summands(m)]
+    walk = _walk_dims(alg, pairs)
+    return max((walk[w] for w in pairs), default=0)
 
 
 def idim(alg, m):
@@ -175,7 +194,9 @@ def idim(alg, m):
 
 def pdim_table(alg):
     """pdim of every indecomposable at once, sharing the syzygy walks."""
-    return _walk_dims(alg, indecomposables(alg))
+    mods = indecomposables(alg)
+    walk = _walk_dims(alg, [(u.top, u.length) for u in mods])
+    return {u: walk[u.top, u.length] for u in mods}
 
 
 def idim_table(alg):
@@ -246,22 +267,32 @@ def gorenstein_dim(alg):
 # --- ext groups --------------------------------------------------------------
 
 def ext_dim(alg, u, v, k):
-    """dim Ext^k(u, v) by dimension shifting along syzygies."""
+    """dim Ext^k(u, v) by dimension shifting along syzygies.
+
+    Ext^k(u, v) = Ext^1(W, v) for the (k-1)-st syzygy W of u, and the cover
+    0 -> Omega W -> P(top W) -> W -> 0 gives the exact sequence
+    0 -> Hom(W, v) -> Hom(P(top W), v) -> Hom(Omega W, v) -> Ext^1(W, v) -> 0
+    (Assem-Simson-Skowronski I, IV.2), so the dimension is an alternating sum
+    of three Hom counts.
+    """
     assert k >= 0
     if u is None or v is None:
         return 0
+    n, cyclic, c = alg.n, alg.kind == "cyclic", alg.c
     if k == 0:
-        return hom_dim(alg, u, v)
-    w = u
+        return _hom_count(n, cyclic, u.top, u.length, v.top, v.length)
+    w = (u.top, u.length)
     for _ in range(k - 1):
-        w = syzygy(alg, w)
+        w = _syzygy_pair(n, c, *w)
         if w is None:
             return 0
-    omega = syzygy(alg, w)
+    top, length = w
+    omega = _syzygy_pair(n, c, top, length)
     if omega is None:
         return 0
-    e = hom_dim(alg, omega, v) - hom_dim(alg, projective(alg, w.top), v) \
-        + hom_dim(alg, w, v)
+    e = (_hom_count(n, cyclic, omega[0], omega[1], v.top, v.length)
+         - _hom_count(n, cyclic, top, c[top - 1], v.top, v.length)
+         + _hom_count(n, cyclic, top, length, v.top, v.length))
     assert e >= 0
     return e
 

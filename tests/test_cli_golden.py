@@ -58,8 +58,12 @@ GOLDEN = [
      "03598c7672ad0c4205ae2416d539ebdc1f98266f3102e7f79c1a59660e456c10"),
     ("check --suite it --samples 20".split(),
      "3b1a1ec98599a11760055f32050209c9c4355872062923024cf6a7b9b1f8179a"),
+    ("check --suite it --samples 20 --json".split(),
+     "2edd5355874a4168ab437436dc73d051eba93a886f9a5a99f32acd92a051db7d"),
     ("oracle --cyclic 2,2,3".split(),
      "8c005c149a3c892b3dc0c450a9311b8be20f9990412c10e2174e72801fde3de4"),
+    ("oracle --cyclic 2,2,3 --json".split(),
+     "0f4b21b0efb7f6d508f45f81a7e8e1d33fcb47747b1b59208839b82a9b812eaa"),
     # without an algebra, oracle is `check --suite oracle`, so its output
     # ends with the suite verdict line
     ("oracle --n-max 2 --c-max 4".split(),

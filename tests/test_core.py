@@ -1,5 +1,6 @@
 import pytest
 
+from nakayama.checks import grid_algebras
 from nakayama.core import (
     INF,
     AdmissibleSequence,
@@ -183,6 +184,19 @@ def test_opposite_values_and_involution():
         assert opposite(op) == alg
         assert sum(op.c) == sum(alg.c)
         assert sorted(op.c) == sorted(injective(alg, i).length for i in range(1, alg.n + 1))
+
+
+def test_n_and_the_opposite_are_kept_out_of_equality():
+    for alg in grid_algebras(4, 6):
+        assert vars(alg)["n"] == len(alg.c)   # stored, not recomputed per read
+        op = opposite(alg)
+        assert opposite(alg) is op
+        assert opposite(op) == alg
+        fresh = AdmissibleSequence(alg.kind, alg.c)   # no opposite built yet
+        assert fresh == alg and hash(fresh) == hash(alg)
+        assert repr(fresh) == repr(alg)
+        assert format_algebra(fresh) == format_algebra(alg)
+        assert len({fresh, alg}) == 1
 
 
 # --- textual forms -----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Hom/Ext formulas, syzygies, dimension walks, dominant dimension."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,6 +10,8 @@ from nakayama.checks import grid_algebras
 from nakayama.core import (
     INF,
     ModuleSum,
+    dim_json,
+    format_algebra,
     indecomposables,
     injective,
     is_injective,
@@ -329,9 +333,7 @@ def test_injective_dimensions_match_the_cosyzygy_walk():
         mods = indecomposables(alg)
         ref = _reference_idim(alg, mods)
         assert idim_table(alg) == ref, alg
-        # one idim call per module costs a few seconds at n = 6, so single
-        # modules are checked up to n = 5, the benchmark's grid
-        for u in mods if alg.n <= 5 else ():
+        for u in mods:
             assert idim(alg, u) == ref[u], (alg, u)
         id_left = max(ref[p] for p in _projectives(alg))
         assert idim(alg, ModuleSum.of(_projectives(alg))) == id_left, alg
@@ -340,6 +342,37 @@ def test_injective_dimensions_match_the_cosyzygy_walk():
         id_right = max(op_ref[p] for p in _projectives(op))
         common = id_left if INF not in (id_left, id_right) else None
         assert gorenstein_dim(alg) == (id_left, id_right, common), alg
+
+
+def _table_rows(table):
+    return sorted([u.top, u.length, dim_json(d)] for u, d in table.items())
+
+
+def test_counting_digest_over_the_n5_grid():
+    # One row per algebra: its pdim_table and idim_table as sorted
+    # [top, length, dim] rows, the sum of hom_dim over all ordered pairs of
+    # indecomposables, and the same sums of ext_dim for k = 1, 2, 3.  The
+    # digest was taken from the Uniserial-level formulas, before the Hom
+    # count and the syzygy walks moved to plain ints.
+    rows = []
+    for alg in grid_algebras(5, 8):
+        mods = indecomposables(alg)
+        hom = sum(hom_dim(alg, u, v) for u in mods for v in mods)
+        ext = [sum(ext_dim(alg, u, v, k) for u in mods for v in mods)
+               for k in (1, 2, 3)]
+        rows.append([format_algebra(alg), _table_rows(pdim_table(alg)),
+                     _table_rows(idim_table(alg)), hom, ext])
+    assert len(rows) == 916
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "f34b6af81598de2a578bc089f48ee333e9aad941b9d42ae705ebe9a094dd6c81")
+
+
+def test_hom_dim_counts_the_hom_basis():
+    for alg in grid_algebras(4, 6):
+        mods = indecomposables(alg)
+        for u in mods:
+            for v in mods:
+                assert hom_dim(alg, u, v) == len(hom_basis(alg, u, v)), (alg, u, v)
 
 
 def test_hom_map_ordering_and_repr():

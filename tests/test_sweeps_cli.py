@@ -381,3 +381,24 @@ def test_cli_oracle_single_names_the_mismatched_pair(capsys, monkeypatch):
     assert " -> M(" in witness
     assert not any(ln.startswith("ext1 witness: ") for ln in lines)
     assert lines.index(witness) < lines.index("MISMATCH")
+
+
+def test_cli_check_and_oracle_json_carry_the_witness(capsys, monkeypatch):
+    from nakayama import checks
+    hom = checks.oracle_hom_dim
+    monkeypatch.setattr(checks, "oracle_hom_dim",
+                        lambda alg, u, v: hom(alg, u, v) + 1)
+    assert main(["oracle", "--cyclic", "2,2", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False and data["hom agreements"] == "0/16"
+    assert data["hom witness"].startswith("cyclic:2,2 hom M(")
+    assert "ext1 witness" not in data
+    assert main(["check", "--suite", "oracle", "--n-max", "1", "--c-max", "2",
+                 "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["suite"] == "oracle" and data["ok"] is False
+    hom_prop, ext_prop = data["properties"].values()
+    assert hom_prop["failed"] == hom_prop["checked"] > 0
+    assert hom_prop["first_counterexample"].startswith("cyclic:2 hom M(")
+    assert ext_prop == {"checked": hom_prop["checked"], "failed": 0,
+                        "first_counterexample": None}

@@ -18,6 +18,7 @@ from nakayama.core import (
     is_injective,
     is_projective,
     make_module,
+    opposite,
     parse_module_sum,
     projective,
     validate,
@@ -112,6 +113,26 @@ def test_classification_digest_over_the_n6_grid():
     assert len(rows) == 3705
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "35b85846098343a899743457a55a5c5c3c10af443e14e28695d1ed4995a2befe")
+
+
+def test_classify_builds_the_opposite_once(monkeypatch):
+    import nakayama.core
+
+    builds = []
+
+    def counted(kind, c):
+        builds.append((kind, tuple(c)))
+        return validate(kind, c)
+
+    # opposite builds its result through core.validate; classify builds no
+    # other algebra
+    monkeypatch.setattr(nakayama.core, "validate", counted)
+    for alg in grid_algebras(4, 6):
+        builds.clear()
+        classify(alg)
+        assert builds == [(alg.kind, opposite(alg).c)], alg
+        classify(alg)
+        assert len(builds) == 1, alg
 
 
 def test_criterion_frozen():
