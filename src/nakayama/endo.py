@@ -56,6 +56,19 @@ class OverCap:
         return ">%d" % self.cap
 
 
+def _product_table(alg, lefts, rights, index):
+    """Row per f in lefts: for each g in rights, the index of "f then g",
+    or None when f does not end where g starts or the composite is zero."""
+    table = []
+    for f in lefts:
+        row = []
+        for g in rights:
+            h = compose(alg, f, g) if f.target == g.source else None
+            row.append(None if h is None else index[h])
+        table.append(row)
+    return table
+
+
 class StructureConstantAlgebra:
     """End(X) with the reversed product, on the canonical Hom bases.
 
@@ -87,16 +100,7 @@ class StructureConstantAlgebra:
         self.target_pos = tuple(pos[f.target] for f in self.basis)
         self.idempotents = tuple(
             self.index[identity_hom(alg, a)] for a in self.summands)
-        self.table = []
-        for f in self.basis:
-            row = []
-            for g in self.basis:
-                if f.target != g.source:
-                    row.append(None)
-                else:
-                    h = compose(alg, f, g)
-                    row.append(self.index[h] if h is not None else None)
-            self.table.append(row)
+        self.table = _product_table(alg, self.basis, self.basis, self.index)
         self._validate()
 
     def _validate(self):
@@ -225,17 +229,8 @@ def hom_module(algebra, m):
     labels = [phi for a in algebra.summands for c in m.summands
               for phi in hom_basis(alg, a, c)]
     index = {phi: j for j, phi in enumerate(labels)}
-    cols = []
-    for g in algebra.basis:
-        col = []
-        for phi in labels:
-            if g.target != phi.source:
-                col.append(None)
-            else:
-                h = compose(alg, g, phi)
-                col.append(index[h] if h is not None else None)
-        cols.append(col)
-    return AlgebraModule(algebra, labels, cols)
+    return AlgebraModule(algebra, labels,
+                         _product_table(alg, algebra.basis, labels, index))
 
 
 def regular_module(algebra):

@@ -24,8 +24,9 @@ envelope; the opposite is built once per algebra and kept on it (see
 core.opposite).  pdim and idim walk only the summands they are given and
 return the maximum over them, pdim_table and idim_table all sum(c)
 indecomposables, gldim only the simples and gorenstein_dim only the duals of
-the projectives on each side.  Dominant dimension walks injective envelopes
-while they stay projective.
+the projectives on each side.  Dominant dimension is read the same way: it
+walks the syzygies of the dual over the opposite while each cover is
+injective there, so only cosyzygy still asks for an injective envelope.
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .core import (
     dual,
     indecomposables,
     injective,
-    is_projective,
     opposite,
     projective,
     socle_vertex,
@@ -223,28 +223,30 @@ def gldim(alg):
 
 def domdim_module(alg, u):
     """Number of leading projective-injective terms of the minimal injective
-    coresolution of u; INF when the coresolution stays projective-injective."""
+    coresolution of u; INF when the coresolution stays projective-injective.
+
+    By duality that coresolution is the dual of the minimal projective
+    resolution of D u over the opposite, so the walk follows syzygies there
+    and counts covers P(i) that are injective, c_{i+1} <= c_i over the
+    opposite (with c_{n+1} = 0 in the linear case).  A zero syzygy or a
+    repeated module means the resolution stays projective-injective.
+    """
+    op = opposite(alg)
     count = 0
     seen = set()
-    w = u
-    while True:
-        if w is None:
-            return INF
-        env = injective(alg, socle_vertex(alg, w))
-        if not is_projective(alg, env):
+    w = dual(alg, u)
+    while w is not None and w not in seen:
+        if op.c_at(w.top + 1) > op.c_at(w.top):
             return count
         count += 1
-        if w in seen:
-            return INF
         seen.add(w)
-        w = None if env.length == w.length else Uniserial(env.top, env.length - w.length)
+        w = syzygy(op, w)
+    return INF
 
 
 def domdim(alg):
     """min over the indecomposable projectives; INF iff selfinjective."""
-    vals = [domdim_module(alg, p) for p in _projectives(alg)]
-    finite = [v for v in vals if v != INF]
-    return min(finite) if finite else INF
+    return min(domdim_module(alg, p) for p in _projectives(alg))
 
 
 def gorenstein_dim(alg):

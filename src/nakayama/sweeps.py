@@ -39,28 +39,21 @@ class SweepSpec:
 
 
 def generate_sequences(kind, n, max_c):
-    """All admissible sequences with entries bounded by max_c, depth-first."""
-    out = []
+    """Yield every admissible sequence with entries bounded by max_c,
+    depth-first, which is lexicographic order without repeats."""
 
     def extend(prefix):
         if len(prefix) == n:
             if kind == "linear" or prefix[0] <= prefix[-1] + 1:
-                out.append(tuple(prefix))
+                yield tuple(prefix)
             return
-        hi = min(max_c, prefix[-1] + 1)
-        for nxt in range(2, hi + 1):
+        for nxt in range(2, min(max_c, prefix[-1] + 1) + 1):
             prefix.append(nxt)
-            extend(prefix)
+            yield from extend(prefix)
             prefix.pop()
 
-    if kind == "linear":
-        if n == 1:
-            return [(1,)]
-        extend([1])
-    else:
-        for first in range(2, max_c + 1):
-            extend([first])
-    return out
+    for first in ([1] if kind == "linear" else range(2, max_c + 1)):
+        yield from extend([first])
 
 
 def min_rotation(c):
@@ -105,20 +98,22 @@ def sweep(spec):
     row_cap rows pass the filters.
 
     Returns (rows, truncated); rows are ClassificationReports in sorted
-    sequence order, truncated marks a hit row_cap.
+    sequence order, truncated marks a hit row_cap.  Sequences are drawn
+    lazily, so a capped sweep generates only what it classifies, unless a
+    reduction to class representatives has to see them all first.
     """
     seqs = generate_sequences(spec.kind, spec.n, spec.max_c)
     if spec.elementary:
-        seqs = [c for c in seqs if is_elementary(c)]
+        seqs = filter(is_elementary, seqs)
     if spec.absolutely_elementary:
-        seqs = [c for c in seqs if is_absolutely_elementary(c)]
+        seqs = filter(is_absolutely_elementary, seqs)
     if spec.up_to_difference_class:
         seqs = sorted({difference_class_rep(spec.kind, c) for c in seqs})
     if spec.up_to_rotation and spec.kind == "cyclic":
         seqs = sorted({min_rotation(c) for c in seqs})
     rows = []
     truncated = False
-    for c in sorted(set(seqs)):
+    for c in seqs:
         rep = classify(validate(spec.kind, list(c)))
         if all(getattr(rep, f) for f in spec.filters):
             rows.append(rep)

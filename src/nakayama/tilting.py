@@ -271,14 +271,7 @@ def pd_tau_tilting(alg):
     t = canonical_tilting(alg)
     if t is None:
         raise ValueError("no canonical tilting module: dominant dimension < 2")
-    vals = []
-    for u in t:
-        if is_projective(alg, u):
-            continue
-        w = tau(alg, u)
-        assert w is not None
-        vals.append(pdim(alg, w))
-    return max(vals) if vals else 0
+    return pdim(alg, [tau(alg, u) for u in t if not is_projective(alg, u)])
 
 
 def gldim_drop_conditions(alg):

@@ -12,6 +12,7 @@ from nakayama.core import (
     ModuleSum,
     dim_json,
     format_algebra,
+    format_module,
     indecomposables,
     injective,
     is_injective,
@@ -191,6 +192,34 @@ def test_domdim_frozen():
     assert domdim(validate("cyclic", [2, 2, 3])) == 3
     assert domdim(validate("cyclic", [3, 2, 2, 3, 3])) == 2
     assert domdim(validate("cyclic", [3, 4, 4])) == 4
+
+
+def test_domdim_digest_over_the_n5_grid():
+    # domdim_module of every indecomposable of every algebra of the grid; the
+    # digest was taken from the walk along injective envelopes, before the
+    # walk moved to syzygies of the dual over the opposite
+    rows = [[format_algebra(alg),
+             [[format_module(u), dim_json(domdim_module(alg, u))]
+              for u in indecomposables(alg)]]
+            for alg in grid_algebras(5, 8)]
+    assert len(rows) == 916 and sum(len(r[1]) for r in rows) == 20605
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "3f0e1100607b0dd5a0fe01ba0482efbb354dd257447af449d1edfc643e5273b0")
+
+
+def test_domdim_asks_for_no_injective_envelope(monkeypatch):
+    import nakayama.homology
+
+    calls = []
+
+    def counted(alg, j):
+        calls.append((alg, j))
+        return injective(alg, j)
+
+    monkeypatch.setattr(nakayama.homology, "injective", counted)
+    for alg in grid_algebras(4, 6):
+        domdim(alg)
+    assert calls == []
 
 
 def test_domdim_infinite_iff_selfinjective():

@@ -33,7 +33,7 @@ from nakayama.tilting import classify
 
 
 def test_generation_pin_n2():
-    assert generate_sequences("cyclic", 2, 3) == [(2, 2), (2, 3), (3, 2), (3, 3)]
+    assert list(generate_sequences("cyclic", 2, 3)) == [(2, 2), (2, 3), (3, 2), (3, 3)]
 
 
 def test_generation_respects_wrap():
@@ -110,6 +110,25 @@ def test_sweep_classifies_only_up_to_the_row_cap(monkeypatch, cap):
     rows, truncated = sweep(SweepSpec(kind="cyclic", n=4, max_c=6, row_cap=cap))
     assert len(calls) == cap and truncated
     assert rows == full[:cap] and len(full) > cap
+
+
+def test_capped_sweep_draws_only_the_sequences_it_needs(monkeypatch):
+    import nakayama.sweeps
+
+    real = nakayama.sweeps.generate_sequences
+    drawn = []
+
+    def counted(*args):
+        for c in real(*args):
+            drawn.append(c)
+            yield c
+
+    monkeypatch.setattr(nakayama.sweeps, "generate_sequences", counted)
+    rows, truncated = sweep(SweepSpec(kind="cyclic", n=5, max_c=7, elementary=True,
+                                      filters=("tilting_exists",), row_cap=3))
+    assert truncated and len(rows) == 3
+    assert drawn[-1] == rows[-1].c
+    assert len(drawn) < len(list(real("cyclic", 5, 7)))
 
 
 def test_random_algebra_valid_and_reproducible():
