@@ -131,29 +131,34 @@ def random_algebras(count, n_max, c_max, seed):
 def _tilting_flags(alg):
     crit = tilting_criterion(alg)
     dd2 = domdim(alg) >= 2
-    _, _, bij = syzygy_correspondence(alg)
+    x, omega, bij = syzygy_correspondence(alg)
+    into = len(set(omega.values())) == len(x) and all(
+        w is not None and is_projective(alg, w) for w in omega.values())
     t = canonical_tilting(alg)
     verified = t is not None and verify_tilting(alg, t)
-    return crit, dd2, bij, verified, t
+    return crit, dd2, bij, into, verified, t
 
 
 def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12,
                   grid_n_max=5, grid_c_max=7, **_):
-    props = {
-        "criterion equals domdim >= 2": PropertyResult("criterion equals domdim >= 2"),
-        "criterion equals syzygy bijection": PropertyResult("criterion equals syzygy bijection"),
-        "criterion equals verified tilting": PropertyResult("criterion equals verified tilting"),
-        "tilting summands lie in the subcategory": PropertyResult("tilting summands lie in the subcategory"),
-        "cotilting verifies when tilting exists": PropertyResult("cotilting verifies when tilting exists"),
-        "no small tilting module when criterion fails": PropertyResult("no small tilting module when criterion fails"),
-    }
+    props = {n: PropertyResult(n) for n in (
+        "criterion equals domdim >= 2",
+        "criterion equals syzygy bijection",
+        "syzygy correspondence maps X injectively into the projectives",
+        "criterion equals verified tilting",
+        "tilting summands lie in the subcategory",
+        "cotilting verifies when tilting exists",
+        "no small tilting module when criterion fails",
+    )}
     algebras = grid_algebras(grid_n_max, grid_c_max)
     algebras += random_algebras(samples, n_max, c_max, seed)
     for alg in algebras:
-        crit, dd2, bij, verified, t = _tilting_flags(alg)
+        crit, dd2, bij, into, verified, t = _tilting_flags(alg)
         w = format_algebra(alg)
         props["criterion equals domdim >= 2"].record(crit == dd2, w)
         props["criterion equals syzygy bijection"].record(crit == bij, w)
+        props["syzygy correspondence maps X injectively into the projectives"].record(
+            into, w)
         props["criterion equals verified tilting"].record(crit == verified, w)
         if t is not None:
             props["tilting summands lie in the subcategory"].record(

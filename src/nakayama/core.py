@@ -20,7 +20,6 @@ modules as "M(i,l)".  These round-trip through parse_algebra / parse_module.
 """
 
 from dataclasses import dataclass
-from itertools import groupby
 
 
 # --- extended natural numbers ------------------------------------------------
@@ -74,11 +73,6 @@ INF = _Infinity()
 def dim_json(d):
     """JSON value for a dimension: int, or the string 'inf'."""
     return d if isinstance(d, int) else "inf"
-
-
-def parse_dim(s):
-    s = s.strip()
-    return INF if s == "inf" else int(s)
 
 
 # --- admissible sequences ----------------------------------------------------
@@ -308,14 +302,8 @@ class ModuleSum:
     def of(cls, items):
         return cls(tuple(items))
 
-    def union(self, other):
-        return ModuleSum(self.summands + other.summands)
-
     def is_basic(self):
         return len(set(self.summands)) == len(self.summands)
-
-    def distinct(self):
-        return [u for u, _ in groupby(self.summands)]
 
     def __iter__(self):
         return iter(self.summands)
@@ -325,10 +313,6 @@ class ModuleSum:
 
     def __repr__(self):
         return " + ".join(format_module(u) for u in self.summands) or "0"
-
-
-def format_module_sum(m):
-    return repr(m)
 
 
 def parse_module_sum(alg, text):

@@ -81,15 +81,10 @@ def random_algebra(rng, kind, n, c_max):
     """Seeded admissible sequence; wraps violating the cyclic closing
     inequality are rejected and redrawn."""
     while True:
-        if kind == "linear":
-            c = [1]
-        else:
-            c = [rng.randint(2, c_max)]
+        c = [1] if kind == "linear" else [rng.randint(2, c_max)]
         for _ in range(n - 1):
             c.append(rng.randint(2, min(c_max, c[-1] + 1)))
-        if kind == "linear" and n == 1:
-            c = [1]
-        if kind == "linear" or n == 1 or c[0] <= c[-1] + 1:
+        if kind == "linear" or c[0] <= c[-1] + 1:
             return validate(kind, c)
 
 

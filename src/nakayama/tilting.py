@@ -83,8 +83,8 @@ def syzygy_correspondence(alg):
     """The map u -> syzygy(u) on {u in the subcategory : pd u = 1}.
 
     Returns (X, the map, whether it is a bijection onto the non-injective
-    projectives), X in the order of indecomposables(alg).  Injectivity of the
-    map always holds and is asserted.
+    projectives), X in the order of indecomposables(alg).  That it maps X
+    injectively into the projectives is checked by the tilting suite.
 
     X is listed by vertex: its tops lie in Q, and pd M(i, l) = 1 exactly when
     l < c_i and the syzygy M(i - l, c_i - l) is projective, c_{i-l} = c_i - l.
@@ -101,12 +101,7 @@ def syzygy_correspondence(alg):
             if in_tilting_subcat(alg, u):
                 x.append(u)
             l += 1
-    omega = {}
-    for u in x:
-        w = syzygy(alg, u)
-        assert w is not None and is_projective(alg, w)
-        omega[u] = w
-    assert len(set(omega.values())) == len(omega)
+    omega = {u: syzygy(alg, u) for u in x}
     target = {projective(alg, i) for i in range(1, alg.n + 1)
               if not is_injective(alg, projective(alg, i))}
     return x, omega, set(omega.values()) == target
@@ -160,31 +155,29 @@ def canonical_cotilting(alg):
     return ModuleSum.of(parts)
 
 
-def _check_summand_count(alg, m):
+def _verify(alg, m, dim):
+    """dim (pdim or idim) <= 1 on every summand, Ext^1 vanishes on all
+    ordered pairs, and the number of summands is n, tested in that order."""
     if not isinstance(m, ModuleSum):
         raise ValueError("expected a ModuleSum")
     if not m.is_basic():
         raise ValueError("summands must be multiplicity-free")
+    if dim(alg, m) > 1:
+        return False
+    if any(ext_dim(alg, u, v, 1) != 0 for u in m for v in m):
+        return False
+    return len(m) == alg.n
 
 
 def verify_tilting(alg, m):
     """pd <= 1 on every summand, Ext^1 vanishes on all ordered pairs, and
     the number of summands is n."""
-    _check_summand_count(alg, m)
-    if pdim(alg, m) > 1:
-        return False
-    if any(ext_dim(alg, u, v, 1) != 0 for u in m for v in m):
-        return False
-    return len(m) == alg.n
+    return _verify(alg, m, pdim)
 
 
 def verify_cotilting(alg, m):
-    _check_summand_count(alg, m)
-    if idim(alg, m) > 1:
-        return False
-    if any(ext_dim(alg, u, v, 1) != 0 for u in m for v in m):
-        return False
-    return len(m) == alg.n
+    """The same tests as verify_tilting, with id in place of pd."""
+    return _verify(alg, m, idim)
 
 
 @dataclass(frozen=True)
@@ -321,34 +314,20 @@ def gldim_drop_conditions(alg):
 def igusa_todorov(alg, m):
     """The functions (phi, psi) of a module.
 
-    phi is the first step from which the rank of the syzygy image of the
-    class group stays at its eventual value; psi adds the largest finite
-    projective dimension among the summands after phi syzygies.
+    The walk follows the set of non-projective i-th syzygies of the
+    summands; distinct uniserials have distinct classes, so its size is the
+    rank of the syzygy image of the class group.  Each set is the image of
+    the last, so sizes never grow and are constant from a repeated set on.
+    phi is the first step at that eventual size; psi adds the largest finite
+    pd over that step's set.
     """
-    if not isinstance(m, ModuleSum):
-        m = ModuleSum.of([m])
-    track = list(m.summands)
+    summands = m.summands if isinstance(m, ModuleSum) else (m,)
+    state = frozenset(u for u in summands if not is_projective(alg, u))
     states = []
-    seen = {}
-    state = frozenset(u for u in track if not is_projective(alg, u))
-    while state not in seen:
-        seen[state] = len(states)
+    while state not in states:
         states.append(state)
         state = frozenset(w for w in (syzygy(alg, u) for u in state)
-                          if w is not None and not is_projective(alg, w))
-    cycle_start = seen[state]
-    # each state is a set of distinct non-projective uniserials, whose classes
-    # are distinct basis vectors of the class group
-    ranks = [len(st) for st in states]
-    assert all(ranks[i] >= ranks[i + 1] for i in range(len(ranks) - 1))
-    eventual = ranks[cycle_start]
-    assert all(r == eventual for r in ranks[cycle_start:])
-    phi = next(i for i, r in enumerate(ranks) if r == eventual)
-
-    current = list(track)
-    for _ in range(phi):
-        current = [syzygy(alg, u) if u is not None else None for u in current]
-    finite = [pdim(alg, u) for u in current
-              if u is not None and pdim(alg, u) != INF]
-    psi = phi + (max(finite) if finite else 0)
-    return phi, psi
+                          if not is_projective(alg, w))
+    phi = next(i for i, st in enumerate(states) if len(st) == len(state))
+    finite = [d for d in (pdim(alg, u) for u in states[phi]) if d != INF]
+    return phi, phi + max(finite, default=0)

@@ -48,10 +48,14 @@ def test_grid_algebras_are_valid():
 
 
 def test_random_algebras_reproducible():
+    # pinned draws; they include cyclic and linear algebras with n = 1
     a = [x.c for x in random_algebras(20, 5, 8, seed=7)]
-    b = [x.c for x in random_algebras(20, 5, 8, seed=7)]
-    assert a == b
-    assert len(a) == 20
+    assert a == [
+        (1, 2), (8,), (2, 2, 3), (1,), (6,), (1,), (7, 7), (2, 2, 3, 2, 2),
+        (3, 3, 4, 5, 4), (1, 2, 3, 3, 2), (2, 3), (1, 2, 3), (6,), (1, 2),
+        (4, 4, 5, 6), (1,), (7, 6, 7), (1, 2, 3), (3, 4, 3, 3), (1, 2, 2, 3),
+    ]
+    assert [x.c for x in random_algebras(20, 5, 8, seed=7)] == a
 
 
 def test_suite_tilting_small_threaded():
@@ -60,7 +64,7 @@ def test_suite_tilting_small_threaded():
     assert rep.suite == "tilting"
     assert rep.ok
     lines = rep.lines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert all(": ok (" in ln for ln in lines)
 
 
@@ -137,4 +141,25 @@ def test_drop_catches_disagreeing_conditions(monkeypatch):
     agree = next(p for p in rep.properties
                  if p.name == "the four drop conditions agree")
     assert agree.checked and agree.failed == agree.checked
+    assert not rep.ok
+
+
+def test_tilting_catches_a_non_injective_syzygy_correspondence(monkeypatch):
+    from nakayama import checks
+    real = checks.syzygy_correspondence
+
+    def merged(alg):
+        # send the first two modules of X to the same projective
+        x, omega, bij = real(alg)
+        if len(x) >= 2:
+            omega = dict(omega)
+            omega[x[1]] = omega[x[0]]
+        return x, omega, bij
+
+    monkeypatch.setattr(checks, "syzygy_correspondence", merged)
+    rep = run_suite("tilting", samples=20, seed=1, n_max=4, c_max=6,
+                    grid_n_max=3, grid_c_max=4)
+    into = next(p for p in rep.properties if p.name
+                == "syzygy correspondence maps X injectively into the projectives")
+    assert 0 < into.failed < into.checked
     assert not rep.ok

@@ -16,7 +16,6 @@ from nakayama.core import (
     make_module,
     opposite,
     parse_algebra,
-    parse_dim,
     parse_module,
     parse_module_sum,
     projective,
@@ -226,10 +225,7 @@ def test_module_round_trip():
 
 def test_module_sum_ops():
     a = ModuleSum.of([Uniserial(4, 2), Uniserial(1, 3)])
-    b = ModuleSum.of([Uniserial(4, 1)])
-    assert len(a.union(b)) == 3
     assert a.is_basic()
-    assert a.union(a).distinct() == [Uniserial(1, 3), Uniserial(4, 2)]
     assert parse_module_sum(SHARP, "0") == ModuleSum(())
 
 
@@ -243,4 +239,3 @@ def test_infinity_ordering():
     assert max(3, INF) == INF
     assert INF + 1 == INF and 1 + INF == INF
     assert dim_json(INF) == "inf" and dim_json(4) == 4
-    assert parse_dim("inf") == INF and parse_dim("7") == 7

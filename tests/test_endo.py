@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nakayama import endo
 from nakayama.checks import grid_algebras
 from nakayama.core import (
     INF,
@@ -37,6 +38,7 @@ from nakayama.endo import (
     syzygy_step,
 )
 from nakayama.homology import (
+    HomMap,
     cosyzygy,
     domdim,
     ext_dim,
@@ -91,6 +93,22 @@ def test_end_algebra_rejects_bad_input():
         end_algebra(A2, ModuleSum((Uniserial(1, 1), Uniserial(1, 1))))
     with pytest.raises(ValueError):
         end_algebra(A2, ModuleSum.of([]))
+
+
+def test_end_algebra_rejects_a_non_canonical_composite(monkeypatch):
+    # compose does not check its output; a wrong composite must still stop
+    # the build, by a failed lookup in the canonical Hom basis or by the
+    # table validators
+    real = endo.compose
+
+    def shifted(alg, f, g):
+        h = real(alg, f, g)
+        return None if h is None else HomMap(h.source, h.target, h.k + alg.n)
+
+    monkeypatch.setattr(endo, "compose", shifted)
+    for alg in (SHARP, LIN5, AdmissibleSequence("cyclic", (7, 7))):
+        with pytest.raises((KeyError, AssertionError)):
+            end_algebra(alg, basic_gen_cogen(alg))
 
 
 def test_single_projective_injective_is_commutative_chain():
@@ -559,7 +577,7 @@ def _all_gen_cogens(alg, cap=64):
     out = []
     for mask in range(1 << len(rest)):
         extra = [rest[k] for k in range(len(rest)) if mask >> k & 1]
-        out.append(base.union(ModuleSum.of(extra)))
+        out.append(ModuleSum.of(base.summands + tuple(extra)))
         if len(out) >= cap:
             break
     return out

@@ -12,7 +12,7 @@ from nakayama.core import (
     INF,
     AdmissibleSequence,
     ModuleSum,
-    format_module_sum,
+    format_algebra,
     indecomposables,
     injective,
     is_injective,
@@ -345,6 +345,24 @@ def test_igusa_todorov_plateau_then_drop():
         assert 0 <= phi <= psi
         if all(pdim(alg, u) != INF for u in m):
             assert psi == max(pdim(alg, u) for u in m)
+
+
+def test_igusa_todorov_digest_over_the_n4_grid():
+    # (phi, psi) of every indecomposable and every pair of distinct ones;
+    # the digest was taken from the two-walk version, before psi was read
+    # off the walk's own states
+    rows = []
+    for alg in grid_algebras(4, 6):
+        mods = indecomposables(alg)
+        rows.append([
+            format_algebra(alg),
+            [igusa_todorov(alg, u) for u in mods],
+            [igusa_todorov(alg, ModuleSum.of(p))
+             for p in itertools.combinations(mods, 2)],
+        ])
+    assert sum(len(r[1]) + len(r[2]) for r in rows) == 20832
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "0f551c5cfa5a9ac1b4a109653ed2d229ebc69b2a27d1157a601c15d404f1766f")
 
 
 def test_gen_cogen_contains_all_proj_inj():
