@@ -8,15 +8,18 @@ maps are canonical or zero, so every structure constant is 0 or 1 and module
 actions are column maps (each basis vector goes to a basis vector or to 0).
 
 Every algebra and module is validated at construction.  A basis map only
-composes with maps that start where it ends, so after an O(dim^2) check that
-the table is zero off composable pairs and that each product runs from the
-first source to the last target, associativity and the module axioms need
-checking only on composable chains: on any other triple both sides are zero.
+composes with maps that start where it ends, so the product and action tables
+compose only those pairs, and after an O(dim^2) check that the table is zero
+off composable pairs and that each product runs from the first source to the
+last target, associativity and the module axioms need checking only on
+composable chains: on any other triple both sides are zero.
 
 Resolutions carry each module action as sparse columns: the action of the
 i-th basis element is a list whose entry j is the image of basis vector j as
 {row: coefficient}, with zeros not stored ({} for a zero image), so a syzygy
-step costs the nonzero entries, not dim End * dim M^2.
+step costs the nonzero entries, not dim End * dim M^2.  A step touches only
+the summand blocks that the module and its cover kernel occupy, and stores a
+coordinate as an int unless it is non-integral.
 
 All ranks and kernels are exact rational computations.
 """
@@ -58,13 +61,18 @@ class OverCap:
 
 def _product_table(alg, lefts, rights, index):
     """Row per f in lefts: for each g in rights, the index of "f then g",
-    or None when f does not end where g starts or the composite is zero."""
+    or None when f does not end where g starts or the composite is zero.
+    Only the g that start where f ends are composed."""
+    by_source = {}
+    for j, g in enumerate(rights):
+        by_source.setdefault(g.source, []).append((j, g))
     table = []
     for f in lefts:
-        row = []
-        for g in rights:
-            h = compose(alg, f, g) if f.target == g.source else None
-            row.append(None if h is None else index[h])
+        row = [None] * len(rights)
+        for j, g in by_source.get(f.target, ()):
+            h = compose(alg, f, g)
+            if h is not None:
+                row[j] = index[h]
         table.append(row)
     return table
 
@@ -94,7 +102,7 @@ class StructureConstantAlgebra:
             for f in hom_basis(alg, a, b))
         self.index = {f: i for i, f in enumerate(self.basis)}
         self.dim = len(self.basis)
-        pos = {u: p for p, u in enumerate(self.summands)}
+        self._pos = pos = {u: p for p, u in enumerate(self.summands)}
         # summand positions of the source and of the target of each basis map
         self.source_pos = tuple(pos[f.source] for f in self.basis)
         self.target_pos = tuple(pos[f.target] for f in self.basis)
@@ -140,7 +148,7 @@ class StructureConstantAlgebra:
                 assert t[i][e] == (i if e == tgt else None)
 
     def summand_position(self, u):
-        return self.summands.index(u)
+        return self._pos[u]
 
     def json_dict(self):
         triples = [[i, j, tgt, 1]
@@ -269,17 +277,22 @@ def syzygy_step(algebra, dim, mats):
     mats[i][j] is the image of basis vector j under the i-th algebra basis
     element as a sparse column {row: coefficient}; coefficients may be
     rational, zeros are not stored and a zero image is {}.  The result's
-    actions have the same form.  The cover's generators are chosen by one
-    fraction-free pivot pass over the radical columns followed by the
-    idempotent blocks.  The kernel is reduced once; the coordinates of each
-    image sit at its free columns, and its pivot entries are checked against
-    them, so every nonzero image is tested exactly for membership in the
-    kernel.
+    actions have the same form, each coordinate an int unless it is
+    non-integral.  The cover's generators are chosen by one fraction-free
+    pivot pass over the radical columns followed by the idempotent blocks.
+    The kernel is reduced once; the coordinates of each image sit at its
+    free columns, and its pivot entries are checked against them, so every
+    nonzero image is tested exactly for membership in the kernel.
     """
     if dim == 0:
         return 0, []
+    src_pos, tgt_pos = algebra.source_pos, algebra.target_pos
+    # a radical map acts as zero outside the block it ends at, and a block
+    # holds vectors iff its idempotent has a nonzero column
+    support = {pos for pos, e in enumerate(algebra.idempotents) if any(mats[e])}
     idem = set(algebra.idempotents)
-    vecs = [col for i in range(algebra.dim) if i not in idem
+    vecs = [col for i in range(algebra.dim)
+            if tgt_pos[i] in support and i not in idem
             for col in mats[i] if col]
     nrad = len(vecs)
     blocks = [(pos, u) for pos, e in enumerate(algebra.idempotents)
@@ -295,7 +308,7 @@ def syzygy_step(algebra, dim, mats):
     # keeps the u outside rad M + its own earlier columns
     gens = [blocks[c - nrad] for c in pivot_columns(dense) if c >= nrad]
     col_indices = [[] for _ in algebra.summands]
-    for i, pos in enumerate(algebra.target_pos):
+    for i, pos in enumerate(tgt_pos):
         col_indices[pos].append(i)
     # cover[c] = (algebra basis index, generator number); generators are
     # pairwise distinct vectors (independent within one idempotent block,
@@ -313,23 +326,36 @@ def syzygy_step(algebra, dim, mats):
         return 0, []
     # kernel vector number and scale of each free column
     coord = {f: (c, vec[f]) for c, (f, vec) in enumerate(kernel.items())}
-    sparse = [[(p, x) for p, x in enumerate(vec) if x] for vec in kernel.values()]
     position = {}
     for c, key in enumerate(cover):
         position.setdefault(key, c)
+    # g . cover[p] is zero unless g ends where cover[p]'s map starts, so each
+    # kernel vector is filed, entry by entry, under the blocks its maps start at
+    filed = [[] for _ in algebra.summands]
+    for c, vec in enumerate(kernel.values()):
+        parts = {}
+        for p, x in enumerate(vec):
+            if x:
+                parts.setdefault(src_pos[cover[p][0]], []).append((p, x))
+        for pos, part in parts.items():
+            filed[pos].append((c, part))
+    zero = [{} for _ in range(kd)]
     new_mats = []
     for g in range(algebra.dim):
+        touched = filed[tgt_pos[g]]
+        if not touched:
+            new_mats.append(zero)
+            continue
         product = algebra.table[g]
-        cols = []
-        for vec in sparse:
+        cols = [{} for _ in range(kd)]
+        for c, part in touched:
             out = {}
-            for p, x in vec:
+            for p, x in part:
                 i, k = cover[p]
                 t = product[i]
                 if t is not None:
                     q = position[t, k]
                     out[q] = out.get(q, 0) + x
-            col = {}
             if out:
                 at_free = [(f, x) for f, x in out.items() if f in coord]
                 for r, p in enumerate(pivots):
@@ -337,11 +363,11 @@ def syzygy_step(algebra, dim, mats):
                     assert row[p] * out.get(p, 0) == -sum(
                         row[f] * x for f, x in at_free), \
                         "cover kernel is not action-stable"
+                col = cols[c]
                 for f, x in at_free:
                     if x:
-                        c, s = coord[f]
-                        col[c] = Fraction(x, s)
-            cols.append(col)
+                        v, s = coord[f]
+                        col[v] = x // s if x % s == 0 else Fraction(x, s)
         new_mats.append(cols)
     return kd, new_mats
 

@@ -14,7 +14,7 @@ import time
 from nakayama.checks import run_suite
 from nakayama.core import AdmissibleSequence, Uniserial, parse_module_sum, INF
 from nakayama.endo import drop_check, end_algebra, gldim_over
-from nakayama.homology import domdim, gldim, idim, pdim
+from nakayama.homology import domdim, gldim
 from nakayama.sweeps import SweepSpec, sweep
 from nakayama.tilting import (
     canonical_cotilting,

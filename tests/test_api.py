@@ -15,3 +15,25 @@ def test_all_lists_each_imported_public_name_once():
     assert len(names) == len(set(names))
     assert all(hasattr(nakayama, name) for name in names)
     assert set(names) == {name for name in imported if not name.startswith("_")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports only to re-export; every other module of
+    # src/nakayama and of tests must reference each name it imports
+    files = [p for p in sorted(Path(nakayama.__file__).parent.glob("*.py"))
+             if p.name != "__init__.py"]
+    files += sorted(Path(__file__).parent.glob("*.py"))
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += ["%s:%d %s" % (path.name, node.lineno, name)
+                       for name in names if name not in used]
+    assert unused == []

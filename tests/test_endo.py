@@ -15,8 +15,6 @@ from nakayama.core import (
     format_algebra,
     injective,
     is_injective,
-    is_projective,
-    parse_module_sum,
     projective,
     socle_vertex,
 )
@@ -39,8 +37,8 @@ from nakayama.endo import (
 )
 from nakayama.homology import (
     HomMap,
+    compose,
     cosyzygy,
-    domdim,
     ext_dim,
     gldim,
     hom_dim,
@@ -53,7 +51,6 @@ from nakayama.linalg import kernel_basis, solve
 from nakayama.tilting import (
     basic_gen_cogen,
     canonical_tilting,
-    pd_tau_tilting,
     projective_injectives,
     tilting_criterion,
 )
@@ -366,6 +363,35 @@ def _dense(mats, d):
     return out
 
 
+def _reference_product_table(alg, lefts, rights, index):
+    """The all-pairs loop: every f in lefts against every g in rights."""
+    table = []
+    for f in lefts:
+        row = []
+        for g in rights:
+            h = compose(alg, f, g) if f.target == g.source else None
+            row.append(None if h is None else index[h])
+        table.append(row)
+    return table
+
+
+def test_product_table_equals_the_all_pairs_loop():
+    # End(T) and Hom(T, basic gen-cogen) over the 90 tilting algebras of
+    # grid_algebras(4, 6)
+    built = 0
+    for alg in grid_algebras(4, 6):
+        t = canonical_tilting(alg)
+        if t is None:
+            continue
+        b = end_algebra(alg, t)
+        assert b.table == _reference_product_table(alg, b.basis, b.basis, b.index)
+        m = hom_module(b, basic_gen_cogen(alg))
+        index = {phi: j for j, phi in enumerate(m.labels)}
+        assert m.cols == _reference_product_table(alg, b.basis, m.labels, index)
+        built += 1
+    assert built == 90
+
+
 def test_action_matrix_is_the_column_map_as_sparse_columns():
     a = end_algebra(SHARP, canonical_tilting(SHARP))
     reg = regular_module(a)
@@ -378,7 +404,8 @@ def test_action_matrix_is_the_column_map_as_sparse_columns():
 
 def test_syzygy_step_stores_no_zeros():
     # a stored zero would make "if col" take a zero column for a generator
-    # candidate
+    # candidate; every coordinate here is integral, so each is stored as an
+    # int and the next step's eliminations stay on plain ints
     steps = 0
     for alg in (SHARP, LIN5):
         a = end_algebra(alg, canonical_tilting(alg))
@@ -392,7 +419,8 @@ def test_syzygy_step_stores_no_zeros():
                 for cols in mats:
                     assert len(cols) == d
                     for col in cols:
-                        assert all(x != 0 for x in col.values())
+                        assert all(type(x) is int and x != 0
+                                   for x in col.values())
                         assert set(col) <= set(range(d))
                 steps += 1
             assert not d, "no zero syzygy after %d steps" % STEP_CAP
@@ -519,6 +547,61 @@ def test_syzygy_step_rejects_a_non_module():
     mats[12][3][2] *= 2
     with pytest.raises(AssertionError, match="action-stable"):
         syzygy_step(a, d, mats)
+
+
+def _change_basis(mats, d, scale, shears=()):
+    """The actions in the basis b'_j = scale[j] b_j, each (x, y, t) of shears
+    then replacing b'_y by b'_y + t b'_x, as sparse columns."""
+    out = []
+    for mat in _dense(mats, d):
+        mat = [[mat[r][j] * scale[j] / scale[r] for j in range(d)]
+               for r in range(d)]
+        for x, y, t in shears:
+            for row in mat:
+                row[y] += t * row[x]
+            mat[x] = [u - t * v for u, v in zip(mat[x], mat[y])]
+        out.append([{r: mat[r][j] for r in range(d) if mat[r][j]}
+                    for j in range(d)])
+    return out
+
+
+def _resolve(a, d, mats, steps):
+    """Syzygy dimensions over at most steps steps, and the set of types of
+    the coordinates stored on the way."""
+    dims, types = [d], set()
+    for _ in range(steps):
+        if not d:
+            break
+        d, mats = syzygy_step(a, d, mats)
+        dims.append(d)
+        types |= {type(x) for cols in mats for col in cols for x in col.values()}
+    return dims, types
+
+
+def test_syzygy_step_is_invariant_under_a_change_of_basis():
+    # a diagonal change of basis with entries 2 and 1/3 puts Fraction entries
+    # into the actions of a simple and of the regular module
+    a = end_algebra(SHARP, canonical_tilting(SHARP))
+    for m in (simple_modules(a)[0], regular_module(a)):
+        scale = [Fraction(2) if j % 2 else Fraction(1, 3) for j in range(m.dim)]
+        mats = _change_basis([m.action_matrix(i) for i in range(a.dim)],
+                             m.dim, scale)
+        assert all(type(x) is Fraction
+                   for cols in mats for col in cols for x in col.values())
+        assert _resolve(a, m.dim, mats, STEP_CAP)[0] == resolution_dims(a, m)
+    # these shears across blocks give the first syzygy of a Hom module
+    # non-integral coordinates, stored as Fractions; its resolution is
+    # periodic (11, 4, 6, 4, ...)
+    alg = AdmissibleSequence("cyclic", (4, 4, 4, 5))
+    a = end_algebra(alg, canonical_tilting(alg))
+    m = hom_module(a, ModuleSum.of(
+        [Uniserial(3, 4), Uniserial(4, 3), Uniserial(4, 5)]))
+    shears = [(5, 0, Fraction(1, 3)), (6, 0, Fraction(-1)), (10, 8, Fraction(1, 3))]
+    mats = _change_basis([m.action_matrix(i) for i in range(a.dim)], m.dim,
+                         [Fraction(1)] * m.dim, shears)
+    dims, types = _resolve(a, m.dim, mats, 6)
+    assert dims == resolution_dims(a, m, 6)
+    assert Fraction in types
 
 
 def test_drop_check_frozen():

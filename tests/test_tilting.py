@@ -10,7 +10,6 @@ import pytest
 from nakayama.checks import grid_algebras
 from nakayama.core import (
     INF,
-    AdmissibleSequence,
     ModuleSum,
     format_algebra,
     indecomposables,
@@ -23,9 +22,8 @@ from nakayama.core import (
     projective,
     validate,
 )
-from nakayama.homology import domdim, ext_dim, gldim, idim, pdim, pdim_table
+from nakayama.homology import domdim, gldim, idim, pdim, pdim_table
 from nakayama.tilting import (
-    ClassificationReport,
     basic_gen_cogen,
     canonical_cotilting,
     canonical_tilting,
