@@ -339,6 +339,8 @@ def syzygy_step(algebra, dim, mats):
                 parts.setdefault(src_pos[cover[p][0]], []).append((p, x))
         for pos, part in parts.items():
             filed[pos].append((c, part))
+    # every g that meets no filed entry acts as zero and shares this row;
+    # nothing mutates action columns
     zero = [{} for _ in range(kd)]
     new_mats = []
     for g in range(algebra.dim):

@@ -589,8 +589,9 @@ def test_syzygy_step_is_invariant_under_a_change_of_basis():
         assert all(type(x) is Fraction
                    for cols in mats for col in cols for x in col.values())
         assert _resolve(a, m.dim, mats, STEP_CAP)[0] == resolution_dims(a, m)
-    # these shears across blocks give the first syzygy of a Hom module
-    # non-integral coordinates, stored as Fractions; its resolution is
+    # three shears, two of them mixing summand blocks, change which vectors
+    # generate the cover of this Hom module, and its first syzygy then has
+    # non-integral coordinates, stored as Fractions; the resolution is
     # periodic (11, 4, 6, 4, ...)
     alg = AdmissibleSequence("cyclic", (4, 4, 4, 5))
     a = end_algebra(alg, canonical_tilting(alg))
