@@ -179,7 +179,8 @@ def valid_uniserial(alg, top, length):
 
 def make_module(alg, top, length):
     """Normalized constructor for M(top, length); rejects invalid shapes."""
-    top = alg.normalize(top)
+    if alg.kind == "cyclic":
+        top = alg.normalize(top)
     if not valid_uniserial(alg, top, length):
         raise ValueError("no uniserial M(%d,%d) over %s" % (top, length, format_algebra(alg)))
     return Uniserial(top, length)
@@ -197,9 +198,10 @@ def parse_module(alg, text):
     text = text.strip()
     if text == "0":
         return None
-    if not (text.startswith("M(") and text.endswith(")")):
+    parts = text[2:-1].split(",")
+    if not (text.startswith("M(") and text.endswith(")") and len(parts) == 2):
         raise ValueError("expected 'M(i,l)' or '0', got %r" % text)
-    i, l = (int(x) for x in text[2:-1].split(","))
+    i, l = (int(x) for x in parts)
     return make_module(alg, i, l)
 
 

@@ -3,11 +3,12 @@
 Matrices are lists of row lists with int or Fraction entries.  Every entry
 point first turns its input into integer rows (`_int_rows`): a row with a
 Fraction entry is multiplied by the lcm of its denominators, which changes
-neither the row space, the pivot columns nor the kernel.  Two integer
-eliminations then do all the work: a forward Bareiss pass for pivot columns
-and ranks, and fraction-free Gauss-Jordan (`_rref_int`) for kernels and
-solutions.  Every intermediate value is an integer.  Sizes reach hundreds of
-rows and columns; exactness is the point.
+neither the row space, the pivot columns nor the kernel.  One fraction-free
+Gauss-Jordan reduction (`_rref_int`) then does all the work, read four ways:
+`pivot_columns` and `rank` read its pivots, `reduced_kernel` and
+`kernel_basis` its kernel, and `solve` the kernel vector of [mat | rhs] at
+the right-hand column.  Every intermediate value is an integer.  Sizes reach
+hundreds of rows and columns; exactness is the point.
 """
 
 from fractions import Fraction
@@ -27,38 +28,9 @@ def _int_rows(mat):
 
 
 def pivot_columns(mat):
-    """Pivot columns of the row echelon form of mat: the columns independent
-    of the columns to their left, found by fraction-free (Bareiss)
-    elimination."""
-    rows = _int_rows(mat)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    prev = 1
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        rr = rows[r]
-        p = rr[c]
-        for i in range(r + 1, m):
-            ri = rows[i]
-            ai = ri[c]
-            for j in range(c + 1, n):
-                ri[j] = (p * ri[j] - ai * rr[j]) // prev
-            ri[c] = 0
-        prev = p
-        pivots.append(c)
-    return pivots
+    """Pivot columns of the rref of mat: the columns independent of the
+    columns to their left."""
+    return _rref_int(_int_rows(mat))[1]
 
 
 def rank(mat):
@@ -78,12 +50,10 @@ def _rref_int(rows):
     pivots = []
     r = 0
     for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
+        for piv in range(r, m):
+            if rows[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         rr = rows[r] = _primitive(rows[r], rows[r][c])
@@ -110,17 +80,16 @@ def _primitive(v, sign=1):
 
 
 def reduced_kernel(mat, ncols=None):
-    """The kernel of mat read off one fraction-free rref: (red, pivots, kernel).
+    """The rref of mat and the kernel read off it: (red, pivots, kernel).
 
-    red and pivots are the reduced integer rows and their pivot columns: row
-    r is primitive, positive at pivots[r] and zero at the other pivots.
-    kernel maps each free column f, in increasing order, to the primitive
-    integer vector on the line of e_f - sum_r (red[r][f] / red[r][p_r]) e_{p_r}
-    that is positive at f; it is zero at every other free column.
+    red and pivots are `_rref_int`'s rows and pivot columns: row r is
+    primitive, positive at pivots[r] and zero at the other pivots.  kernel
+    maps each free column f, in increasing order, to the primitive integer
+    vector on the line of e_f - sum_r (red[r][f] / red[r][p_r]) e_{p_r} that
+    is positive at f; it is zero at every other free column.
     """
-    m = len(mat)
     if ncols is None:
-        ncols = len(mat[0]) if m else 0
+        ncols = len(mat[0]) if mat else 0
     red, pivots = _rref_int(_int_rows(mat))
     is_pivot = set(pivots)
     kernel = {}
@@ -145,16 +114,16 @@ def kernel_basis(mat, ncols=None):
 
 
 def solve(mat, rhs):
-    """One exact solution of mat @ x = rhs (free variables 0), or None."""
+    """One exact solution of mat @ x = rhs (free variables 0), or None.
+
+    The system is consistent iff column n of [mat | rhs] is not a pivot; its
+    reduced_kernel vector v is then zero at the other free columns, and
+    x = -v[:n] / v[n].
+    """
     n = len(mat[0]) if mat else 0
-    red, pivots = _rref_int(_int_rows(
-        [list(row) + [b] for row, b in zip(mat, rhs)]))
-    if pivots and pivots[-1] == n:
-        return None
-    x = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        x[p] = Fraction(red[r][n], red[r][p])
-    return x
+    v = reduced_kernel([list(row) + [b] for row, b in zip(mat, rhs)],
+                       n + 1)[2].get(n)
+    return None if v is None else [Fraction(-x, v[n]) for x in v[:n]]
 
 
 def mat_mul(a, b):

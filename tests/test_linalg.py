@@ -21,7 +21,7 @@ from nakayama.linalg import (
 
 # (rows, cols) of the random matrices: empty, wide, tall and square
 SHAPES = [(0, 0), (0, 4), (1, 1), (1, 6), (2, 7), (3, 9), (9, 3), (7, 2),
-          (4, 4), (6, 6), (5, 8), (8, 5)]
+          (4, 4), (6, 6), (5, 8), (8, 5), (3, 0)]
 
 
 def _reference_rref(mat):
