@@ -7,7 +7,6 @@ acceptance tests.
 """
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import (
@@ -66,12 +65,26 @@ from .tilting import (
 )
 
 
-@dataclass
 class PropertyResult:
-    name: str
-    checked: int = 0
-    failed: int = 0
-    first_counterexample: str = ""
+    __slots__ = ("name", "checked", "failed", "first_counterexample")
+
+    def __init__(self, name, checked=0, failed=0, first_counterexample=""):
+        self.name = name
+        self.checked = checked
+        self.failed = failed
+        self.first_counterexample = first_counterexample
+
+    def _key(self):
+        return (self.name, self.checked, self.failed, self.first_counterexample)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self):
+        return ("PropertyResult(name=%r, checked=%r, failed=%r, first_counterexample=%r)"
+                % self._key())
 
     def record(self, ok, witness):
         self.checked += 1
@@ -96,10 +109,20 @@ class PropertyResult:
         return "%s: %s" % (self.name, self.status())
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    properties: list = field(default_factory=list)
+    __slots__ = ("suite", "properties")
+
+    def __init__(self, suite, properties=None):
+        self.suite = suite
+        self.properties = [] if properties is None else properties
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.suite, self.properties) == (other.suite, other.properties)
+        return NotImplemented
+
+    def __repr__(self):
+        return "SuiteReport(suite=%r, properties=%r)" % (self.suite, self.properties)
 
     @property
     def ok(self):

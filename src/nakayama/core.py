@@ -19,7 +19,7 @@ Textual forms: algebras serialize as "cyclic:3,2,3,4,3" / "linear:1,2,2",
 modules as "M(i,l)".  These round-trip through parse_algebra / parse_module.
 """
 
-from dataclasses import dataclass
+from functools import total_ordering
 
 
 # --- extended natural numbers ------------------------------------------------
@@ -80,7 +80,6 @@ def dim_json(d):
 KINDS = ("cyclic", "linear")
 
 
-@dataclass(frozen=True)
 class AdmissibleSequence:
     """A Nakayama algebra, given by its kind and admissible sequence.
 
@@ -90,20 +89,18 @@ class AdmissibleSequence:
     hashing or repr, which use (kind, c) only.
     """
 
-    kind: str
-    c: tuple
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError("kind must be 'cyclic' or 'linear', got %r" % (self.kind,))
-        c = tuple(int(x) for x in self.c)
-        object.__setattr__(self, "c", c)
+    def __init__(self, kind, c):
+        if kind not in KINDS:
+            raise ValueError("kind must be 'cyclic' or 'linear', got %r" % (kind,))
+        c = tuple(int(x) for x in c)
         n = len(c)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_opposite", None)
+        self.kind = kind
+        self.c = c
+        self.n = n
+        self._opposite = None
         if n == 0:
             raise ValueError("empty sequence")
-        if self.kind == "cyclic":
+        if kind == "cyclic":
             for i, ci in enumerate(c):
                 if ci < 2:
                     raise ValueError("cyclic sequence needs c_i >= 2, got c_%d = %d" % (i + 1, ci))
@@ -120,6 +117,14 @@ class AdmissibleSequence:
                 if c[i] > c[i - 1] + 1:
                     raise ValueError("c_%d = %d exceeds c_%d + 1 = %d"
                                      % (i + 1, c[i], i, c[i - 1] + 1))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.c) == (other.kind, other.c)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.c))
 
     def normalize(self, i):
         """Bring a vertex index into 1..n (mod n in the cyclic case)."""
@@ -158,12 +163,33 @@ def parse_algebra(text):
 
 # --- uniserial modules -------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Uniserial:
-    """The uniserial module M(top, length)."""
+    """The uniserial module M(top, length).
 
-    top: int
-    length: int
+    Equality, hash and order go by the tuple (top, length), and order is
+    defined between Uniserials only.  hash(M(i, l)) == hash((i, l)), so set
+    and dict order, and every digest taken over them, follow the ints.
+    """
+
+    __slots__ = ("top", "length")
+
+    def __init__(self, top, length):
+        self.top = top
+        self.length = length
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.top == other.top and self.length == other.length
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.top, self.length))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.top, self.length) < (other.top, other.length)
+        return NotImplemented
 
     def __repr__(self):
         return "M(%d,%d)" % (self.top, self.length)
@@ -275,7 +301,7 @@ def opposite(alg):
         for i in range(1, alg.n + 1):
             cop[_star(alg, i) - 1] = injective(alg, i).length
         op = validate(alg.kind, cop)
-        object.__setattr__(alg, "_opposite", op)
+        alg._opposite = op
     return op
 
 
@@ -291,14 +317,21 @@ def dual(alg, u):
 
 # --- direct sums -------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ModuleSum:
     """A finite multiset of uniserials, kept sorted for deterministic output."""
 
-    summands: tuple
+    __slots__ = ("summands",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(sorted(self.summands)))
+    def __init__(self, summands):
+        self.summands = tuple(sorted(summands))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.summands == other.summands
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.summands,))
 
     @classmethod
     def of(cls, items):

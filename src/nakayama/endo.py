@@ -24,7 +24,6 @@ coordinate as an int unless it is non-integral.
 All ranks and kernels are exact rational computations.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -49,11 +48,24 @@ from .linalg import kernel_basis, pivot_columns, rank, reduced_kernel
 from .tilting import canonical_tilting, pd_tau_tilting
 
 
-@dataclass(frozen=True)
 class OverCap:
     """Honest sentinel for a resolution that ran past the step cap."""
 
-    cap: int
+    __slots__ = ("cap",)
+
+    def __init__(self, cap):
+        self.cap = cap
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.cap == other.cap
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cap,))
+
+    def __repr__(self):
+        return "OverCap(cap=%r)" % (self.cap,)
 
     def __str__(self):
         return ">%d" % self.cap

@@ -29,7 +29,7 @@ walks the syzygies of the dual over the opposite while each cover is
 injective there, so only cosyzygy still asks for an injective envelope.
 """
 
-from dataclasses import dataclass
+from functools import total_ordering
 
 from .core import (
     INF,
@@ -45,13 +45,33 @@ from .core import (
 
 # --- hom spaces --------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class HomMap:
-    """Canonical map between uniserials, recorded by its image length k."""
+    """Canonical map between uniserials, recorded by its image length k.
 
-    source: Uniserial
-    target: Uniserial
-    k: int
+    Equality, hash and order go by the tuple (source, target, k), and order
+    is defined between HomMaps only.
+    """
+
+    __slots__ = ("source", "target", "k")
+
+    def __init__(self, source, target, k):
+        self.source = source
+        self.target = target
+        self.k = k
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.k) == (other.source, other.target, other.k)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.k))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.k) < (other.source, other.target, other.k)
+        return NotImplemented
 
     def __repr__(self):
         return "Hom[%r -> %r, k=%d]" % (self.source, self.target, self.k)

@@ -19,7 +19,8 @@ def _int_rows(mat):
     """Integer copies of the rows of mat, each Fraction row scaled to integers."""
     out = []
     for row in mat:
-        if all(type(x) is int for x in row):
+        # entries are int or Fraction, and a Fraction anywhere makes the sum one
+        if type(sum(row)) is int:
             out.append(list(row))
         else:
             d = lcm(*(x.denominator for x in row))

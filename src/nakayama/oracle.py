@@ -22,8 +22,8 @@ so Hom between A-modules is Hom of quiver representations; the algebra
 enters only through the cover P_0 = M(top u, c_top), so a presentation is
 kept by (top u, len u, c_top), one record (K, inclusions, P_0, u) each.
 Representations are kept by (top, length).  The keys are tuples of ints
-rather than `Uniserial`s because a frozen dataclass hashes and compares in
-Python on every lookup, while an int tuple does it in C.  Each new
+rather than `Uniserial`s because a `Uniserial` runs its Python-level
+`__hash__` and `__eq__` on every lookup, while an int tuple does it in C.  Each new
 representation, a uniserial's or a kernel's, is replaced by the first built
 over the quiver with the same dims and arrow matrices (a kernel comes back
 as the very object of the uniserial it equals), and Hom dimensions are

@@ -1,29 +1,27 @@
 """Enumeration of admissible sequences and batch classification sweeps."""
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .core import validate
 from .tilting import ClassificationReport, classify
 
-REPORT_KEYS = tuple(f.name for f in fields(ClassificationReport))
+REPORT_KEYS = ClassificationReport._fields
 
 CSV_COLUMNS = ("kind", "n", "c", "gldim", "domdim", "gdim",
                "selfinjective", "auslander", "one_AG", "tilting_exists")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    kind: str
-    n: int
-    max_c: int
-    filters: tuple = ()
-    up_to_rotation: bool = False
-    up_to_difference_class: bool = False
-    elementary: bool = False
-    absolutely_elementary: bool = False
-    row_cap: int = 0          # 0 = unlimited
+class SweepSpec(namedtuple("SweepSpec", (
+        "kind", "n", "max_c", "filters", "up_to_rotation", "up_to_difference_class",
+        "elementary", "absolutely_elementary", "row_cap"))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, kind, n, max_c, filters=(), up_to_rotation=False,
+                up_to_difference_class=False, elementary=False,
+                absolutely_elementary=False, row_cap=0):   # row_cap 0 = unlimited
+        self = super().__new__(cls, kind, n, max_c, filters, up_to_rotation,
+                               up_to_difference_class, elementary,
+                               absolutely_elementary, row_cap)
         if self.kind not in ("cyclic", "linear"):
             raise ValueError("kind must be cyclic or linear")
         if self.n < 1:
@@ -36,6 +34,7 @@ class SweepSpec:
         for f in self.filters:
             if f not in REPORT_KEYS:
                 raise ValueError("unknown filter %r; choose from report keys" % f)
+        return self
 
 
 def generate_sequences(kind, n, max_c):

@@ -10,7 +10,7 @@ drop conditions for the global dimension of the endomorphism algebra, and the
 Igusa-Todorov functions.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     INF,
@@ -180,24 +180,14 @@ def verify_cotilting(alg, m):
     return _verify(alg, m, idim)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    kind: str
-    c: tuple
-    gldim: object
-    domdim: object
-    id_left: object
-    id_right: object
-    gdim: object          # common injective dimension, None when a side is infinite
-    selfinjective: bool
-    auslander: bool
-    m_auslander: object   # maximal m, INF, or None
-    one_aus_gorenstein: bool
-    dtr_selfinjective: bool
-    tilting_exists: bool
-    t_c: object
-    c_c: object
-    tilting_cotilting: bool
+class ClassificationReport(namedtuple("ClassificationReport", (
+        "kind", "c", "gldim", "domdim", "id_left", "id_right",
+        "gdim",            # common injective dimension, None when a side is infinite
+        "selfinjective", "auslander",
+        "m_auslander",     # maximal m, INF, or None
+        "one_aus_gorenstein", "dtr_selfinjective", "tilting_exists",
+        "t_c", "c_c", "tilting_cotilting"))):
+    __slots__ = ()
 
     def json_dict(self):
         def mods(m):

@@ -113,7 +113,6 @@ def test_drop_bound_violation_is_reported_not_raised(monkeypatch):
 
 def test_structural_catches_disagreeing_selfinjective_sides(monkeypatch):
     # a classify whose finite right side is one more than its left side
-    import dataclasses
     from nakayama import checks
     from nakayama.core import INF
     real = checks.classify
@@ -122,7 +121,7 @@ def test_structural_catches_disagreeing_selfinjective_sides(monkeypatch):
         rep = real(alg)
         if rep.id_right == INF:
             return rep
-        return dataclasses.replace(rep, id_right=rep.id_right + 1)
+        return rep._replace(id_right=rep.id_right + 1)
 
     monkeypatch.setattr(checks, "classify", broken)
     rep = run_suite("structural", n_max=2, c_max=3)

@@ -176,3 +176,20 @@ def test_fraction_rows_reduce_as_their_integer_multiples():
                                         [row[-1] for row in aug]), (mat, rhs)
         checked += 1
     assert checked > 100
+
+
+def test_fraction_rows_with_an_integer_sum_are_scaled():
+    # a row of Fractions is scaled even when its entries sum to an integer
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for mat in ([[half, half]],
+                [[half, -half, 0], [1, 2, 3]],
+                [[Fraction(3, 2), Fraction(-1, 2), 1], [third, 2 * third, 0]],
+                [[Fraction(2), 0, Fraction(-2)], [0, third, third]]):
+        n = len(mat[0])
+        ints = _scaled(mat)
+        assert pivot_columns(mat) == _reference_rref(mat)[1] == pivot_columns(ints)
+        assert kernel_basis(mat, n) == _reference_kernel(mat, n)
+        red, pivots, kernel = reduced_kernel(mat, n)
+        assert (red, pivots, kernel) == reduced_kernel(ints, n)
+        assert all(type(x) is int for row in red for x in row)
+        assert all(type(x) is int for v in kernel.values() for x in v)
