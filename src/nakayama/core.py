@@ -263,7 +263,8 @@ def injective(alg, j):
 
 
 def is_injective(alg, u):
-    return injective(alg, socle_vertex(alg, u)).length == u.length
+    """M(i, l) is injective iff l >= c_{i+1}: it lies in no M(i+1, l+1)."""
+    return u.length >= alg.c_at(u.top + 1)
 
 
 def tau(alg, u):

@@ -11,8 +11,9 @@ Every algebra and module is validated at construction.  A basis map only
 composes with maps that start where it ends, so the product and action tables
 compose only those pairs, and after an O(dim^2) check that the table is zero
 off composable pairs and that each product runs from the first source to the
-last target, associativity and the module axioms need checking only on
-composable chains: on any other triple both sides are zero.
+last target, the module axioms need checking only on composable chains: on
+any other triple both sides are zero.  An algebra validates its regular
+module (associativity and left units) and then its right units.
 
 Resolutions carry each module action as sparse columns: the action of the
 i-th basis element is a list whose entry j is the image of basis vector j as
@@ -95,9 +96,8 @@ class StructureConstantAlgebra:
     basis[i] is a HomMap between summands of X; table[i][j] is the basis
     index of basis[i] * basis[j], or None when the product is zero or the
     targets do not line up.  Construction validates the table: zero off
-    composable pairs, products from source to target, associativity on
-    composable chains (which with the zero pattern is associativity on all
-    triples), orthogonal idempotents and two-sided units.
+    composable pairs, products from source to target, the regular module
+    (associativity on chains, orthogonal idempotents, left units), right units.
     """
 
     def __init__(self, alg, x):
@@ -126,38 +126,16 @@ class StructureConstantAlgebra:
     def _validate(self):
         t = self.table
         src, tgt = self.source_pos, self.target_pos
-        by_source = [[] for _ in self.summands]
-        for i, p in enumerate(src):
-            by_source[p].append(i)
         for i in range(self.dim):
             for j, ij in enumerate(t[i]):
                 if ij is not None:
                     assert tgt[i] == src[j], "product of maps that do not compose"
                     assert src[ij] == src[i] and tgt[ij] == tgt[j], \
                         "product has the wrong source or target"
-        # with the pattern above, a triple that is not a chain i -> j -> k
-        # has None on both sides
-        for i in range(self.dim):
-            ti = t[i]
-            for j in by_source[tgt[i]]:
-                ij = ti[j]
-                tj = t[j]
-                tij = t[ij] if ij is not None else None
-                for k in by_source[tgt[j]]:
-                    jk = tj[k]
-                    left = tij[k] if tij is not None else None
-                    right = ti[jk] if jk is not None else None
-                    assert left == right, "associativity fails at basis triple"
-        idem = set(self.idempotents)
-        for e in idem:
-            for f in idem:
-                assert t[e][f] == (e if e == f else None)
-        for i, f in enumerate(self.basis):
-            src = self.index[identity_hom(self.alg, f.source)]
-            tgt = self.index[identity_hom(self.alg, f.target)]
-            for e in idem:
-                assert t[e][i] == (i if e == src else None)
-                assert t[i][e] == (i if e == tgt else None)
+        AlgebraModule(self, self.basis, t)
+        # the pattern check leaves t[i][e] nonzero only for e at tgt[i]
+        for i, p in enumerate(tgt):
+            assert t[i][self.idempotents[p]] == i, "right unit broken"
 
     def summand_position(self, u):
         return self._pos[u]
@@ -254,7 +232,8 @@ def hom_module(algebra, m):
 
 
 def regular_module(algebra):
-    return hom_module(algebra, ModuleSum.of(algebra.summands))
+    """End(X) over itself: its action table is the product table."""
+    return AlgebraModule(algebra, algebra.basis, algebra.table)
 
 
 def simple_modules(algebra):

@@ -4,10 +4,11 @@ Q denotes the direct sum of all indecomposable projective-injective modules.
 The subcategory of interest consists of the modules generated and cogenerated
 by Q; inside it a distinguished tilting module exists precisely when the
 dominant dimension is at least 2, which a purely numerical test on the
-admissible sequence detects.  This module also provides the classification
-predicates (selfinjective, Auslander, minimal Auslander-Gorenstein, ...), the
-drop conditions for the global dimension of the endomorphism algebra, and the
-Igusa-Todorov functions.
+admissible sequence detects.  Membership and the cotilting module are read
+through the duality D onto the opposite algebra (core.dual).  This module
+also provides the classification predicates (selfinjective, Auslander,
+minimal Auslander-Gorenstein, ...), the drop conditions for the global
+dimension of the endomorphism algebra, and the Igusa-Todorov functions.
 """
 
 from collections import namedtuple
@@ -17,11 +18,13 @@ from .core import (
     ModuleSum,
     Uniserial,
     dim_json,
+    dual,
     format_module,
     injective,
     is_injective,
     is_projective,
     make_module,
+    opposite,
     projective,
     socle_vertex,
     tau,
@@ -66,17 +69,15 @@ def basic_gen_cogen(alg):
 def in_tilting_subcat(alg, m):
     """Whether m is generated and cogenerated by the projective-injectives.
 
-    Concretely: the projective cover of each summand is injective and its
-    injective envelope is projective.
+    Concretely, each summand u has its top in Q (its cover is injective),
+    and D u has its top in Q of the opposite (the envelope of u is projective).
     """
     if m is None:
         return True
     summands = m.summands if isinstance(m, ModuleSum) else (m,)
-    return all(
-        is_injective(alg, projective(alg, u.top))
-        and is_projective(alg, injective(alg, socle_vertex(alg, u)))
-        for u in summands
-    )
+    q, _ = split_projective_vertices(alg)
+    q_op, _ = split_projective_vertices(opposite(alg))
+    return all(u.top in q and dual(alg, u).top in q_op for u in summands)
 
 
 def syzygy_correspondence(alg):
@@ -91,7 +92,7 @@ def syzygy_correspondence(alg):
     Since c_{j-1} >= c_j - 1, those l form a run 1, 2, ... that ends before n,
     so the cost is O(n^2) whatever the size of the c_i.
     """
-    q, _ = split_projective_vertices(alg)
+    q, p = split_projective_vertices(alg)
     x = []
     for i in sorted(q):
         c = alg.c_at(i)
@@ -102,9 +103,7 @@ def syzygy_correspondence(alg):
                 x.append(u)
             l += 1
     omega = {u: syzygy(alg, u) for u in x}
-    target = {projective(alg, i) for i in range(1, alg.n + 1)
-              if not is_injective(alg, projective(alg, i))}
-    return x, omega, set(omega.values()) == target
+    return x, omega, set(omega.values()) == {projective(alg, i) for i in p}
 
 
 def tilting_criterion(alg):
@@ -143,16 +142,11 @@ def canonical_tilting(alg):
 
 
 def canonical_cotilting(alg):
-    """The distinguished cotilting module, or None when domdim < 2."""
-    if not tilting_criterion(alg):
-        return None
-    q, _ = split_projective_vertices(alg)
-    parts = [projective(alg, j) for j in sorted(q)]
-    for j in range(1, alg.n + 1):
-        env = injective(alg, j)
-        if not is_projective(alg, env):
-            parts.append(syzygy(alg, env))
-    return ModuleSum.of(parts)
+    """The distinguished cotilting module, or None when domdim < 2: the dual
+    of the canonical tilting module of the opposite (domdim is symmetric)."""
+    op = opposite(alg)
+    t = canonical_tilting(op)
+    return None if t is None else ModuleSum.of(dual(op, u) for u in t)
 
 
 def _verify(alg, m, dim):

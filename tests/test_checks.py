@@ -8,6 +8,7 @@ from nakayama.checks import (
     random_algebras,
     run_suite,
 )
+from nakayama.cli import main
 from nakayama.core import validate
 
 
@@ -36,6 +37,17 @@ def test_property_result_lines():
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError, match="available"):
         run_suite("nonsense")
+
+
+def test_run_suite_rejects_parameters_the_suite_does_not_take(capsys):
+    with pytest.raises(ValueError, match="takes no parameter samples, seed; "
+                                         "it accepts: n_max, c_max"):
+        run_suite("oracle", n_max=2, c_max=3, samples=5, seed=9)
+    argv = "check --suite oracle --n-max 2 --c-max 3 --cap 1".split()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "takes no parameter cap" in err
 
 
 def test_grid_algebras_are_valid():

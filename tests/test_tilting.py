@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -20,9 +21,10 @@ from nakayama.core import (
     opposite,
     parse_module_sum,
     projective,
+    socle_vertex,
     validate,
 )
-from nakayama.homology import domdim, gldim, idim, pdim, pdim_table
+from nakayama.homology import domdim, gldim, idim, pdim, pdim_table, syzygy
 from nakayama.tilting import (
     basic_gen_cogen,
     canonical_cotilting,
@@ -131,6 +133,59 @@ def test_classify_builds_the_opposite_once(monkeypatch):
         assert builds == [(alg.kind, opposite(alg).c)], alg
         classify(alg)
         assert len(builds) == 1, alg
+
+
+def test_classify_asks_for_envelopes_only_to_build_the_opposite(monkeypatch):
+    import nakayama.core
+
+    calls = []
+    original = nakayama.core.injective
+
+    def counted(alg, j):
+        calls.append(j)
+        return original(alg, j)
+
+    # patch every module's binding, as `from .core import injective` makes one
+    for mod in list(sys.modules.values()):
+        for attr, value in list(getattr(mod, "__dict__", {}).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, counted)
+    for alg in grid_algebras(4, 6):
+        calls.clear()
+        classify(alg)
+        assert len(calls) == alg.n, alg
+
+
+def _injective_by_envelope(alg, u):
+    return injective(alg, socle_vertex(alg, u)) == u
+
+
+def _cotilting_by_syzygies(alg):
+    """The projective-injectives plus the syzygies of the other injectives."""
+    if not tilting_criterion(alg):
+        return None
+    parts = list(projective_injectives(alg))
+    for j in range(1, alg.n + 1):
+        env = injective(alg, j)
+        if not is_projective(alg, env):
+            parts.append(syzygy(alg, env))
+    return ModuleSum.of(parts)
+
+
+def test_sequence_and_duality_readings_match_the_envelopes():
+    # is_injective, in_tilting_subcat and canonical_cotilting read the
+    # sequence and the opposite; the references walk injective envelopes
+    modules = 0
+    for alg in grid_algebras(5, 8):
+        for u in indecomposables(alg):
+            env = injective(alg, socle_vertex(alg, u))
+            assert is_injective(alg, u) == (env == u), (alg, u)
+            assert in_tilting_subcat(alg, u) == (
+                _injective_by_envelope(alg, projective(alg, u.top))
+                and is_projective(alg, env)), (alg, u)
+            modules += 1
+        assert canonical_cotilting(alg) == _cotilting_by_syzygies(alg), alg
+    assert modules == 20605
 
 
 def test_criterion_frozen():
