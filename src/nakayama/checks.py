@@ -173,7 +173,9 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12,
         "cotilting verifies when tilting exists",
         "no small tilting module when criterion fails",
     )}
-    algebras = grid_algebras(grid_n_max, grid_c_max)
+    # n_max and c_max bound every algebra checked: the samples, the grid
+    # slice and the exhaustive slice below
+    algebras = grid_algebras(min(grid_n_max, n_max), min(grid_c_max, c_max))
     algebras += random_algebras(samples, n_max, c_max, seed)
     for alg in algebras:
         crit, dd2, bij, into, verified, t = _tilting_flags(alg)
@@ -191,7 +193,7 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12,
                 verify_cotilting(alg, c), w)
     # exhaustive non-existence on a small slice: when the criterion fails,
     # no n-subset of pd<=1 subcategory members is a tilting module
-    for alg in grid_algebras(3, 5):
+    for alg in grid_algebras(min(3, n_max), min(5, c_max)):
         if tilting_criterion(alg):
             continue
         cands = [u for u in indecomposables(alg)
@@ -496,6 +498,11 @@ SUITES = {
 }
 
 
+def _flags(params):
+    """Suite parameters spelled as the flags of `nakayama check`: n_max is --n-max."""
+    return ", ".join("--" + p.replace("_", "-") for p in params)
+
+
 def run_suite(name, **params):
     if name not in SUITES:
         raise ValueError("unknown suite %r; available: %s" % (
@@ -504,6 +511,6 @@ def run_suite(name, **params):
     accepted = suite.__code__.co_varnames[:suite.__code__.co_argcount]
     unknown = sorted(set(params) - set(accepted))
     if unknown:
-        raise ValueError("suite %s takes no parameter %s; it accepts: %s" % (
-            name, ", ".join(unknown), ", ".join(accepted)))
+        raise ValueError("suite %s takes no flag %s; it accepts: %s" % (
+            name, _flags(unknown), _flags(accepted)))
     return suite(**params)

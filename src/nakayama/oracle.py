@@ -30,6 +30,16 @@ as the very object of the uniserial it equals), and Hom dimensions are
 memoised on pairs of these objects, so the tables grow with the module
 lengths seen, not with the number of algebras.  Each public call looks its
 quiver up once and hands it down.
+
+The public answers are kept over the quiver too: dim Hom(u, v) by
+(top u, len u, top v, len v) and dim Ext^1(u, v) by
+(top u, len u, c_top, top v, len v).  These keys are exact for the reasons
+above: the representations of u and v depend only on the quiver and the
+pair (top, length), and the algebra enters Ext^1 only through the cover
+length c_top, the presentation's own key.  A call answers from its table
+and builds representations, presentations and ranks only on a miss, so a
+warm call costs one quiver lookup and one dictionary lookup; every answer
+still comes from an intertwiner rank, computed once per distinct Hom.
 """
 
 from .core import projective
@@ -47,6 +57,10 @@ class _Quiver:
         self.contents = {}       # (dims, arrow matrices) -> MatrixRep
         self.presentations = {}  # (top, length, c_top) -> (K, incl, P_0, u) reps
         self.homs = {}           # (MatrixRep, MatrixRep) -> dim Hom
+        # answers: (top u, len u, top v, len v) -> dim Hom(u, v), and
+        # (top u, len u, c_top, top v, len v) -> dim Ext^1(u, v)
+        self.hom_dims = {}
+        self.ext1_dims = {}
 
     def unique(self, rep):
         """The first representation built with rep's dims and arrow matrices."""
@@ -144,7 +158,11 @@ def oracle_hom_dim(alg, u, v):
     if u is None or v is None:
         return 0
     q = _quiver(alg)
-    return _hom(_rep(q, alg, u), _rep(q, alg, v))
+    key = (u.top, u.length, v.top, v.length)
+    d = q.hom_dims.get(key)
+    if d is None:
+        d = q.hom_dims[key] = _hom(_rep(q, alg, u), _rep(q, alg, v))
+    return d
 
 
 def _presentation(q, alg, u):
@@ -189,8 +207,12 @@ def oracle_ext1_dim(alg, u, v):
     if u is None or v is None:
         return 0
     q = _quiver(alg)
-    k_rep, _, p0_rep, m_rep = _presentation(q, alg, u)
-    n_rep = _rep(q, alg, v)
-    e = _hom(k_rep, n_rep) - _hom(p0_rep, n_rep) + _hom(m_rep, n_rep)
-    assert e >= 0
+    key = (u.top, u.length, alg.c[u.top - 1], v.top, v.length)
+    e = q.ext1_dims.get(key)
+    if e is None:
+        k_rep, _, p0_rep, m_rep = _presentation(q, alg, u)
+        n_rep = _rep(q, alg, v)
+        e = _hom(k_rep, n_rep) - _hom(p0_rep, n_rep) + _hom(m_rep, n_rep)
+        assert e >= 0
+        q.ext1_dims[key] = e
     return e

@@ -40,14 +40,15 @@ def test_run_suite_unknown_name():
 
 
 def test_run_suite_rejects_parameters_the_suite_does_not_take(capsys):
-    with pytest.raises(ValueError, match="takes no parameter samples, seed; "
-                                         "it accepts: n_max, c_max"):
+    # named as the flags of `nakayama check`, which is where a user meets it
+    with pytest.raises(ValueError, match="takes no flag --samples, --seed; "
+                                         "it accepts: --n-max, --c-max"):
         run_suite("oracle", n_max=2, c_max=3, samples=5, seed=9)
     argv = "check --suite oracle --n-max 2 --c-max 3 --cap 1".split()
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "takes no parameter cap" in err
+    assert "suite oracle takes no flag --cap; it accepts: --n-max, --c-max" in err
 
 
 def test_grid_algebras_are_valid():
@@ -78,6 +79,27 @@ def test_suite_tilting_small_threaded():
     lines = rep.lines()
     assert len(lines) == 7
     assert all(": ok (" in ln for ln in lines)
+
+
+def test_tilting_suite_checks_no_algebra_beyond_its_bounds(monkeypatch):
+    # every algebra the suite checks, grid, samples and exhaustive slice,
+    # passes through the criterion
+    from nakayama import checks
+    real, seen = checks.tilting_criterion, []
+    monkeypatch.setattr(checks, "tilting_criterion",
+                        lambda alg: seen.append(alg) or real(alg))
+    rep = run_suite("tilting", samples=0, n_max=2, c_max=3)
+    assert seen and all(alg.n <= 2 and max(alg.c) <= 3 for alg in seen)
+    assert max(alg.n for alg in seen) == 2
+    assert rep.ok
+    # with n = 1 every algebra satisfies the criterion, so the exhaustive
+    # non-existence check has nothing to check, and says so
+    seen.clear()
+    rep = run_suite("tilting", samples=0, n_max=1, c_max=2)
+    assert seen and all(alg.n == 1 and max(alg.c) <= 2 for alg in seen)
+    assert [p.line() for p in rep.properties if not p.checked] == [
+        "no small tilting module when criterion fails: FAIL (nothing checked)"]
+    assert not rep.ok
 
 
 def test_suite_drop_small():

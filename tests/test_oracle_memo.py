@@ -1,7 +1,8 @@
 """The matrix oracle's tables: one per quiver (kind, n), answers free of call
 order, rank work bounded by the distinct representations, one quiver lookup
-per public call and no cover rebuilt once a presentation is kept, and the
-integrality check on a presentation's arrow maps."""
+per public call, no cover rebuilt once a presentation is kept, a warm pass
+answered from the Hom/Ext^1 tables alone, and the integrality check on a
+presentation's arrow maps."""
 
 import random
 from collections import defaultdict
@@ -88,6 +89,25 @@ def test_tables_are_kept_per_quiver(grid_order_pass):
                    and length <= c_top
                    for (top, length, c_top), (_, _, p0, m)
                    in q.presentations.items()), (kind, n)
+        # the answer tables: (top u, len u, top v, len v) -> dim Hom and
+        # (top u, len u, c_top, top v, len v) -> dim Ext^1, each equal to a
+        # recount from the reps with the pass's Hom table set aside
+        assert all(type(x) is int for key in (*q.hom_dims, *q.ext1_dims)
+                   for x in key), (kind, n)
+        kept, q.homs = q.homs, {}
+        try:
+            assert q.hom_dims == {
+                (tu, lu, tv, lv): oracle._hom(q.reps[tu, lu], q.reps[tv, lv])
+                for tu, lu, tv, lv in q.hom_dims}, (kind, n)
+            recount = {}
+            for tu, lu, c_top, tv, lv in q.ext1_dims:
+                k, _, p0, m = q.presentations[tu, lu, c_top]
+                nv = q.reps[tv, lv]
+                recount[tu, lu, c_top, tv, lv] = \
+                    oracle._hom(k, nv) - oracle._hom(p0, nv) + oracle._hom(m, nv)
+            assert q.ext1_dims == recount, (kind, n)
+        finally:
+            q.homs = kept
 
 
 def test_a_uniserials_representation_depends_only_on_the_quiver():
@@ -144,6 +164,19 @@ def test_a_warm_pass_builds_no_cover(monkeypatch):
     _grid_pass(algs)
     assert covers == []
     assert len(lookups) == 2 * _pairs(algs)
+
+
+def test_a_warm_pass_is_answered_from_the_tables(monkeypatch):
+    _empty_caches(monkeypatch)
+    calls = []
+    for name in ("_rep", "_presentation", "rank"):
+        monkeypatch.setattr(oracle, name, _counting(calls, getattr(oracle, name)))
+    algs = grid_algebras(3, 4)
+    _grid_pass(algs)
+    assert calls
+    calls.clear()
+    _grid_pass(algs)
+    assert calls == []
 
 
 def test_presentation_rejects_a_non_integral_arrow_map(monkeypatch):
