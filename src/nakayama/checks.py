@@ -498,9 +498,13 @@ SUITES = {
 }
 
 
-def _flags(params):
-    """Suite parameters spelled as the flags of `nakayama check`: n_max is --n-max."""
-    return ", ".join("--" + p.replace("_", "-") for p in params)
+# the suite parameters that `nakayama check` has flags for
+CHECK_FLAGS = ("samples", "seed", "n_max", "c_max", "cap")
+
+
+def flag(param):
+    """A suite parameter spelled as a flag of `nakayama check`: n_max is --n-max."""
+    return "--" + param.replace("_", "-")
 
 
 def run_suite(name, **params):
@@ -512,5 +516,6 @@ def run_suite(name, **params):
     unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise ValueError("suite %s takes no flag %s; it accepts: %s" % (
-            name, _flags(unknown), _flags(accepted)))
+            name, ", ".join(map(flag, unknown)),
+            ", ".join(flag(p) for p in accepted if p in CHECK_FLAGS)))
     return suite(**params)

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .core import INF, AdmissibleSequence, ModuleSum, format_algebra
-from .checks import _oracle_counts, run_suite, SUITES
+from .checks import CHECK_FLAGS, _oracle_counts, flag, run_suite, SUITES
 from .endo import _drop_record, end_algebra, gldim_over, mueller_domdim
 from .homology import gldim
 from .sweeps import CSV_COLUMNS, SweepSpec, csv_row, sweep
@@ -175,7 +175,7 @@ def cmd_enumerate(args):
 
 def cmd_check(args, suite=None):
     params = {}
-    for name in ("samples", "seed", "n_max", "c_max", "cap"):
+    for name in CHECK_FLAGS:
         if getattr(args, name, None) is not None:
             params[name] = getattr(args, name)
     report = run_suite(suite or args.suite, **params)
@@ -266,11 +266,8 @@ def build_parser():
 
     p = sub.add_parser("check", help="run a property suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--c-max", type=int, dest="c_max")
-    p.add_argument("--cap", type=int)
+    for name in CHECK_FLAGS:
+        p.add_argument(flag(name), type=int, dest=name)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 

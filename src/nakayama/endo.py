@@ -7,19 +7,30 @@ below are left modules via g . phi = phi after g.  Products of canonical
 maps are canonical or zero, so every structure constant is 0 or 1 and module
 actions are column maps (each basis vector goes to a basis vector or to 0).
 
+The basis is indexed by summand block once, at construction: into[pos]
+lists the basis maps that end at summand pos, and since the basis runs over
+pairs of summands source first, the maps that start at pos form the
+contiguous range source_range[pos].  Resolution steps and the validators
+read this index rather than scanning all dim End maps for the few that
+matter.
+
 Every algebra and module is validated at construction.  A basis map only
 composes with maps that start where it ends, so the product and action tables
-compose only those pairs, and after an O(dim^2) check that the table is zero
-off composable pairs and that each product runs from the first source to the
-last target, the module axioms need checking only on composable chains: on
-any other triple both sides are zero.  An algebra validates its regular
-module (associativity and left units) and then its right units.
+compose only those pairs, and after a check that the table is zero off
+composable pairs (a C-level count of None outside each row's source range)
+and that each product runs from the first source to the last target, the
+module axioms need checking only on composable chains: on any other triple
+both sides are zero.  An algebra validates its regular module (associativity
+and left units) and then its right units.
 
 Resolutions carry each module action as sparse columns: the action of the
 i-th basis element is a list whose entry j is the image of basis vector j as
 {row: coefficient}, with zeros not stored ({} for a zero image), so a syzygy
-step costs the nonzero entries, not dim End * dim M^2.  A step touches only
-the summand blocks that the module and its cover kernel occupy, and stores a
+step costs the nonzero entries, not dim End * dim M^2.  A map acts as zero
+unless it ends in a block the module occupies, so a step visits only the
+maps into the blocks that the module and its cover kernel occupy; every
+other map shares one zero action row.  Shared rows are read-only: nothing
+here mutates an action row or column once built.  A step stores a
 coordinate as an int unless it is non-integral.
 
 All ranks and kernels are exact rational computations.
@@ -95,9 +106,11 @@ class StructureConstantAlgebra:
 
     basis[i] is a HomMap between summands of X; table[i][j] is the basis
     index of basis[i] * basis[j], or None when the product is zero or the
-    targets do not line up.  Construction validates the table: zero off
-    composable pairs, products from source to target, the regular module
-    (associativity on chains, orthogonal idempotents, left units), right units.
+    targets do not line up.  into[pos] is the tuple of basis indices of the
+    maps that end at summand pos, and source_range[pos] the range of those
+    that start there.  Construction validates the table: zero off composable
+    pairs, products from source to target, the regular module (associativity
+    on chains, orthogonal idempotents, left units), right units.
     """
 
     def __init__(self, alg, x):
@@ -118,6 +131,18 @@ class StructureConstantAlgebra:
         # summand positions of the source and of the target of each basis map
         self.source_pos = tuple(pos[f.source] for f in self.basis)
         self.target_pos = tuple(pos[f.target] for f in self.basis)
+        into = [[] for _ in self.summands]
+        for i, p in enumerate(self.target_pos):
+            into[p].append(i)
+        self.into = tuple(tuple(maps) for maps in into)
+        # the basis runs over pairs of summands source first, so the maps out
+        # of each summand are one contiguous run
+        ranges, lo = [], 0
+        for p in range(len(self.summands)):
+            hi = lo + self.source_pos.count(p)
+            ranges.append(range(lo, hi))
+            lo = hi
+        self.source_range = tuple(ranges)
         self.idempotents = tuple(
             self.index[identity_hom(alg, a)] for a in self.summands)
         self.table = _product_table(alg, self.basis, self.basis, self.index)
@@ -126,10 +151,15 @@ class StructureConstantAlgebra:
     def _validate(self):
         t = self.table
         src, tgt = self.source_pos, self.target_pos
-        for i in range(self.dim):
-            for j, ij in enumerate(t[i]):
+        n = self.dim
+        for i, row in enumerate(t):
+            # i composes only with the maps that start where it ends
+            r = self.source_range[tgt[i]]
+            block = row[r.start:r.stop]
+            assert row.count(None) == n - len(block) + block.count(None), \
+                "product of maps that do not compose"
+            for j, ij in zip(r, block):
                 if ij is not None:
-                    assert tgt[i] == src[j], "product of maps that do not compose"
                     assert src[ij] == src[i] and tgt[ij] == tgt[j], \
                         "product has the wrong source or target"
         AlgebraModule(self, self.basis, t)
@@ -184,10 +214,7 @@ class AlgebraModule:
             for j in range(self.dim):
                 want = j if src[j] == pos else None
                 assert self.cols[e][j] == want, "unit decomposition broken"
-        bsrc, btgt = a.source_pos, a.target_pos
-        by_target = [[] for _ in a.summands]
-        for i, p in enumerate(btgt):
-            by_target[p].append(i)
+        bsrc, btgt, into = a.source_pos, a.target_pos, a.into
         for i in range(a.dim):
             for m, im in enumerate(self.cols[i]):
                 if im is not None:
@@ -197,9 +224,9 @@ class AlgebraModule:
         # unless i, j, m form a chain; j runs over every map into m's block,
         # including those with j . m zero, where (i * j) . m must be zero too
         for m in range(self.dim):
-            for j in by_target[src[m]]:
+            for j in into[src[m]]:
                 step = self.cols[j][m]
-                for i in by_target[bsrc[j]]:
+                for i in into[bsrc[j]]:
                     composite = self.cols[i][step] if step is not None else None
                     ij = a.table[i][j]
                     direct = self.cols[ij][m] if ij is not None else None
@@ -237,13 +264,14 @@ def regular_module(algebra):
 
 
 def simple_modules(algebra):
-    """One simple per summand: the idempotent acts by 1, all else by 0."""
+    """One simple per summand: the idempotent acts by 1, all else by 0;
+    every other map shares one read-only all-None column row."""
+    zero = [None]
     out = []
     for pos, a in enumerate(algebra.summands):
-        e = algebra.idempotents[pos]
-        labels = [identity_hom(algebra.alg, a)]
-        cols = [[0] if i == e else [None] for i in range(algebra.dim)]
-        out.append(AlgebraModule(algebra, labels, cols))
+        cols = [zero] * algebra.dim
+        cols[algebra.idempotents[pos]] = [0]
+        out.append(AlgebraModule(algebra, [identity_hom(algebra.alg, a)], cols))
     return out
 
 
@@ -267,23 +295,24 @@ def syzygy_step(algebra, dim, mats):
 
     mats[i][j] is the image of basis vector j under the i-th algebra basis
     element as a sparse column {row: coefficient}; coefficients may be
-    rational, zeros are not stored and a zero image is {}.  The result's
-    actions have the same form, each coordinate an int unless it is
-    non-integral.  The cover's generators are chosen by one fraction-free
-    pivot pass over the radical columns followed by the idempotent blocks.
+    rational, zeros are not stored and a zero image is {}.  mats is only
+    read, so rows may be shared.  The result's actions have the same form,
+    each coordinate an int unless it is non-integral; every map that acts on
+    the kernel as zero shares one zero row.  Only the maps into the blocks
+    that the module and the kernel occupy are visited.  The cover's
+    generators are chosen by one fraction-free pivot pass over the radical
+    columns followed by the idempotent blocks.
     The kernel is reduced once; the coordinates of each image sit at its
     free columns, and its pivot entries are checked against them, so every
     nonzero image is tested exactly for membership in the kernel.
     """
     if dim == 0:
         return 0, []
-    src_pos, tgt_pos = algebra.source_pos, algebra.target_pos
+    into = algebra.into
     # a radical map acts as zero outside the block it ends at, and a block
     # holds vectors iff its idempotent has a nonzero column
-    support = {pos for pos, e in enumerate(algebra.idempotents) if any(mats[e])}
-    idem = set(algebra.idempotents)
-    vecs = [col for i in range(algebra.dim)
-            if tgt_pos[i] in support and i not in idem
+    vecs = [col for pos, e in enumerate(algebra.idempotents) if any(mats[e])
+            for i in into[pos] if i != e
             for col in mats[i] if col]
     nrad = len(vecs)
     blocks = [(pos, u) for pos, e in enumerate(algebra.idempotents)
@@ -298,13 +327,10 @@ def syzygy_step(algebra, dim, mats):
     # the earlier blocks' columns (in the other e'M) never matter: block e
     # keeps the u outside rad M + its own earlier columns
     gens = [blocks[c - nrad] for c in pivot_columns(dense) if c >= nrad]
-    col_indices = [[] for _ in algebra.summands]
-    for i, pos in enumerate(tgt_pos):
-        col_indices[pos].append(i)
     # cover[c] = (algebra basis index, generator number); generators are
     # pairwise distinct vectors (independent within one idempotent block,
     # zero products across blocks), so numbers stand in for the vectors
-    cover = [(i, k) for k, (pos, _) in enumerate(gens) for i in col_indices[pos]]
+    cover = [(i, k) for k, (pos, _) in enumerate(gens) for i in into[pos]]
     theta = [[0] * len(cover) for _ in range(dim)]
     for c, (i, k) in enumerate(cover):
         act = mats[i]
@@ -322,46 +348,46 @@ def syzygy_step(algebra, dim, mats):
         position.setdefault(key, c)
     # g . cover[p] is zero unless g ends where cover[p]'s map starts, so each
     # kernel vector is filed, entry by entry, under the blocks its maps start at
+    starts = [algebra.source_pos[i] for i, _ in cover]
     filed = [[] for _ in algebra.summands]
     for c, vec in enumerate(kernel.values()):
         parts = {}
         for p, x in enumerate(vec):
             if x:
-                parts.setdefault(src_pos[cover[p][0]], []).append((p, x))
+                parts.setdefault(starts[p], []).append((p, x))
         for pos, part in parts.items():
             filed[pos].append((c, part))
     # every g that meets no filed entry acts as zero and shares this row;
-    # nothing mutates action columns
+    # only the maps into blocks with filed entries get rows of their own
     zero = [{} for _ in range(kd)]
-    new_mats = []
-    for g in range(algebra.dim):
-        touched = filed[tgt_pos[g]]
+    new_mats = [zero] * algebra.dim
+    for pos, touched in enumerate(filed):
         if not touched:
-            new_mats.append(zero)
             continue
-        product = algebra.table[g]
-        cols = [{} for _ in range(kd)]
-        for c, part in touched:
-            out = {}
-            for p, x in part:
-                i, k = cover[p]
-                t = product[i]
-                if t is not None:
-                    q = position[t, k]
-                    out[q] = out.get(q, 0) + x
-            if out:
-                at_free = [(f, x) for f, x in out.items() if f in coord]
-                for r, p in enumerate(pivots):
-                    row = red[r]
-                    assert row[p] * out.get(p, 0) == -sum(
-                        row[f] * x for f, x in at_free), \
-                        "cover kernel is not action-stable"
-                col = cols[c]
-                for f, x in at_free:
-                    if x:
-                        v, s = coord[f]
-                        col[v] = x // s if x % s == 0 else Fraction(x, s)
-        new_mats.append(cols)
+        for g in into[pos]:
+            product = algebra.table[g]
+            cols = [{} for _ in range(kd)]
+            for c, part in touched:
+                out = {}
+                for p, x in part:
+                    i, k = cover[p]
+                    t = product[i]
+                    if t is not None:
+                        q = position[t, k]
+                        out[q] = out.get(q, 0) + x
+                if out:
+                    at_free = [(f, x) for f, x in out.items() if f in coord]
+                    for r, p in enumerate(pivots):
+                        row = red[r]
+                        assert row[p] * out.get(p, 0) == -sum(
+                            row[f] * x for f, x in at_free), \
+                            "cover kernel is not action-stable"
+                    col = cols[c]
+                    for f, x in at_free:
+                        if x:
+                            v, s = coord[f]
+                            col[v] = x // s if x % s == 0 else Fraction(x, s)
+            new_mats[g] = cols
     return kd, new_mats
 
 
@@ -371,7 +397,12 @@ def resolution_dims(algebra, module, cap=30):
     if cap < 1:
         raise ValueError("cap must be positive")
     d = module.dim
-    mats = [module.action_matrix(i) for i in range(algebra.dim)]
+    # a map acts as zero unless it ends in a block the module occupies (the
+    # module's validated pattern); all those maps share one zero row
+    mats = [[{} for _ in range(d)]] * algebra.dim
+    for pos in {module.block_of(j) for j in range(d)}:
+        for i in algebra.into[pos]:
+            mats[i] = module.action_matrix(i)
     dims = [d]
     for _ in range(cap):
         if d == 0:

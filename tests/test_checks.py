@@ -51,6 +51,19 @@ def test_run_suite_rejects_parameters_the_suite_does_not_take(capsys):
     assert "suite oracle takes no flag --cap; it accepts: --n-max, --c-max" in err
 
 
+def test_run_suite_offers_only_flags_that_check_defines(capsys):
+    # the tilting suite's grid bounds are Python parameters with no flag
+    assert main("check --suite tilting --cap 2".split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("suite tilting takes no flag --cap; "
+                   "it accepts: --samples, --seed, --n-max, --c-max\n")
+    # and Python callers can still pass them
+    rep = run_suite("tilting", samples=0, n_max=2, c_max=3,
+                    grid_n_max=2, grid_c_max=3)
+    assert rep.ok
+
+
 def test_grid_algebras_are_valid():
     algs = list(grid_algebras(3, 4))
     assert len(algs) > 0

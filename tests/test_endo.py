@@ -337,6 +337,87 @@ def test_module_rejects_a_zero_step_under_a_nonzero_composite():
         _reference_validate_module(a, reg.labels, cols)
 
 
+def test_block_index_of_the_basis():
+    # over the 90 tilting algebras of grid_algebras(4, 6): into groups the
+    # maps by target, the maps out of each summand are its source range, and
+    # a product entry off that range is rejected by the pattern check, which
+    # reads only the counts of None outside the range
+    rng = random.Random(22)
+    built = rejected = 0
+    for alg in grid_algebras(4, 6):
+        t = canonical_tilting(alg)
+        if t is None:
+            continue
+        a = end_algebra(alg, t)
+        built += 1
+        assert a.into == tuple(
+            tuple(i for i in range(a.dim) if a.target_pos[i] == pos)
+            for pos in range(len(a.summands)))
+        assert [list(r) for r in a.source_range] == [
+            [i for i in range(a.dim) if a.source_pos[i] == pos]
+            for pos in range(len(a.summands))]
+        off = [(i, j) for i in range(a.dim) for j in range(a.dim)
+               if j not in a.source_range[a.target_pos[i]]]
+        if not off:
+            continue
+        i, j = rng.choice(off)
+        table = a.table
+        a.table = [list(row) for row in table]
+        a.table[i][j] = rng.randrange(a.dim)
+        with pytest.raises(AssertionError, match="do not compose"):
+            a._validate()
+        a.table = table
+        rejected += 1
+    assert (built, rejected) == (90, 84)
+
+
+class _Counted(tuple):
+    """A tuple that counts the entries read from it, over all instances."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _Counted.reads += 1
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        for x in tuple.__iter__(self):
+            _Counted.reads += 1
+            yield x
+
+
+def test_a_step_reads_only_the_maps_into_the_occupied_blocks():
+    # the first step on each simple of End(T) reads the per-map positions
+    # and product rows no more often than there are maps into the simple's
+    # block and into the blocks its first syzygy occupies; dim End is 110,
+    # and no block has more than 11 maps into it
+    alg = AdmissibleSequence("linear", tuple(min(i, 6) for i in range(1, 21)))
+    a = end_algebra(alg, canonical_tilting(alg))
+    into = [[i for i, p in enumerate(a.target_pos) if p == pos]
+            for pos in range(len(a.summands))]
+    assert a.dim == 110 and max(map(len, into)) == 11
+    simples = simple_modules(a)
+    a.source_pos, a.target_pos = _Counted(a.source_pos), _Counted(a.target_pos)
+    a.table = _Counted(a.table)
+    for pos, s in enumerate(simples):
+        mats = [s.action_matrix(i) for i in range(a.dim)]
+        _Counted.reads = 0
+        d, mats = syzygy_step(a, s.dim, mats)
+        occupied = [p for p, e in enumerate(a.idempotents) if d and any(mats[e])]
+        assert _Counted.reads <= len(into[pos]) + sum(
+            len(into[p]) for p in occupied)
+        assert d == resolution_dims(a, s, 1)[1]
+
+
+def test_pd_over_simples_frozen_beyond_the_bench_ladder():
+    # End(T) of linear min(i, 10), n = 40: dim 364, larger than any bench rung
+    alg = AdmissibleSequence("linear", tuple(min(i, 10) for i in range(1, 41)))
+    b = end_algebra(alg, canonical_tilting(alg))
+    assert b.dim == 364
+    assert [pd_over(b, s) for s in simple_modules(b)] == (
+        [1] * 9 + [0, 1] + [2] * 9 + [3] + [4] * 9 + [5] + [6] * 9)
+
+
 def test_syzygy_step_matches_resolution():
     a = end_algebra(SHARP, canonical_tilting(SHARP))
     s = simple_modules(a)[0]
