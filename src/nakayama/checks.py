@@ -501,6 +501,10 @@ SUITES = {
 # the suite parameters that `nakayama check` has flags for
 CHECK_FLAGS = ("samples", "seed", "n_max", "c_max", "cap")
 
+# lower bounds in the suites that draw random algebras, the ones taking
+# samples: random_algebra needs a vertex and an entry of at least 2 to draw
+SAMPLED_MINIMA = {"samples": 0, "n_max": 1, "c_max": 2}
+
 
 def flag(param):
     """A suite parameter spelled as a flag of `nakayama check`: n_max is --n-max."""
@@ -518,4 +522,9 @@ def run_suite(name, **params):
         raise ValueError("suite %s takes no flag %s; it accepts: %s" % (
             name, ", ".join(map(flag, unknown)),
             ", ".join(flag(p) for p in accepted if p in CHECK_FLAGS)))
+    if "samples" in accepted:
+        for p, low in SAMPLED_MINIMA.items():
+            if params.get(p, low) < low:
+                raise ValueError("suite %s needs %s >= %d, got %d" % (
+                    name, flag(p), low, params[p]))
     return suite(**params)

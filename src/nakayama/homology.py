@@ -9,8 +9,10 @@ structure constant 1 (or zero), so all Hom/Ext arithmetic is integral.
 
 The counting layer works on plain ints, not on Uniserial objects: one
 private count, _hom_count(n, cyclic, top_u, len_u, top_v, len_v), serves
-hom_dim and each of the three Hom terms of ext_dim, and it shares its
-image-length arithmetic with hom_basis.  Syzygies are (top, length) pairs
+hom_dim and each of the three Hom terms of ext_dim.  It counts the admissible
+image lengths in one arithmetic step, while hom_basis lists them from the
+first one (_first_image_length), so the two are separate derivations of the
+same number.  Syzygies are (top, length) pairs
 from _syzygy_pair, and a Uniserial is built only where a public function
 returns one.
 
@@ -87,11 +89,16 @@ def _first_image_length(n, cyclic, top_u, len_u, top_v, len_v):
 
 
 def _hom_count(n, cyclic, top_u, len_u, top_v, len_v):
-    """dim Hom(M(top_u, len_u), M(top_v, len_v)): one canonical map per
-    image length k, k + n, ... up to min(len_u, len_v) from the first
-    admissible k.  Linear lengths never exceed n, so there is at most one."""
-    k = _first_image_length(n, cyclic, top_u, len_u, top_v, len_v)
-    return ((len_u if len_u < len_v else len_v) - k) // n + 1 if k else 0
+    """dim Hom(M(top_u, len_u), M(top_v, len_v)): the number of image
+    lengths 1 <= k <= m = min(len_u, len_v) with k = top_u - top_v + len_v
+    mod n, in one step.  The first such k is (k - 1) % n + 1, so the count is
+    (m + n - 1 - (k - 1) % n) // n, which is 0 when that k exceeds m.
+    Linear lengths never exceed n, so there the congruence is an equality."""
+    k = top_u - top_v + len_v
+    m = len_u if len_u < len_v else len_v
+    if cyclic:
+        return (m + n - 1 - (k - 1) % n) // n
+    return 1 if 1 <= k <= m else 0
 
 
 def hom_dim(alg, u, v):

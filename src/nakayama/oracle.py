@@ -28,18 +28,18 @@ representation, a uniserial's or a kernel's, is replaced by the first built
 over the quiver with the same dims and arrow matrices (a kernel comes back
 as the very object of the uniserial it equals), and Hom dimensions are
 memoised on pairs of these objects, so the tables grow with the module
-lengths seen, not with the number of algebras.  Each public call looks its
-quiver up once and hands it down.
+lengths seen, not with the number of algebras.
 
-The public answers are kept over the quiver too: dim Hom(u, v) by
-(top u, len u, top v, len v) and dim Ext^1(u, v) by
-(top u, len u, c_top, top v, len v).  These keys are exact for the reasons
-above: the representations of u and v depend only on the quiver and the
-pair (top, length), and the algebra enters Ext^1 only through the cover
-length c_top, the presentation's own key.  A call answers from its table
-and builds representations, presentations and ranks only on a miss, so a
-warm call costs one quiver lookup and one dictionary lookup; every answer
-still comes from an intertwiner rank, computed once per distinct Hom.
+The public answers are kept in two module-level tables whose keys start with
+the quiver: dim Hom(u, v) by (kind, n, top u, len u, top v, len v) and
+dim Ext^1(u, v) by (kind, n, top u, len u, c_top, top v, len v).  These keys
+are exact for the reasons above: the representations of u and v depend only
+on the quiver and the pair (top, length), and the algebra enters Ext^1 only
+through the cover length c_top, the presentation's own key.  A call looks
+its key up first; only on a miss does it look its quiver up, once, and hand
+it down to build representations, presentations and ranks.  So a warm call
+is one dictionary lookup, and every answer still comes from an intertwiner
+rank, computed once per distinct Hom.
 """
 
 from .core import projective
@@ -57,10 +57,6 @@ class _Quiver:
         self.contents = {}       # (dims, arrow matrices) -> MatrixRep
         self.presentations = {}  # (top, length, c_top) -> (K, incl, P_0, u) reps
         self.homs = {}           # (MatrixRep, MatrixRep) -> dim Hom
-        # answers: (top u, len u, top v, len v) -> dim Hom(u, v), and
-        # (top u, len u, c_top, top v, len v) -> dim Ext^1(u, v)
-        self.hom_dims = {}
-        self.ext1_dims = {}
 
     def unique(self, rep):
         """The first representation built with rep's dims and arrow matrices."""
@@ -70,6 +66,11 @@ class _Quiver:
 
 
 _quivers = {}  # (kind, n) -> _Quiver
+# the answers, keyed by the quiver first: (kind, n, top u, len u, top v, len v)
+# -> dim Hom(u, v), and (kind, n, top u, len u, c_top, top v, len v)
+# -> dim Ext^1(u, v)
+_hom_dims = {}
+_ext1_dims = {}
 
 
 def _quiver(alg):
@@ -157,11 +158,11 @@ def oracle_hom_dim(alg, u, v):
     """dim Hom(u, v) via intertwiner rank, never via image-length counting."""
     if u is None or v is None:
         return 0
-    q = _quiver(alg)
-    key = (u.top, u.length, v.top, v.length)
-    d = q.hom_dims.get(key)
+    key = (alg.kind, alg.n, u.top, u.length, v.top, v.length)
+    d = _hom_dims.get(key)
     if d is None:
-        d = q.hom_dims[key] = _hom(_rep(q, alg, u), _rep(q, alg, v))
+        q = _quiver(alg)
+        d = _hom_dims[key] = _hom(_rep(q, alg, u), _rep(q, alg, v))
     return d
 
 
@@ -206,13 +207,13 @@ def oracle_ext1_dim(alg, u, v):
     the explicit presentation 0 -> K -> P_0 -> u -> 0."""
     if u is None or v is None:
         return 0
-    q = _quiver(alg)
-    key = (u.top, u.length, alg.c[u.top - 1], v.top, v.length)
-    e = q.ext1_dims.get(key)
+    key = (alg.kind, alg.n, u.top, u.length, alg.c[u.top - 1], v.top, v.length)
+    e = _ext1_dims.get(key)
     if e is None:
+        q = _quiver(alg)
         k_rep, _, p0_rep, m_rep = _presentation(q, alg, u)
         n_rep = _rep(q, alg, v)
         e = _hom(k_rep, n_rep) - _hom(p0_rep, n_rep) + _hom(m_rep, n_rep)
         assert e >= 0
-        q.ext1_dims[key] = e
+        _ext1_dims[key] = e
     return e

@@ -405,6 +405,42 @@ def test_hom_dim_counts_the_hom_basis():
                 assert hom_dim(alg, u, v) == len(hom_basis(alg, u, v)), (alg, u, v)
 
 
+def _brute_hom_count(alg, u, v):
+    """Image lengths 1 <= k <= min(len u, len v) with
+    k = top u - top v + len v, mod n for a cyclic algebra, exactly for a
+    linear one, counted one k at a time."""
+    want = u.top - v.top + v.length
+    ks = range(1, min(u.length, v.length) + 1)
+    if alg.kind == "cyclic":
+        return sum((k - want) % alg.n == 0 for k in ks)
+    return sum(k == want for k in ks)
+
+
+def test_hom_dim_closed_form_matches_a_direct_count_on_large_c():
+    # the grid, and its cyclic algebras lifted by n*t, where lengths pass
+    # n several times and the wrap of the first image length matters
+    grid = grid_algebras(4, 6)
+    algs = grid + [validate("cyclic", [x + alg.n * t for x in alg.c])
+                   for alg in grid if alg.kind == "cyclic" for t in (1, 2, 3)]
+    # hom_dim reads only the quiver (kind, n), and on each quiver one of the
+    # algebras has every module of the others, so its pairs cover them all
+    widest = {}
+    for alg in algs:
+        w = widest.get((alg.kind, alg.n))
+        if w is None or sum(alg.c) > sum(w.c):
+            widest[alg.kind, alg.n] = alg
+    mods = {key: set(indecomposables(alg)) for key, alg in widest.items()}
+    assert all(set(indecomposables(alg)) <= mods[alg.kind, alg.n] for alg in algs)
+    dims = set()
+    for key, alg in widest.items():
+        for u in mods[key]:
+            for v in mods[key]:
+                d = hom_dim(alg, u, v)
+                assert d == _brute_hom_count(alg, u, v), (alg, u, v)
+                dims.add(d)
+    assert dims == set(range(10))
+
+
 def test_hom_map_ordering_and_repr():
     f = HomMap(make_module(SHARP, 4, 4), make_module(SHARP, 1, 3), 1)
     assert repr(f) == "Hom[M(4,4) -> M(1,3), k=1]"

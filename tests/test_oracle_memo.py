@@ -1,8 +1,8 @@
-"""The matrix oracle's tables: one per quiver (kind, n), answers free of call
-order, rank work bounded by the distinct representations, one quiver lookup
-per public call, no cover rebuilt once a presentation is kept, a warm pass
-answered from the Hom/Ext^1 tables alone, and the integrality check on a
-presentation's arrow maps."""
+"""The matrix oracle's tables: one per quiver (kind, n), answers keyed by the
+quiver first, answers free of call order, rank work bounded by the distinct
+representations, a quiver lookup only on an answer-table miss, no cover
+rebuilt once a presentation is kept, a warm pass answered from the Hom/Ext^1
+tables alone, and the integrality check on a presentation's arrow maps."""
 
 import random
 from collections import defaultdict
@@ -23,7 +23,8 @@ def _answers(calls):
 
 def _empty_caches(monkeypatch):
     # fresh tables for this test; the shared ones come back afterwards
-    monkeypatch.setattr(oracle, "_quivers", {})
+    for name in ("_quivers", "_hom_dims", "_ext1_dims"):
+        monkeypatch.setattr(oracle, name, {})
 
 
 def _grid_pass(algs):
@@ -59,18 +60,19 @@ def _counting(calls, real):
 @pytest.fixture(scope="module")
 def grid_order_pass():
     """One pass over grid_algebras(4, 6) in grid order from empty tables:
-    (the algebras, the tables it leaves, its number of oracle.rank calls)."""
+    (the algebras, the per-quiver tables it leaves, its Hom and Ext^1 answer
+    tables, its number of oracle.rank calls)."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_quivers", {})
+        _empty_caches(mp)
         mp.setattr(oracle, "rank", _counting(calls, oracle.rank))
         algs = grid_algebras(4, 6)
         _grid_pass(algs)
-        return algs, oracle._quivers, len(calls)
+        return algs, oracle._quivers, oracle._hom_dims, oracle._ext1_dims, len(calls)
 
 
 def test_tables_are_kept_per_quiver(grid_order_pass):
-    algs, quivers, _ = grid_order_pass
+    algs, quivers, hom_dims, ext1_dims, _ = grid_order_pass
     assert not [name for name, obj in vars(oracle).items()
                 if hasattr(obj, "cache_info")]
     assert set(quivers) == {(alg.kind, alg.n) for alg in algs}
@@ -89,25 +91,33 @@ def test_tables_are_kept_per_quiver(grid_order_pass):
                    and length <= c_top
                    for (top, length, c_top), (_, _, p0, m)
                    in q.presentations.items()), (kind, n)
-        # the answer tables: (top u, len u, top v, len v) -> dim Hom and
+        # the answers under this quiver's prefix:
+        # (top u, len u, top v, len v) -> dim Hom and
         # (top u, len u, c_top, top v, len v) -> dim Ext^1, each equal to a
         # recount from the reps with the pass's Hom table set aside
-        assert all(type(x) is int for key in (*q.hom_dims, *q.ext1_dims)
+        homs_here = {key[2:]: d for key, d in hom_dims.items()
+                     if key[:2] == (kind, n)}
+        ext1s_here = {key[2:]: e for key, e in ext1_dims.items()
+                      if key[:2] == (kind, n)}
+        assert homs_here and ext1s_here, (kind, n)
+        assert all(type(x) is int for key in (*homs_here, *ext1s_here)
                    for x in key), (kind, n)
         kept, q.homs = q.homs, {}
         try:
-            assert q.hom_dims == {
+            assert homs_here == {
                 (tu, lu, tv, lv): oracle._hom(q.reps[tu, lu], q.reps[tv, lv])
-                for tu, lu, tv, lv in q.hom_dims}, (kind, n)
+                for tu, lu, tv, lv in homs_here}, (kind, n)
             recount = {}
-            for tu, lu, c_top, tv, lv in q.ext1_dims:
+            for tu, lu, c_top, tv, lv in ext1s_here:
                 k, _, p0, m = q.presentations[tu, lu, c_top]
                 nv = q.reps[tv, lv]
                 recount[tu, lu, c_top, tv, lv] = \
                     oracle._hom(k, nv) - oracle._hom(p0, nv) + oracle._hom(m, nv)
-            assert q.ext1_dims == recount, (kind, n)
+            assert ext1s_here == recount, (kind, n)
         finally:
             q.homs = kept
+    # every answer lies under the prefix of a quiver the pass kept
+    assert {key[:2] for key in (*hom_dims, *ext1_dims)} == set(quivers)
 
 
 def test_a_uniserials_representation_depends_only_on_the_quiver():
@@ -124,7 +134,7 @@ def test_a_uniserials_representation_depends_only_on_the_quiver():
 
 
 def test_rank_runs_once_per_distinct_hom(grid_order_pass, monkeypatch):
-    algs, _, grid_order_calls = grid_order_pass
+    algs, *_, grid_order_calls = grid_order_pass
     assert grid_order_calls == 1130
     shuffled = algs[:]
     random.Random(12).shuffle(shuffled)
@@ -142,13 +152,18 @@ def _pairs(algs):
     return sum(len(indecomposables(alg)) ** 2 for alg in algs)
 
 
-def test_each_public_call_looks_its_quiver_up_once(monkeypatch):
+def test_a_public_call_looks_its_quiver_up_only_on_a_miss(monkeypatch):
     _empty_caches(monkeypatch)
     lookups = []
     monkeypatch.setattr(oracle, "_quiver", _counting(lookups, oracle._quiver))
     algs = grid_algebras(3, 4)
     _grid_pass(algs)
-    assert len(lookups) == 2 * _pairs(algs)
+    # one lookup per new answer, so at most one per public call
+    assert len(lookups) == len(oracle._hom_dims) + len(oracle._ext1_dims)
+    assert 0 < len(lookups) <= 2 * _pairs(algs)
+    lookups.clear()
+    _grid_pass(algs)
+    assert lookups == []
 
 
 def test_a_warm_pass_builds_no_cover(monkeypatch):
@@ -163,13 +178,13 @@ def test_a_warm_pass_builds_no_cover(monkeypatch):
     covers.clear()
     _grid_pass(algs)
     assert covers == []
-    assert len(lookups) == 2 * _pairs(algs)
+    assert lookups == []
 
 
 def test_a_warm_pass_is_answered_from_the_tables(monkeypatch):
     _empty_caches(monkeypatch)
     calls = []
-    for name in ("_rep", "_presentation", "rank"):
+    for name in ("_quiver", "_rep", "_presentation", "rank"):
         monkeypatch.setattr(oracle, name, _counting(calls, getattr(oracle, name)))
     algs = grid_algebras(3, 4)
     _grid_pass(algs)

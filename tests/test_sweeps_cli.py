@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import nakayama
+from nakayama.checks import run_suite
 from nakayama.cli import main
 from nakayama.core import (
     AdmissibleSequence,
@@ -335,10 +336,26 @@ def test_cli_check_suite(capsys):
 
 
 def test_cli_check_nothing_checked_fails(capsys):
-    assert main(["check", "--suite", "it", "--samples", "-5"]) == 1
+    assert main(["check", "--suite", "it", "--samples", "0"]) == 1
     out = capsys.readouterr().out
     assert "both functions equal pd on finite-pd sums: FAIL (nothing checked)" in out
     assert "suite it: FAIL" in out
+
+
+@pytest.mark.parametrize("suite", ["tilting", "drop", "it"])
+def test_cli_check_rejects_flags_below_their_range(suite, capsys):
+    # the suites that draw random algebras need a vertex and an entry >= 2
+    # to draw from, and a count of samples that is not negative
+    for flag_name, value, low in (("--n-max", 0, 1), ("--c-max", 0, 2),
+                                  ("--c-max", 1, 2), ("--samples", -1, 0),
+                                  ("--samples", -5, 0)):
+        assert main(["check", "--suite", suite, flag_name, str(value)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "suite %s needs %s >= %d, got %d\n" % (
+            suite, flag_name, low, value)
+    with pytest.raises(ValueError, match="needs --samples >= 0, got -1"):
+        run_suite(suite, samples=-1)
 
 
 def test_cli_check_over_cap_is_a_named_failure(capsys):
