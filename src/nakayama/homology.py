@@ -9,12 +9,12 @@ structure constant 1 (or zero), so all Hom/Ext arithmetic is integral.
 
 The counting layer works on plain ints, not on Uniserial objects: one
 private count, _hom_count(n, cyclic, top_u, len_u, top_v, len_v), serves
-hom_dim and each of the three Hom terms of ext_dim.  It counts the admissible
-image lengths in one arithmetic step, while hom_basis lists them from the
-first one (_first_image_length), so the two are separate derivations of the
-same number.  Syzygies are (top, length) pairs
-from _syzygy_pair, and a Uniserial is built only where a public function
-returns one.
+hom_dim and each of the three Hom terms of ext_dim.  It counts the
+admissible image lengths in one arithmetic step, while hom_basis lists them
+from the first one (_first_image_length), so the two are separate
+derivations of the same number.  Syzygies are (top, length) pairs from
+_syzygy_pair, and a Uniserial is built only where a public function returns
+one.
 
 Projective dimensions come from one walker, _walk_dims: it follows the
 syzygy recursion (i, l) -> (i-l, c_i-l) on (top, length) pairs until a
@@ -90,10 +90,11 @@ def _first_image_length(n, cyclic, top_u, len_u, top_v, len_v):
 
 def _hom_count(n, cyclic, top_u, len_u, top_v, len_v):
     """dim Hom(M(top_u, len_u), M(top_v, len_v)): the number of image
-    lengths 1 <= k <= m = min(len_u, len_v) with k = top_u - top_v + len_v
-    mod n, in one step.  The first such k is (k - 1) % n + 1, so the count is
-    (m + n - 1 - (k - 1) % n) // n, which is 0 when that k exceeds m.
-    Linear lengths never exceed n, so there the congruence is an equality."""
+    lengths j in 1..m, m = min(len_u, len_v), with j = k mod n for
+    k = top_u - top_v + len_v, in one step.  The first such j is
+    (k - 1) % n + 1, so there are (m + n - 1 - (k - 1) % n) // n of them,
+    0 when the first exceeds m.  In the linear case j = k exactly, so there
+    is at most one."""
     k = top_u - top_v + len_v
     m = len_u if len_u < len_v else len_v
     if cyclic:
