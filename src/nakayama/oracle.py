@@ -40,9 +40,21 @@ its key up first; only on a miss does it look its quiver up, once, and hand
 it down to build representations, presentations and ranks.  So a warm call
 is one dictionary lookup, and every answer still comes from an intertwiner
 rank, computed once per distinct Hom.
+
+On a cyclic quiver a miss first turns the pair (u, v) by the rotation
+sigma: i -> i - top u + 1, so that u's top is 1, and computes from the
+turned pair; the answer is still stored under the caller's own key.  The
+rotation is exact: sigma is an automorphism of the quiver, so
+Hom(sigma M, sigma N) = Hom(M, N), and the presentation of sigma u is sigma
+applied to the presentation of u, with the same cover length c_top
+(ibid. III.1 and IV.2).  So each Hom and Ext^1 is computed once per rotation
+class, and a cyclic quiver's presentations all have top 1.  The rotation
+only relabels vertices; it is not the image-length count of homology.py and
+shares no formula with it.  A linear quiver has no such automorphism, and its
+pairs are computed as they come.
 """
 
-from .core import projective
+from .core import Uniserial
 from .linalg import kernel_basis, mat_mul, rank, solve
 
 
@@ -154,6 +166,14 @@ def _hom(m_rep, n_rep):
     return d
 
 
+def _turn(alg, u, v):
+    """(u, v) turned by the rotation i -> i - top u + 1 of a cyclic quiver,
+    so that u's top is 1; on a linear quiver, (u, v) as they are."""
+    if alg.kind != "cyclic":
+        return u, v
+    return Uniserial(1, u.length), Uniserial((v.top - u.top) % alg.n + 1, v.length)
+
+
 def oracle_hom_dim(alg, u, v):
     """dim Hom(u, v) via intertwiner rank, never via image-length counting."""
     if u is None or v is None:
@@ -162,18 +182,20 @@ def oracle_hom_dim(alg, u, v):
     d = _hom_dims.get(key)
     if d is None:
         q = _quiver(alg)
+        u, v = _turn(alg, u, v)
         d = _hom_dims[key] = _hom(_rep(q, alg, u), _rep(q, alg, v))
     return d
 
 
-def _presentation(q, alg, u):
+def _presentation(q, alg, u, c_top):
     """(K, incl, P_0, u): the representations of the explicit kernel K of the
-    cover P_0 = P(top u) ->> u, of P_0 and of u, with K's inclusion matrices."""
-    key = (u.top, u.length, alg.c[u.top - 1])
+    cover P_0 = M(top u, c_top) ->> u, of P_0 and of u, with K's inclusion
+    matrices."""
+    key = (u.top, u.length, c_top)
     found = q.presentations.get(key)
     if found is not None:
         return found
-    cover = projective(alg, u.top)
+    cover = Uniserial(u.top, c_top)
     p0 = _rep(q, alg, cover)
     # projection sends P_0 slot j to M slot j for j < len(u); rebuild the
     # per-vertex matrices from slot bookkeeping
@@ -207,11 +229,13 @@ def oracle_ext1_dim(alg, u, v):
     the explicit presentation 0 -> K -> P_0 -> u -> 0."""
     if u is None or v is None:
         return 0
-    key = (alg.kind, alg.n, u.top, u.length, alg.c[u.top - 1], v.top, v.length)
+    c_top = alg.c[u.top - 1]
+    key = (alg.kind, alg.n, u.top, u.length, c_top, v.top, v.length)
     e = _ext1_dims.get(key)
     if e is None:
         q = _quiver(alg)
-        k_rep, _, p0_rep, m_rep = _presentation(q, alg, u)
+        u, v = _turn(alg, u, v)
+        k_rep, _, p0_rep, m_rep = _presentation(q, alg, u, c_top)
         n_rep = _rep(q, alg, v)
         e = _hom(k_rep, n_rep) - _hom(p0_rep, n_rep) + _hom(m_rep, n_rep)
         assert e >= 0

@@ -51,7 +51,11 @@ def generate_sequences(kind, n, max_c):
             yield from extend(prefix)
             prefix.pop()
 
-    for first in ([1] if kind == "linear" else range(2, max_c + 1)):
+    if kind == "linear":
+        firsts = [1] if max_c >= 1 else []
+    else:
+        firsts = range(2, max_c + 1)
+    for first in firsts:
         yield from extend([first])
 
 

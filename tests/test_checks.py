@@ -73,6 +73,12 @@ def test_grid_algebras_are_valid():
     assert {a.kind for a in algs} == {"cyclic", "linear"}
 
 
+def test_grid_algebras_hold_nothing_below_the_least_entry():
+    # linear sequences start at 1 and cyclic ones at 2
+    assert grid_algebras(4, 0) == [] and grid_algebras(4, -5) == []
+    assert grid_algebras(4, 1) == [validate("linear", [1])]
+
+
 def test_random_algebras_reproducible():
     # pinned draws; they include cyclic and linear algebras with n = 1
     a = [x.c for x in random_algebras(20, 5, 8, seed=7)]

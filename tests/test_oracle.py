@@ -43,7 +43,7 @@ def _reference_ext1(alg, u, v):
     if u is None or v is None:
         return 0
     q = _quiver(alg)
-    k_rep, incl = _presentation(q, alg, u)[:2]
+    k_rep, incl = _presentation(q, alg, u, alg.c[u.top - 1])[:2]
     n_rep = _rep(q, alg, v)
     rows, total = _intertwiner_system(k_rep, n_rep)
     hom_kn = total - rank(rows) if total else 0
@@ -125,7 +125,7 @@ def test_presentation_kernel_is_the_syzygy():
         for u in indecomposables(alg):
             if is_projective(alg, u):
                 continue
-            k_rep, _ = _presentation(q, alg, u)[:2]
+            k_rep, _ = _presentation(q, alg, u, alg.c[u.top - 1])[:2]
             w = syzygy(alg, u)
             want = MatrixRep.of_uniserial(q, alg, w)
             assert k_rep.dims == want.dims, (alg, u)
@@ -138,7 +138,7 @@ def test_presentation_kernel_is_the_syzygys_object():
         q = _quiver(alg)
         for u in indecomposables(alg):
             if not is_projective(alg, u):
-                k_rep, _ = _presentation(q, alg, u)[:2]
+                k_rep, _ = _presentation(q, alg, u, alg.c[u.top - 1])[:2]
                 assert k_rep is _rep(q, alg, syzygy(alg, u)), (alg, u)
 
 

@@ -1,6 +1,7 @@
 """The matrix oracle's tables: one per quiver (kind, n), answers keyed by the
-quiver first, answers free of call order, rank work bounded by the distinct
-representations, a quiver lookup only on an answer-table miss, no cover
+quiver first, answers free of call order, answers unchanged by turning a
+cyclic pair so that u's top is 1, rank work bounded by the distinct
+rotation classes, a quiver lookup only on an answer-table miss, no cover
 rebuilt once a presentation is kept, a warm pass answered from the Hom/Ext^1
 tables alone, and the integrality check on a presentation's arrow maps."""
 
@@ -91,10 +92,19 @@ def test_tables_are_kept_per_quiver(grid_order_pass):
                    and length <= c_top
                    for (top, length, c_top), (_, _, p0, m)
                    in q.presentations.items()), (kind, n)
+        # a miss on a cyclic quiver is computed from the pair turned so that
+        # u's top is 1, so every presentation there has top 1
+        assert kind == "linear" or {top for top, _, _ in q.presentations} == {1}, \
+            (kind, n)
+
+        def turned(tu, tv):
+            return (1, (tv - tu) % n + 1) if kind == "cyclic" else (tu, tv)
+
         # the answers under this quiver's prefix:
         # (top u, len u, top v, len v) -> dim Hom and
         # (top u, len u, c_top, top v, len v) -> dim Ext^1, each equal to a
-        # recount from the reps with the pass's Hom table set aside
+        # recount from the reps of the turned pair with the pass's Hom table
+        # set aside
         homs_here = {key[2:]: d for key, d in hom_dims.items()
                      if key[:2] == (kind, n)}
         ext1s_here = {key[2:]: e for key, e in ext1_dims.items()
@@ -104,13 +114,16 @@ def test_tables_are_kept_per_quiver(grid_order_pass):
                    for x in key), (kind, n)
         kept, q.homs = q.homs, {}
         try:
-            assert homs_here == {
-                (tu, lu, tv, lv): oracle._hom(q.reps[tu, lu], q.reps[tv, lv])
-                for tu, lu, tv, lv in homs_here}, (kind, n)
+            recount = {}
+            for tu, lu, tv, lv in homs_here:
+                su, sv = turned(tu, tv)
+                recount[tu, lu, tv, lv] = oracle._hom(q.reps[su, lu], q.reps[sv, lv])
+            assert homs_here == recount, (kind, n)
             recount = {}
             for tu, lu, c_top, tv, lv in ext1s_here:
-                k, _, p0, m = q.presentations[tu, lu, c_top]
-                nv = q.reps[tv, lv]
+                su, sv = turned(tu, tv)
+                k, _, p0, m = q.presentations[su, lu, c_top]
+                nv = q.reps[sv, lv]
                 recount[tu, lu, c_top, tv, lv] = \
                     oracle._hom(k, nv) - oracle._hom(p0, nv) + oracle._hom(m, nv)
             assert ext1s_here == recount, (kind, n)
@@ -135,17 +148,39 @@ def test_a_uniserials_representation_depends_only_on_the_quiver():
 
 def test_rank_runs_once_per_distinct_hom(grid_order_pass, monkeypatch):
     algs, *_, grid_order_calls = grid_order_pass
-    assert grid_order_calls == 1130
+    assert grid_order_calls == 885
     shuffled = algs[:]
     random.Random(12).shuffle(shuffled)
     calls = []
     _empty_caches(monkeypatch)
     monkeypatch.setattr(oracle, "rank", _counting(calls, oracle.rank))
     _grid_pass(shuffled)
-    assert len(calls) == 1130
+    assert len(calls) == 885
     calls.clear()
     _grid_pass(shuffled)
     assert calls == []
+
+
+def test_the_rotation_changes_no_answer(monkeypatch):
+    # each public answer on a cyclic quiver, computed from the turned pair,
+    # against the same pair's own representations and presentation
+    _empty_caches(monkeypatch)
+    compared = 0
+    for alg in grid_algebras(4, 6):
+        if alg.kind != "cyclic":
+            continue
+        q = oracle._quiver(alg)
+        mods = indecomposables(alg)
+        for u in mods:
+            k, _, p0, m = _presentation(q, alg, u, alg.c[u.top - 1])
+            for v in mods:
+                nv = oracle._rep(q, alg, v)
+                assert oracle_hom_dim(alg, u, v) == oracle._hom(m, nv), (alg, u, v)
+                assert oracle_ext1_dim(alg, u, v) == \
+                    oracle._hom(k, nv) - oracle._hom(p0, nv) + oracle._hom(m, nv), \
+                    (alg, u, v)
+                compared += u.top != 1
+    assert compared > 0
 
 
 def _pairs(algs):
@@ -168,16 +203,19 @@ def test_a_public_call_looks_its_quiver_up_only_on_a_miss(monkeypatch):
 
 def test_a_warm_pass_builds_no_cover(monkeypatch):
     _empty_caches(monkeypatch)
-    lookups, covers = [], []
+    lookups, built = [], []
     monkeypatch.setattr(oracle, "_quiver", _counting(lookups, oracle._quiver))
-    monkeypatch.setattr(oracle, "projective", _counting(covers, oracle.projective))
+    # a presentation builds its cover M(top, c_top) as a Uniserial
+    monkeypatch.setattr(oracle, "Uniserial", _counting(built, oracle.Uniserial))
     algs = grid_algebras(3, 4)
     _grid_pass(algs)
-    assert covers
+    covers = {(top, c_top) for q in oracle._quivers.values()
+              for top, _, c_top in q.presentations}
+    assert covers and covers <= set(built)
     lookups.clear()
-    covers.clear()
+    built.clear()
     _grid_pass(algs)
-    assert covers == []
+    assert built == []
     assert lookups == []
 
 
@@ -202,4 +240,4 @@ def test_presentation_rejects_a_non_integral_arrow_map(monkeypatch):
     alg = validate("cyclic", [3, 3])
     u = Uniserial(1, 1)  # the kernel M(2,2) of P_1 = M(1,3) ->> u has an arrow
     with pytest.raises(AssertionError, match="not integral"):
-        _presentation(oracle._quiver(alg), alg, u)
+        _presentation(oracle._quiver(alg), alg, u, alg.c[u.top - 1])

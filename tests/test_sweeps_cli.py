@@ -405,6 +405,15 @@ def test_cli_oracle_empty_grid_fails(capsys):
     assert "matrix oracle: FAIL (nothing checked)" in out
 
 
+@pytest.mark.parametrize("argv", [["check", "--suite", "oracle", "--c-max", "-5"],
+                                  ["oracle", "--c-max", "-1"]])
+def test_cli_oracle_grid_beyond_every_algebra_fails(capsys, argv):
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "hom dimension matches matrix oracle: FAIL (nothing checked)" in out
+    assert "ext^1 dimension matches matrix oracle: FAIL (nothing checked)" in out
+
+
 def test_cli_oracle_single_names_the_mismatched_pair(capsys, monkeypatch):
     from nakayama import checks
     hom = checks.oracle_hom_dim
