@@ -33,6 +33,10 @@ other map shares one zero action row.  Shared rows are read-only: nothing
 here mutates an action row or column once built.  A step stores a
 coordinate as an int unless it is non-integral.
 
+Each simple is resolved once per algebra: End(X) is basic, so a syzygy of
+dimension 1 is a simple, and a minimal resolution is unique up to
+isomorphism (ASS I, I.5 and III.2), so its syzygy dimensions are stored.
+
 All ranks and kernels are exact rational computations.
 """
 
@@ -146,6 +150,9 @@ class StructureConstantAlgebra:
         self.idempotents = tuple(
             self.index[identity_hom(alg, a)] for a in self.summands)
         self.table = _product_table(alg, self.basis, self.basis, self.index)
+        # syzygy dimensions of the simple of each block, from the simple
+        # (dimension 1) to the first zero, as resolution_dims finds them
+        self.simple_dims = {}
         self._validate()
 
     def _validate(self):
@@ -215,7 +222,10 @@ class AlgebraModule:
                 want = j if src[j] == pos else None
                 assert self.cols[e][j] == want, "unit decomposition broken"
         bsrc, btgt, into = a.source_pos, a.target_pos, a.into
+        zero = [None] * self.dim
         for i in range(a.dim):
+            if self.cols[i] == zero:
+                continue
             for m, im in enumerate(self.cols[i]):
                 if im is not None:
                     assert btgt[i] == src[m], "action of a map that does not compose"
@@ -393,7 +403,9 @@ def syzygy_step(algebra, dim, mats):
 
 def resolution_dims(algebra, module, cap=30):
     """Dimensions of the iterated syzygies, starting with the module itself;
-    stops at zero or after cap steps."""
+    stops at zero or after cap steps.  A syzygy of dimension 1 is the
+    simple of the block whose idempotent acts on it: a simple that has
+    ended at zero is spliced in, and one met twice makes the walk periodic."""
     if cap < 1:
         raise ValueError("cap must be positive")
     d = module.dim
@@ -403,13 +415,31 @@ def resolution_dims(algebra, module, cap=30):
     for pos in {module.block_of(j) for j in range(d)}:
         for i in algebra.into[pos]:
             mats[i] = module.action_matrix(i)
-    dims = [d]
-    for _ in range(cap):
-        if d == 0:
+    known = algebra.simple_dims
+    met = {}   # block of each simple on this walk -> its index in dims
+    dims = []
+    while True:
+        if d == 1:
+            pos = next(p for p, e in enumerate(algebra.idempotents)
+                       if mats[e][0])
+            if pos in known:
+                dims += known[pos]
+                break
+            if pos in met:
+                # the walk repeats what followed the first meeting
+                period = len(dims) - met[pos]
+                while len(dims) <= cap:
+                    dims.append(dims[-period])
+                return dims
+            met[pos] = len(dims)
+        dims.append(d)
+        if d == 0 or len(dims) > cap:
             break
         d, mats = syzygy_step(algebra, d, mats)
-        dims.append(d)
-    return dims
+    if dims[-1] == 0:
+        for pos, at in met.items():
+            known[pos] = dims[at:]
+    return dims[:cap + 1]
 
 
 def pd_over(algebra, module, cap=30):
@@ -425,11 +455,13 @@ def pd_over(algebra, module, cap=30):
 
 
 def gldim_over(algebra, cap=30):
-    vals = [pd_over(algebra, s, cap) for s in simple_modules(algebra)]
-    for v in vals:
+    top = 0
+    for s in simple_modules(algebra):
+        v = pd_over(algebra, s, cap)
         if isinstance(v, OverCap):
             return v
-    return max(vals) if vals else 0
+        top = max(top, v)
+    return top
 
 
 def drop_check(alg, cap=30):
