@@ -392,6 +392,39 @@ def suite_drop(samples=200, seed=42, cap=30, n_max=6, c_max=8):
     return SuiteReport("drop", [holds, bounds, agree])
 
 
+def broken_module_axiom(algebra, labels, cols):
+    """The first module axiom that cols breaks over algebra, or None: the
+    unit decomposition, then i . (j . m) == (i * j) . m on every basis
+    triple, where cols[i][j] is the index of basis[i] . labels[j] or None."""
+    a, t = algebra, algebra.table
+    src = [a.summand_position(phi.source) for phi in labels]
+    for pos, e in enumerate(a.idempotents):
+        if cols[e] != [j if p == pos else None for j, p in enumerate(src)]:
+            return "unit decomposition broken"
+    for i in range(a.dim):
+        for j in range(a.dim):
+            ij = t[i][j]
+            for m in range(len(labels)):
+                step = cols[j][m]
+                composite = cols[i][step] if step is not None else None
+                direct = cols[ij][m] if ij is not None else None
+                if composite != direct:
+                    return "action ignores the table"
+    return None
+
+
+def broken_algebra_axiom(algebra):
+    """The first algebra axiom that algebra's table breaks, or None.  The
+    regular module's axioms are associativity, orthogonal idempotents and
+    left units; with them, i * e == i for the idempotent e at i's target
+    makes the units two-sided."""
+    t, idem = algebra.table, algebra.idempotents
+    for i, p in enumerate(algebra.target_pos):
+        if t[i][idem[p]] != i:
+            return "right unit broken"
+    return broken_module_axiom(algebra, algebra.basis, t)
+
+
 def suite_endo(seed=42, cap=30):
     dims = PropertyResult("small endomorphism algebra dimensions")
     hered = PropertyResult("hereditary generator-cogenerators give value 2")
@@ -400,6 +433,9 @@ def suite_endo(seed=42, cap=30):
     key = PropertyResult("hom transport drops projective dimension by one")
     radical = PropertyResult(
         "trace-form radical is spanned by the non-identity maps")
+    axioms = PropertyResult(
+        "End(T) is associative with two-sided units, and its simples and "
+        "Hom(T, Q) are modules")
 
     a2 = AdmissibleSequence("linear", (1, 2))
     x = basic_gen_cogen(a2)
@@ -442,14 +478,19 @@ def suite_endo(seed=42, cap=30):
             continue
         t = canonical_tilting(alg)
         b = end_algebra(alg, t)
-        rad, _ = radical_and_simples(b)
+        name = format_algebra(alg)
+        rad, simple = radical_and_simples(b)
         radical.record(len(rad) == b.dim - len(b.summands)
                        and not any(v[e] for v in rad for e in b.idempotents),
-                       format_algebra(alg))
+                       name)
         q = projective_injectives(alg)
+        hq = hom_module(b, q)
         want = sum(hom_dim(alg, u, v) for u in q for v in q)
-        br.record(module_endomorphisms(b, hom_module(b, q)) == want,
-                  format_algebra(alg))
+        br.record(module_endomorphisms(b, hq) == want, name)
+        broken = [why for why in [broken_algebra_axiom(b)] + [
+            broken_module_axiom(b, m.labels, m.cols) for m in simple + [hq]]
+            if why]
+        axioms.record(not broken, "%s: %s" % (name, "; ".join(broken)))
         for i in range(1, alg.n + 1):
             if not is_injective(alg, projective(alg, i)):
                 continue
@@ -462,7 +503,7 @@ def suite_endo(seed=42, cap=30):
                 ok = projdim_key_check(alg, m, cap)
                 key.record(ok is True, w if ok is not None else _over_cap(w, cap))
                 checked_pairs += 1
-    return SuiteReport("endo", [dims, hered, antitone, br, key, radical])
+    return SuiteReport("endo", [dims, hered, antitone, br, key, radical, axioms])
 
 
 def suite_it(samples=1000, seed=42, n_max=6, c_max=8):

@@ -13,45 +13,20 @@ Associative Algebras I, IV.2 and A.4).  Nothing here shares a formula with
 homology.py: the closed-form image-length count and the syzygy index
 arithmetic never appear.
 
-Every matrix the oracle eliminates has integer entries; only the arrow maps
-of a kernel are found by an exact `solve`, and they are checked to be
-integral.  The tables are kept per quiver (kind, n), shared by every algebra
-on it, and never emptied.  A uniserial's representation reads only the
-quiver, and A-mod = rep(Q, I) is a full subcategory of rep(Q) (ibid. III.1),
-so Hom between A-modules is Hom of quiver representations; the algebra
-enters only through the cover P_0 = M(top u, c_top), so a presentation is
-kept by (top u, len u, c_top), one record (K, inclusions, P_0, u) each.
-Representations are kept by (top, length).  The keys are tuples of ints
-rather than `Uniserial`s because a `Uniserial` runs its Python-level
-`__hash__` and `__eq__` on every lookup, while an int tuple does it in C.  Each new
-representation, a uniserial's or a kernel's, is replaced by the first built
-over the quiver with the same dims and arrow matrices (a kernel comes back
-as the very object of the uniserial it equals), and Hom dimensions are
-memoised on pairs of these objects, so the tables grow with the module
-lengths seen, not with the number of algebras.
+The tables are kept per quiver (kind, n) and never emptied, and their keys
+are exact: a uniserial's representation reads only the quiver and its
+(top, length), and A-mod = rep(Q, I) is a full subcategory of rep(Q)
+(ibid. III.1), so Hom between A-modules is Hom of quiver representations.
+The algebra enters only through the cover P_0 = M(top u, c_top), so dim
+Hom(u, v) is keyed by (kind, n, top u, len u, top v, len v), and dim
+Ext^1(u, v) and the presentation of u also by c_top.
 
-The public answers are kept in two module-level tables whose keys start with
-the quiver: dim Hom(u, v) by (kind, n, top u, len u, top v, len v) and
-dim Ext^1(u, v) by (kind, n, top u, len u, c_top, top v, len v).  These keys
-are exact for the reasons above: the representations of u and v depend only
-on the quiver and the pair (top, length), and the algebra enters Ext^1 only
-through the cover length c_top, the presentation's own key.  A call looks
-its key up first; only on a miss does it look its quiver up, once, and hand
-it down to build representations, presentations and ranks.  So a warm call
-is one dictionary lookup, and every answer still comes from an intertwiner
-rank, computed once per distinct Hom.
-
-On a cyclic quiver a miss first turns the pair (u, v) by the rotation
-sigma: i -> i - top u + 1, so that u's top is 1, and computes from the
-turned pair; the answer is still stored under the caller's own key.  The
-rotation is exact: sigma is an automorphism of the quiver, so
-Hom(sigma M, sigma N) = Hom(M, N), and the presentation of sigma u is sigma
-applied to the presentation of u, with the same cover length c_top
-(ibid. III.1 and IV.2).  So each Hom and Ext^1 is computed once per rotation
-class, and a cyclic quiver's presentations all have top 1.  The rotation
-only relabels vertices; it is not the image-length count of homology.py and
-shares no formula with it.  A linear quiver has no such automorphism, and its
-pairs are computed as they come.
+On a cyclic quiver a miss turns the pair (u, v) by the rotation
+sigma: i -> i - top u + 1, so that u's top is 1, and stores the answer under
+the caller's own key.  The rotation is exact: sigma is an automorphism of
+the quiver, so Hom(sigma M, sigma N) = Hom(M, N), and the presentation of
+sigma u is sigma applied to that of u, with the same c_top (ibid. III.1 and
+IV.2).  It only relabels vertices and shares no formula with homology.py.
 """
 
 from .core import Uniserial

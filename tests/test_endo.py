@@ -5,8 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from nakayama import endo
-from nakayama.checks import grid_algebras
+from nakayama import checks, endo
+from nakayama.checks import (
+    broken_algebra_axiom,
+    broken_module_axiom,
+    grid_algebras,
+    run_suite,
+)
 from nakayama.core import (
     INF,
     AdmissibleSequence,
@@ -93,9 +98,8 @@ def test_end_algebra_rejects_bad_input():
 
 
 def test_end_algebra_rejects_a_non_canonical_composite(monkeypatch):
-    # compose does not check its output; a wrong composite must still stop
-    # the build, by a failed lookup in the canonical Hom basis or by the
-    # table validators
+    # compose does not check its output; a wrong composite still stops the
+    # build, by a failed lookup in the canonical Hom basis
     real = endo.compose
 
     def shifted(alg, f, g):
@@ -104,7 +108,7 @@ def test_end_algebra_rejects_a_non_canonical_composite(monkeypatch):
 
     monkeypatch.setattr(endo, "compose", shifted)
     for alg in (SHARP, LIN5, AdmissibleSequence("cyclic", (7, 7))):
-        with pytest.raises((KeyError, AssertionError)):
+        with pytest.raises(KeyError):
             end_algebra(alg, basic_gen_cogen(alg))
 
 
@@ -193,49 +197,6 @@ def test_resolution_dims_end_at_zero_for_finite_pd():
         assert len(dims) - 2 == pd_over(a, s)
 
 
-def _reference_validate_algebra(algebra):
-    """The brute-force check: associativity on all dim^3 basis triples, then
-    orthogonal idempotents and two-sided units."""
-    t = algebra.table
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            for k in range(algebra.dim):
-                ij = t[i][j]
-                jk = t[j][k]
-                left = t[ij][k] if ij is not None else None
-                right = t[i][jk] if jk is not None else None
-                assert left == right, "associativity fails at basis triple"
-    idem = set(algebra.idempotents)
-    for e in idem:
-        for f in idem:
-            assert t[e][f] == (e if e == f else None)
-    for i, f in enumerate(algebra.basis):
-        src = algebra.index[identity_hom(algebra.alg, f.source)]
-        tgt = algebra.index[identity_hom(algebra.alg, f.target)]
-        for e in idem:
-            assert t[e][i] == (i if e == src else None)
-            assert t[i][e] == (i if e == tgt else None)
-
-
-def _reference_validate_module(algebra, labels, cols):
-    """The brute-force check: unit decomposition, then the action against the
-    full table on all dim^2 * m triples."""
-    a = algebra
-    src = [a.summand_position(phi.source) for phi in labels]
-    for pos, e in enumerate(a.idempotents):
-        for j in range(len(labels)):
-            want = j if src[j] == pos else None
-            assert cols[e][j] == want, "unit decomposition broken"
-    for i in range(a.dim):
-        for j in range(a.dim):
-            ij = a.table[i][j]
-            for m in range(len(labels)):
-                step = cols[j][m]
-                composite = cols[i][step] if step is not None else None
-                direct = cols[ij][m] if ij is not None else None
-                assert composite == direct, "action ignores the table"
-
-
 def _rejects(check, *args):
     try:
         check(*args)
@@ -255,7 +216,7 @@ def _corrupt(rows, rng):
     return out
 
 
-def test_chain_validators_reject_what_the_full_check_rejects():
+def test_axiom_check_rejects_what_the_pattern_checks_reject():
     # seeded single-entry corruptions of End(T) tables and of the simple and
     # regular modules over them, on every other algebra of grid_algebras(4, 6)
     # with a canonical tilting module
@@ -263,28 +224,30 @@ def test_chain_validators_reject_what_the_full_check_rejects():
     algebras = [end_algebra(alg, t) for alg in grid_algebras(4, 6)
                 for t in [canonical_tilting(alg)] if t is not None][::2]
     assert len(algebras) == 45
-    verdicts = {"algebra": [0, 0], "module": [0, 0]}
+    verdicts = {"algebra": set(), "module": set()}
     for a in algebras:
         table = a.table
         for _ in range(12):
             a.table = _corrupt(table, rng)
-            want = _rejects(_reference_validate_algebra, a)
-            assert _rejects(a._validate) == want
-            verdicts["algebra"][want] += 1
+            verdicts["algebra"].add((_rejects(a._validate),
+                                     broken_algebra_axiom(a) is not None))
         a.table = table
         for mod in simple_modules(a) + [regular_module(a)]:
             for _ in range(3):
                 cols = _corrupt(mod.cols, rng)
-                want = _rejects(_reference_validate_module, a, mod.labels, cols)
-                assert _rejects(AlgebraModule, a, mod.labels, cols) == want
-                verdicts["module"][want] += 1
-    # both outcomes occur, so neither validator passes by rejecting everything
-    assert all(kept and rejected for kept, rejected in verdicts.values())
+                verdicts["module"].add((
+                    _rejects(AlgebraModule, a, mod.labels, cols),
+                    broken_module_axiom(a, mod.labels, cols) is not None))
+    for seen in verdicts.values():
+        # the axiom check rejects every table the pattern checks reject, and
+        # keeps some and rejects more, so it neither passes nor fails all
+        assert (True, False) not in seen
+        assert {(True, True), (False, True), (False, False)} <= seen
 
 
 def test_validators_reject_entries_off_composable_pairs():
-    # the full check rejects these through the units; the pattern checks are
-    # what let the chain loops skip every triple that does not compose
+    # the pattern checks of construction and the axiom check both reject
+    # these; the axiom check does so through the units
     a = end_algebra(SHARP, canonical_tilting(SHARP))
     basis, table = a.basis, a.table
     i, j = next((i, j) for i, f in enumerate(basis)
@@ -298,8 +261,7 @@ def test_validators_reject_entries_off_composable_pairs():
         a.table[r][c] = value
         with pytest.raises(AssertionError, match=match):
             a._validate()
-        with pytest.raises(AssertionError):
-            _reference_validate_algebra(a)
+        assert broken_algebra_axiom(a) is not None
     a.table = table
     reg = regular_module(a)
     idem = set(a.idempotents)
@@ -314,13 +276,12 @@ def test_validators_reject_entries_off_composable_pairs():
         cols[r][c] = value
         with pytest.raises(AssertionError, match=match):
             AlgebraModule(a, reg.labels, cols)
-        with pytest.raises(AssertionError):
-            _reference_validate_module(a, reg.labels, cols)
+        assert broken_module_axiom(a, reg.labels, cols) is not None
 
 
 def test_module_rejects_a_zero_step_under_a_nonzero_composite():
-    # j . m set to zero while (i * j) . m stays nonzero: the chain loop must
-    # visit pairs whose first step is zero
+    # j . m set to zero while (i * j) . m stays nonzero: the pattern is
+    # intact, so construction keeps the table and the axiom check rejects it
     a = end_algebra(SHARP, canonical_tilting(SHARP))
     reg = regular_module(a)
     idem = set(a.idempotents)
@@ -331,10 +292,47 @@ def test_module_rejects_a_zero_step_under_a_nonzero_composite():
         if a.table[i][j] is not None and reg.cols[a.table[i][j]][m] is not None)
     cols = [list(c) for c in reg.cols]
     cols[j][m] = None
-    with pytest.raises(AssertionError, match="ignores the table"):
-        AlgebraModule(a, reg.labels, cols)
-    with pytest.raises(AssertionError):
-        _reference_validate_module(a, reg.labels, cols)
+    AlgebraModule(a, reg.labels, cols)
+    assert broken_module_axiom(a, reg.labels, cols) == "action ignores the table"
+
+
+def test_endo_suite_rejects_a_dropped_right_unit(monkeypatch):
+    name = ("End(T) is associative with two-sided units, and its simples "
+            "and Hom(T, Q) are modules")
+    report = run_suite("endo")
+    assert report.ok and report.properties[-1].name == name
+    # the first End(T) table built over cyclic:2,2,3, the suite's own, loses
+    # one nonzero product: a non-identity map times the identity of its target
+    real, dropped = endo._product_table, []
+
+    def drop_one(alg, lefts, rights, index):
+        table = real(alg, lefts, rights, index)
+        if alg == TWO_AUS and lefts is rights and not dropped:
+            i, f = next((i, f) for i, f in enumerate(lefts)
+                        if f != identity_hom(alg, f.source))
+            table[i][index[identity_hom(alg, f.target)]] = None
+            dropped.append(i)
+        return table
+
+    monkeypatch.setattr(endo, "_product_table", drop_one)
+    axioms = run_suite("endo").properties[-1]
+    assert (axioms.checked, axioms.failed) == (33, 1)
+    assert axioms.first_counterexample == (
+        "cyclic:2,2,3: right unit broken; action ignores the table")
+
+
+def test_construction_runs_no_axiom_check(monkeypatch):
+    # the axiom check belongs to the endo suite; building End(T), its
+    # simples and Hom modules calls it not once
+    calls = []
+    for fn in (broken_algebra_axiom, broken_module_axiom):
+        monkeypatch.setattr(checks, fn.__name__,
+                            lambda *args, fn=fn: calls.append(fn) or fn(*args))
+    for alg in (SHARP, LIN5, TWO_AUS):
+        b = end_algebra(alg, canonical_tilting(alg))
+        hom_module(b, basic_gen_cogen(alg))
+        simple_modules(b)
+    assert calls == []
 
 
 def test_block_index_of_the_basis():
