@@ -145,6 +145,14 @@ class AdmissibleSequence:
         return "AdmissibleSequence(%r, %r)" % (self.kind, list(self.c))
 
 
+def rotation_normal_form(c):
+    """(r, t): r = c_{t+1}, ..., c_n, c_1, ..., c_t is the least rotation of c,
+    with the least such t; vertex j of cyclic:r is vertex j + t of cyclic:c."""
+    n = len(c)
+    cc = tuple(c) * 2
+    return min((cc[t:t + n], t) for t in range(n))
+
+
 def validate(kind, c):
     """Check admissibility and build the algebra; raises ValueError if invalid."""
     return AdmissibleSequence(kind, tuple(c))

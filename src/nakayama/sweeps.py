@@ -2,7 +2,7 @@
 
 from collections import namedtuple
 
-from .core import validate
+from .core import rotation_normal_form, validate
 from .tilting import ClassificationReport, classify
 
 REPORT_KEYS = ClassificationReport._fields
@@ -60,7 +60,7 @@ def generate_sequences(kind, n, max_c):
 
 
 def min_rotation(c):
-    return min(tuple(c[i:]) + tuple(c[:i]) for i in range(len(c)))
+    return rotation_normal_form(c)[0]
 
 
 def difference_class_rep(kind, c):

@@ -9,6 +9,11 @@ through the duality D onto the opposite algebra (core.dual).  This module
 also provides the classification predicates (selfinjective, Auslander,
 minimal Auslander-Gorenstein, ...), the drop conditions for the global
 dimension of the endomorphism algebra, and the Igusa-Todorov functions.
+
+A rotation of a cyclic sequence is a quiver automorphism: it changes no
+invariant and relabels the canonical T and C.  So classify keeps the report
+of each rotation class met away from its normal form r in _reports, keyed by
+r, and never empties it; linear algebras and normal forms never touch it.
 """
 
 from collections import namedtuple
@@ -26,6 +31,7 @@ from .core import (
     make_module,
     opposite,
     projective,
+    rotation_normal_form,
     socle_vertex,
     tau,
     tau_inv,
@@ -208,7 +214,32 @@ class ClassificationReport(namedtuple("ClassificationReport", (
         }
 
 
+_reports = {}  # rotation normal form r -> the report of cyclic:r
+
+
+def _rotated(rep, c, t):
+    """rep for the sequence c: each summand M(i, l) of t_c and c_c moves to M(i + t, l)."""
+    def move(m):
+        return None if m is None else ModuleSum.of(
+            Uniserial((u.top + t - 1) % len(c) + 1, u.length) for u in m)
+
+    return rep._replace(c=c, t_c=move(rep.t_c), c_c=move(rep.c_c))
+
+
 def classify(alg):
+    """The ClassificationReport of alg; a cyclic sequence other than its
+    rotation normal form is answered from its class's report in _reports."""
+    r, t = rotation_normal_form(alg.c) if alg.kind == "cyclic" else (None, 0)
+    if not t:
+        return _classify(alg)
+    if r not in _reports:
+        rep = _classify(alg)
+        _reports[r] = _rotated(rep, r, -t)
+        return rep
+    return _rotated(_reports[r], alg.c, t)
+
+
+def _classify(alg):
     gl = gldim(alg)
     dd = domdim(alg)
     id_left, id_right, common = gorenstein_dim(alg)

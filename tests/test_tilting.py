@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from nakayama import tilting
 from nakayama.checks import grid_algebras
 from nakayama.core import (
     INF,
@@ -25,7 +26,9 @@ from nakayama.core import (
     validate,
 )
 from nakayama.homology import domdim, gldim, idim, pdim, pdim_table, syzygy
+from nakayama.sweeps import SweepSpec, sweep
 from nakayama.tilting import (
+    _classify,
     basic_gen_cogen,
     canonical_cotilting,
     canonical_tilting,
@@ -115,7 +118,22 @@ def test_classification_digest_over_the_n6_grid():
         "35b85846098343a899743457a55a5c5c3c10af443e14e28695d1ed4995a2befe")
 
 
-def test_classify_builds_the_opposite_once(monkeypatch):
+@pytest.fixture
+def computed(monkeypatch):
+    """The algebras classify computes itself, starting from an empty table."""
+    out = []
+    original = tilting._classify
+
+    def counted(alg):
+        out.append(alg)
+        return original(alg)
+
+    monkeypatch.setattr(tilting, "_reports", {})
+    monkeypatch.setattr(tilting, "_classify", counted)
+    return out
+
+
+def test_classify_builds_the_opposite_once(monkeypatch, computed):
     import nakayama.core
 
     builds = []
@@ -125,17 +143,24 @@ def test_classify_builds_the_opposite_once(monkeypatch):
         return validate(kind, c)
 
     # opposite builds its result through core.validate; classify builds no
-    # other algebra
+    # other algebra, and none when it answers from the table
     monkeypatch.setattr(nakayama.core, "validate", counted)
+    paths = set()
     for alg in grid_algebras(4, 6):
+        want = [(alg.kind, opposite(validate(alg.kind, alg.c)).c)]
         builds.clear()
+        computed.clear()
         classify(alg)
-        assert builds == [(alg.kind, opposite(alg).c)], alg
+        paths.add(bool(computed))
+        if not computed:
+            want = []
+        assert builds == want, alg
         classify(alg)
-        assert len(builds) == 1, alg
+        assert builds == want, alg
+    assert paths == {True, False}
 
 
-def test_classify_asks_for_envelopes_only_to_build_the_opposite(monkeypatch):
+def test_classify_asks_for_envelopes_only_to_build_the_opposite(monkeypatch, computed):
     import nakayama.core
 
     calls = []
@@ -150,10 +175,44 @@ def test_classify_asks_for_envelopes_only_to_build_the_opposite(monkeypatch):
         for attr, value in list(getattr(mod, "__dict__", {}).items()):
             if value is original:
                 monkeypatch.setattr(mod, attr, counted)
+    paths = set()
     for alg in grid_algebras(4, 6):
         calls.clear()
+        computed.clear()
         classify(alg)
-        assert len(calls) == alg.n, alg
+        paths.add(bool(computed))
+        assert len(calls) == (alg.n if computed else 0), alg
+    assert paths == {True, False}
+
+
+def test_classify_answers_each_rotation_from_its_class(computed):
+    algs = grid_algebras(5, 8)
+    random.Random(2017).shuffle(algs)
+    for alg in algs:
+        got = classify(alg).json_dict()
+        want = _classify(validate(alg.kind, alg.c)).json_dict()
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), alg
+    assert 0 < len(tilting._reports) and len(computed) < len(algs)
+
+
+def test_classify_of_a_normal_form_ignores_the_table(monkeypatch):
+    criteria = []
+    original = tilting.tilting_criterion
+
+    def counted(alg):
+        criteria.append(alg)
+        return original(alg)
+
+    monkeypatch.setattr(tilting, "tilting_criterion", counted)
+    monkeypatch.setattr(tilting, "_reports", {})
+    classify(validate("cyclic", [4, 4, 3, 3]))
+    assert list(tilting._reports) == [(3, 3, 4, 4)]
+    criteria.clear()
+    classify(validate("cyclic", [3, 3, 4, 4]))
+    assert len(criteria) == 3
+    monkeypatch.setattr(tilting, "_reports", {})
+    rows, _ = sweep(SweepSpec("cyclic", 5, 7, up_to_rotation=True))
+    assert rows and tilting._reports == {}
 
 
 def _injective_by_envelope(alg, u):
