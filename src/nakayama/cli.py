@@ -19,6 +19,7 @@ from .endo import _drop_record, end_algebra, gldim_over, mueller_domdim
 from .homology import gldim
 from .sweeps import CSV_COLUMNS, SweepSpec, csv_row, sweep
 from .tilting import (
+    _tilting,
     basic_gen_cogen,
     canonical_cotilting,
     canonical_tilting,
@@ -124,9 +125,7 @@ def cmd_tilting(args):
 
 def cmd_endo(args):
     alg = _algebra_from(args)
-    t = canonical_tilting(alg)
-    if t is None:
-        raise ValueError("no canonical tilting module: dominant dimension < 2")
+    t = _tilting(alg)
     b = end_algebra(alg, t)
     record = {
         "algebra": format_algebra(alg),
@@ -194,6 +193,9 @@ def cmd_check(args, suite=None):
 def cmd_oracle(args):
     if args.cyclic is None and args.linear is None:
         return cmd_check(args, "oracle")
+    if args.n_max is not None or args.c_max is not None:
+        raise ValueError("--n-max and --c-max bound the grid check; "
+                         "they do not apply with --cyclic or --linear")
     alg = _algebra_from(args)
     total, (hom_bad, hom_w), (ext_bad, ext_w) = _oracle_counts(alg)
     record = {

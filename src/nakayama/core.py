@@ -359,6 +359,18 @@ class ModuleSum:
         return " + ".join(format_module(u) for u in self.summands) or "0"
 
 
+def basic_sum(m):
+    """A module argument as a ModuleSum: None is the empty sum and a
+    Uniserial one summand; repeated summands raise ValueError."""
+    if m is None:
+        m = ModuleSum(())
+    elif isinstance(m, Uniserial):
+        m = ModuleSum.of([m])
+    if not m.is_basic():
+        raise ValueError("summands must be multiplicity-free")
+    return m
+
+
 def parse_module_sum(alg, text):
     text = text.strip()
     if text == "0":

@@ -44,8 +44,7 @@ from fractions import Fraction
 
 from .core import (
     INF,
-    ModuleSum,
-    Uniserial,
+    basic_sum,
     format_module,
     injective,
     is_injective,
@@ -60,8 +59,14 @@ from .homology import (
     pdim,
     syzygy,
 )
-from .linalg import kernel_basis, pivot_columns, rank, reduced_kernel
-from .tilting import canonical_tilting, pd_tau_tilting
+from .linalg import (
+    intertwiner_system,
+    kernel_basis,
+    pivot_columns,
+    rank,
+    reduced_kernel,
+)
+from .tilting import _tilting, pd_tau_tilting
 
 
 class OverCap:
@@ -118,10 +123,7 @@ class StructureConstantAlgebra:
     """
 
     def __init__(self, alg, x):
-        if isinstance(x, Uniserial):
-            x = ModuleSum.of([x])
-        if not x.is_basic():
-            raise ValueError("summands must be multiplicity-free")
+        x = basic_sum(x)
         if len(x) == 0:
             raise ValueError("the zero module has no unit")
         self.alg = alg
@@ -238,12 +240,7 @@ class AlgebraModule:
 def hom_module(algebra, m):
     """Hom(X, m) as a left module over End(X) with the reversed product."""
     alg = algebra.alg
-    if m is None:
-        m = ModuleSum.of([])
-    if isinstance(m, Uniserial):
-        m = ModuleSum.of([m])
-    if not m.is_basic():
-        raise ValueError("summands must be multiplicity-free")
+    m = basic_sum(m)
     labels = [phi for a in algebra.summands for c in m.summands
               for phi in hom_basis(alg, a, c)]
     index = {phi: j for j, phi in enumerate(labels)}
@@ -384,13 +381,11 @@ def syzygy_step(algebra, dim, mats):
     return kd, new_mats
 
 
-def resolution_dims(algebra, module, cap=30):
-    """Dimensions of the iterated syzygies, starting with the module itself;
-    stops at zero or after cap steps.  A syzygy of dimension 1 is the
-    simple of the block whose idempotent acts on it: a simple that has
-    ended at zero is spliced in, and one met twice makes the walk periodic."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
+def _walk(algebra, module, cap):
+    """(dims, period) of the syzygy walk from the module, as resolution_dims
+    describes it, unpadded: period is 0, or the period the walk repeats
+    after dims once a simple is met twice.  A simple met is the simple of
+    the block its idempotent acts on; one that ended at zero is spliced in."""
     d = module.dim
     # a map acts as zero unless it ends in a block the module occupies (the
     # module's validated pattern); all those maps share one zero row
@@ -410,10 +405,7 @@ def resolution_dims(algebra, module, cap=30):
                 break
             if pos in met:
                 # the walk repeats what followed the first meeting
-                period = len(dims) - met[pos]
-                while len(dims) <= cap:
-                    dims.append(dims[-period])
-                return dims
+                return dims, len(dims) - met[pos]
             met[pos] = len(dims)
         dims.append(d)
         if d == 0 or len(dims) > cap:
@@ -422,16 +414,28 @@ def resolution_dims(algebra, module, cap=30):
     if dims[-1] == 0:
         for pos, at in met.items():
             known[pos] = dims[at:]
-    return dims[:cap + 1]
+    return dims[:cap + 1], 0
+
+
+def resolution_dims(algebra, module, cap=30):
+    """Dimensions of the iterated syzygies, starting with the module itself;
+    stops at zero or after cap steps.  A syzygy of dimension 1 is a simple,
+    and a simple met twice makes the walk periodic up to the cap."""
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    dims, period = _walk(algebra, module, cap)
+    while period and len(dims) <= cap:
+        dims.append(dims[-period])
+    return dims
 
 
 def pd_over(algebra, module, cap=30):
     """Projective dimension by explicit minimal resolutions; OverCap(cap)
-    when the resolution has not terminated after cap syzygies."""
+    when the resolution is periodic or runs past cap syzygies."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    dims = resolution_dims(algebra, module, cap + 1)
-    if dims[-1]:
+    dims, period = _walk(algebra, module, cap + 1)
+    if period or dims[-1]:
         return OverCap(cap)
     # dims ends with the first zero syzygy; the zero module has pd 0
     return max(len(dims) - 2, 0)
@@ -456,10 +460,7 @@ def drop_check(alg, cap=30):
     gl = gldim(alg)
     if gl == INF:
         raise ValueError("global dimension must be finite")
-    t = canonical_tilting(alg)
-    if t is None:
-        raise ValueError("no canonical tilting module: dominant dimension < 2")
-    return _drop_record(gl, gldim_over(end_algebra(alg, t), cap),
+    return _drop_record(gl, gldim_over(end_algebra(alg, _tilting(alg)), cap),
                         pd_tau_tilting(alg))
 
 
@@ -493,10 +494,7 @@ def mueller_domdim(alg, x):
     of the maximal initial run of vanishing Ext^i(x, x), infinite when the
     vanishing persists around every syzygy cycle.
     """
-    if isinstance(x, Uniserial):
-        x = ModuleSum.of([x])
-    if not x.is_basic():
-        raise ValueError("summands must be multiplicity-free")
+    x = basic_sum(x)
     have = set(x.summands)
     for i in range(1, alg.n + 1):
         if projective(alg, i) not in have or injective(alg, i) not in have:
@@ -510,46 +508,24 @@ def mueller_domdim(alg, x):
 
 
 def module_endomorphisms(algebra, module):
-    """Dimension of the endomorphism ring of a module, by solving the
-    commutant equations blockwise over the idempotent decomposition."""
-    nblocks = len(algebra.summands)
-    blocks = [[] for _ in range(nblocks)]
+    """dim Hom(M, M) by linalg.intertwiner_system: a vertex per summand block
+    of X, and an arrow per basis map, from the block it ends at into the
+    block it starts at (its action on M)."""
+    blocks = [[] for _ in algebra.summands]
     for j in range(module.dim):
         blocks[module.block_of(j)].append(j)
     sizes = [len(b) for b in blocks]
-    offs = []
-    total = 0
-    for s in sizes:
-        offs.append(total)
-        total += s * s
-    if total == 0:
-        return 0
-    pos_in_block = {}
-    for bi, members in enumerate(blocks):
-        for p, j in enumerate(members):
-            pos_in_block[j] = p
-
-    rows = []
+    pos_in_block = {j: p for members in blocks for p, j in enumerate(members)}
+    arrows = []
     for gi in range(algebra.dim):
         s, t = algebra.source_pos[gi], algebra.target_pos[gi]
-        # the action of g maps block t into block s
         act = [[0] * sizes[t] for _ in range(sizes[s])]
-        col = module.cols[gi]
         for j in blocks[t]:
-            tgt = col[j]
+            tgt = module.cols[gi][j]
             if tgt is not None:
                 act[pos_in_block[tgt]][pos_in_block[j]] = 1
-        for r in range(sizes[s]):
-            for c in range(sizes[t]):
-                row = [0] * total
-                for k in range(sizes[s]):
-                    if act[k][c]:
-                        row[offs[s] + r * sizes[s] + k] += act[k][c]
-                for k in range(sizes[t]):
-                    if act[r][k]:
-                        row[offs[t] + k * sizes[t] + c] -= act[r][k]
-                if any(row):
-                    rows.append(row)
+        arrows.append((t, s, act, act))
+    rows, total = intertwiner_system(sizes, sizes, arrows)
     return total - rank(rows)
 
 
@@ -557,9 +533,7 @@ def projdim_key_check(alg, m, cap=30):
     """Whether pd over End(T) of Hom(T, m) equals pd(m) - 1, for the
     canonical tilting module T and m covered by a projective-injective.
     None when the resolution overran the cap."""
-    t = canonical_tilting(alg)
-    if t is None:
-        raise ValueError("no canonical tilting module: dominant dimension < 2")
+    t = _tilting(alg)
     if not is_injective(alg, projective(alg, m.top)):
         raise ValueError("module is not generated by the projective-injectives")
     p = pdim(alg, m)

@@ -8,7 +8,8 @@ Gauss-Jordan reduction (`_rref_int`) then does all the work, read four ways:
 `pivot_columns` and `rank` read its pivots, `reduced_kernel` and
 `kernel_basis` its kernel, and `solve` the kernel vector of [mat | rhs] at
 the right-hand column.  Every intermediate value is an integer.  Sizes reach
-hundreds of rows and columns; exactness is the point.
+hundreds of rows and columns; exactness is the point.  `intertwiner_system`
+writes the Hom equations whose rank the oracle and End(X) modules read.
 """
 
 from fractions import Fraction
@@ -125,6 +126,33 @@ def solve(mat, rhs):
     v = reduced_kernel([list(row) + [b] for row, b in zip(mat, rhs)],
                        n + 1)[2].get(n)
     return None if v is None else [Fraction(-x, v[n]) for x in v[:n]]
+
+
+def intertwiner_system(m_dims, n_dims, arrows):
+    """(rows, number of variables) of f_w a_M = a_N f_v, which cut Hom(M, N)
+    out of prod_v Hom(M_v, N_v) (ASS I, III.1); dim Hom is variables minus
+    rank.  arrows holds (v, w, a_M, a_N) per arrow v -> w, 0-based, and f_v
+    is an n_dims[v] x m_dims[v] block, row-major, blocks in vertex order."""
+    offs = [0]
+    for a, b in zip(m_dims, n_dims):
+        offs.append(offs[-1] + a * b)
+    total = offs[-1]
+    rows = []
+    for v, w, ma, na in arrows:
+        mv, mw = m_dims[v], m_dims[w]
+        # one equation per (row r of N_w, column c of M_v)
+        for r in range(n_dims[w]):
+            for c in range(mv):
+                row = [0] * total
+                for s in range(mw):
+                    if ma[s][c]:
+                        row[offs[w] + r * mw + s] += ma[s][c]
+                for t in range(n_dims[v]):
+                    if na[r][t]:
+                        row[offs[v] + t * mv + c] -= na[r][t]
+                if any(row):
+                    rows.append(row)
+    return rows, total
 
 
 def mat_mul(a, b):

@@ -30,7 +30,7 @@ IV.2).  It only relabels vertices and shares no formula with homology.py.
 """
 
 from .core import Uniserial
-from .linalg import kernel_basis, mat_mul, rank, solve
+from .linalg import intertwiner_system, kernel_basis, mat_mul, rank, solve
 
 
 class _Quiver:
@@ -105,38 +105,14 @@ def _rep(q, alg, u):
     return rep
 
 
-def _intertwiner_system(m_rep, n_rep):
-    """Rows of the linear system cutting out Hom(M, N) inside prod Hom(M_v, N_v)."""
-    md, nd = m_rep.dims, n_rep.dims
-    # f_v is an nd[v-1] x md[v-1] block of variables, row-major from offs[v-1]
-    offs = [0]
-    for a, b in zip(md, nd):
-        offs.append(offs[-1] + a * b)
-    total = offs[-1]
-    rows = []
-    for v, w in m_rep.quiver.arrows:
-        ma, na = m_rep.mats[v], n_rep.mats[v]
-        # f_w @ M(a) - N(a) @ f_v = 0, one equation per (row in N_w, col in M_v)
-        for r in range(nd[w - 1]):
-            for c in range(md[v - 1]):
-                row = [0] * total
-                for s in range(md[w - 1]):
-                    if ma[s][c]:
-                        row[offs[w - 1] + r * md[w - 1] + s] += ma[s][c]
-                for t in range(nd[v - 1]):
-                    if na[r][t]:
-                        row[offs[v - 1] + t * md[v - 1] + c] -= na[r][t]
-                if any(row):
-                    rows.append(row)
-    return rows, total
-
-
 def _hom(m_rep, n_rep):
     """dim Hom(M, N): variables minus the rank of the intertwiner system."""
     homs = m_rep.quiver.homs
     d = homs.get((m_rep, n_rep))
     if d is None:
-        rows, total = _intertwiner_system(m_rep, n_rep)
+        rows, total = intertwiner_system(m_rep.dims, n_rep.dims, [
+            (v - 1, w - 1, m_rep.mats[v], n_rep.mats[v])
+            for v, w in m_rep.quiver.arrows])
         d = homs[m_rep, n_rep] = total - rank(rows) if total else 0
     return d
 

@@ -22,6 +22,7 @@ from .core import (
     INF,
     ModuleSum,
     Uniserial,
+    basic_sum,
     dim_json,
     dual,
     format_module,
@@ -147,6 +148,14 @@ def canonical_tilting(alg):
     return ModuleSum.of(parts)
 
 
+def _tilting(alg):
+    """The canonical tilting module; ValueError when domdim < 2."""
+    t = canonical_tilting(alg)
+    if t is None:
+        raise ValueError("no canonical tilting module: dominant dimension < 2")
+    return t
+
+
 def canonical_cotilting(alg):
     """The distinguished cotilting module, or None when domdim < 2: the dual
     of the canonical tilting module of the opposite (domdim is symmetric)."""
@@ -160,8 +169,7 @@ def _verify(alg, m, dim):
     ordered pairs, and the number of summands is n, tested in that order."""
     if not isinstance(m, ModuleSum):
         raise ValueError("expected a ModuleSum")
-    if not m.is_basic():
-        raise ValueError("summands must be multiplicity-free")
+    basic_sum(m)
     if dim(alg, m) > 1:
         return False
     if any(ext_dim(alg, u, v, 1) != 0 for u in m for v in m):
@@ -276,10 +284,7 @@ def _classify(alg):
 def pd_tau_tilting(alg):
     """max pd of tau(u) over the non-projective summands of the canonical
     tilting module; 0 when every summand is projective."""
-    t = canonical_tilting(alg)
-    if t is None:
-        raise ValueError("no canonical tilting module: dominant dimension < 2")
-    return pdim(alg, [tau(alg, u) for u in t if not is_projective(alg, u)])
+    return pdim(alg, [tau(alg, u) for u in _tilting(alg) if not is_projective(alg, u)])
 
 
 def gldim_drop_conditions(alg):
@@ -294,9 +299,7 @@ def gldim_drop_conditions(alg):
     d = gldim(alg)
     if d == INF:
         raise ValueError("global dimension must be finite")
-    t = canonical_tilting(alg)
-    if t is None:
-        raise ValueError("no canonical tilting module: dominant dimension < 2")
+    t = _tilting(alg)
     keys = ("pd", "ext", "cover", "nu")
     if d == 0:
         return dict.fromkeys(keys, True)

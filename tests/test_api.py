@@ -37,3 +37,28 @@ def test_no_module_imports_a_name_it_never_uses():
             unused += ["%s:%d %s" % (path.name, node.lineno, name)
                        for name in names if name not in used]
     assert unused == []
+
+
+def _package_imports(name):
+    """The package modules that src/nakayama/<name> imports from ("" for the
+    package itself), relative or absolute."""
+    tree = ast.parse((Path(nakayama.__file__).parent / name).read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "nakayama." * bool(node.level) + (node.module or "")
+            paths = [base.rstrip(".") + "." + a.name for a in node.names]
+        else:
+            continue
+        out |= {(p + ".").split(".")[1] for p in paths
+                if p.split(".")[0] == "nakayama"}
+    return out
+
+
+def test_oracle_shares_only_core_and_linalg_with_the_package():
+    # the oracle is an independent cross-check of homology's counts, and
+    # linalg sits under every layer
+    assert _package_imports("oracle.py") == {"core", "linalg"}
+    assert _package_imports("linalg.py") == set()

@@ -6,6 +6,7 @@ from nakayama.core import (
     AdmissibleSequence,
     ModuleSum,
     Uniserial,
+    basic_sum,
     dim_json,
     format_algebra,
     format_module,
@@ -244,3 +245,13 @@ def test_infinity_ordering():
     assert max(3, INF) == INF
     assert INF + 1 == INF and 1 + INF == INF
     assert dim_json(INF) == "inf" and dim_json(4) == 4
+
+
+def test_basic_sum_reads_every_module_argument_one_way():
+    u = Uniserial(2, 3)
+    assert basic_sum(None) == ModuleSum(())
+    assert basic_sum(u) == ModuleSum.of([u])
+    m = ModuleSum.of([u, Uniserial(1, 1)])
+    assert basic_sum(m) is m
+    with pytest.raises(ValueError, match="multiplicity-free"):
+        basic_sum(ModuleSum.of([u, u]))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from nakayama.core import (
     ModuleSum,
     Uniserial,
     format_algebra,
+    format_module,
+    indecomposables,
     injective,
     is_injective,
     projective,
@@ -965,3 +968,36 @@ def test_module_endomorphisms_of_tilting_columns():
     # End over B_C of the full column module Hom(T_C, T_C) is B_C itself
     b = end_algebra(SHARP, canonical_tilting(SHARP))
     assert module_endomorphisms(b, regular_module(b)) == b.dim
+
+
+def test_module_endomorphisms_digest():
+    # dim End over B = End(T) of Hom(T, M) for every indecomposable M over the
+    # 90 tilting algebras of grid_algebras(4, 6), in grid order; pinned before
+    # the equations moved into linalg.intertwiner_system
+    vals = []
+    for alg in grid_algebras(4, 6):
+        t = canonical_tilting(alg)
+        if t is None:
+            continue
+        b = end_algebra(alg, t)
+        vals += [(format_algebra(alg), format_module(m),
+                  module_endomorphisms(b, hom_module(b, m)))
+                 for m in indecomposables(alg)]
+    assert len(vals) == 1199
+    assert hashlib.sha256(repr(vals).encode()).hexdigest()[:16] == "39e39fe560ceb76e"
+
+
+def test_a_periodic_walk_costs_nothing_per_step_of_the_cap():
+    # every simple of End(T) of cyclic:3,3 is periodic; pd_over answers from
+    # the period, and only resolution_dims repeats it up to the cap
+    alg = AdmissibleSequence("cyclic", (3, 3))
+    b = end_algebra(alg, canonical_tilting(alg))
+    tracemalloc.start()
+    try:
+        assert gldim_over(b, 10**5) == OverCap(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    dims = resolution_dims(b, simple_modules(b)[0], 40)
+    assert len(dims) == 41 and all(dims)

@@ -4,14 +4,18 @@ linalg eliminates only in integers: a Fraction row is first scaled by the lcm
 of its denominators.  rank, pivot_columns, kernel_basis and solve must agree
 with the reference on int and Fraction input alike, kernel_basis must return
 exactly the vectors of reduced_kernel, and a Fraction matrix must give the
-same answers as its row-scaled integer copy.
+same answers as its row-scaled integer copy.  intertwiner_system is checked
+by hand on the three indecomposables of linear:1,2.
 """
 
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
+from nakayama.core import parse_module, validate
+from nakayama.homology import hom_dim
 from nakayama.linalg import (
+    intertwiner_system,
     kernel_basis,
     pivot_columns,
     rank,
@@ -193,3 +197,29 @@ def test_fraction_rows_with_an_integer_sum_are_scaled():
         assert (red, pivots, kernel) == reduced_kernel(ints, n)
         assert all(type(x) is int for row in red for x in row)
         assert all(type(x) is int for v in kernel.values() for x in v)
+
+
+def test_intertwiner_system_by_hand_on_linear_1_2():
+    # linear:1,2 has one arrow 2 -> 1, as 0-based vertices (1, 0); each
+    # indecomposable is (dims at vertices 1 and 2, its arrow matrix, which
+    # is dims[0] x dims[1])
+    reps = {"M(1,1)": ([1, 0], [[]]), "M(2,1)": ([0, 1], []),
+            "M(2,2)": ([1, 1], [[1]])}
+    # (rows, variables): f_0 a_M = a_N f_1 with f_v an n_v x m_v block
+    want = {
+        ("M(2,2)", "M(2,2)"): ([[1, -1]], 2),   # f_0 = f_1
+        ("M(2,2)", "M(1,1)"): ([[1]], 1),       # f_0 = 0: the top is S_2
+        ("M(2,1)", "M(2,2)"): ([[-1]], 1),      # f_1 = 0: the socle is S_1
+        ("M(2,2)", "M(2,1)"): ([], 1),
+        ("M(1,1)", "M(2,2)"): ([], 1),
+        ("M(1,1)", "M(1,1)"): ([], 1),
+        ("M(2,1)", "M(2,1)"): ([], 1),
+        ("M(1,1)", "M(2,1)"): ([], 0),
+        ("M(2,1)", "M(1,1)"): ([], 0),
+    }
+    alg = validate("linear", [1, 2])
+    for (m, n), (rows, total) in want.items():
+        (m_dims, a_m), (n_dims, a_n) = reps[m], reps[n]
+        assert intertwiner_system(m_dims, n_dims, [(1, 0, a_m, a_n)]) == (rows, total)
+        assert total - rank(rows) == hom_dim(
+            alg, parse_module(alg, m), parse_module(alg, n))

@@ -13,12 +13,11 @@ import random
 from nakayama.checks import grid_algebras
 from nakayama.core import indecomposables, is_projective, projective, validate
 from nakayama.homology import ext_dim, hom_dim, syzygy
-from nakayama.linalg import kernel_basis, mat_mul, rank
+from nakayama.linalg import intertwiner_system, kernel_basis, mat_mul, rank
 from nakayama.oracle import (
     MatrixRep,
     oracle_ext1_dim,
     oracle_hom_dim,
-    _intertwiner_system,
     _presentation,
     _quiver,
     _rep,
@@ -37,6 +36,12 @@ EXHAUSTIVE = [
 ]
 
 
+def _system(m_rep, n_rep):
+    """The intertwiner system of Hom(M, N) for two representations on one quiver."""
+    return intertwiner_system(m_rep.dims, n_rep.dims, [
+        (v - 1, w - 1, m_rep.mats[v], n_rep.mats[v]) for v, w in m_rep.quiver.arrows])
+
+
 def _reference_ext1(alg, u, v):
     """dim Ext^1(u, v) as coker(Hom(P_0, N) -> Hom(K, N)) for the explicit
     presentation 0 -> K -> P_0 -> u -> 0."""
@@ -45,11 +50,11 @@ def _reference_ext1(alg, u, v):
     q = _quiver(alg)
     k_rep, incl = _presentation(q, alg, u, alg.c[u.top - 1])[:2]
     n_rep = _rep(q, alg, v)
-    rows, total = _intertwiner_system(k_rep, n_rep)
+    rows, total = _system(k_rep, n_rep)
     hom_kn = total - rank(rows) if total else 0
     if hom_kn == 0:
         return 0
-    rows, total = _intertwiner_system(_rep(q, alg, projective(alg, u.top)), n_rep)
+    rows, total = _system(_rep(q, alg, projective(alg, u.top)), n_rep)
     basis = kernel_basis(rows, total) if total else []
     res_rows = []
     for f in basis:

@@ -414,6 +414,19 @@ def test_cli_oracle_grid_beyond_every_algebra_fails(capsys, argv):
     assert "ext^1 dimension matches matrix oracle: FAIL (nothing checked)" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--cyclic", "2,2", "--n-max", "1", "--c-max", "1"],
+    ["oracle", "--cyclic", "2,2", "--n-max", "4"],
+    ["oracle", "--linear", "1,2", "--c-max", "6"],
+])
+def test_cli_oracle_rejects_grid_flags_with_an_algebra(capsys, argv):
+    # cyclic:2,2 lies outside the grid n <= 1, c <= 1; one algebra has no grid
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--n-max" in err and "--c-max" in err
+
+
 def test_cli_oracle_single_names_the_mismatched_pair(capsys, monkeypatch):
     from nakayama import checks
     hom = checks.oracle_hom_dim
