@@ -141,14 +141,17 @@ def grid_algebras(n_max, c_max):
     return out
 
 
-def random_algebras(count, n_max, c_max, seed):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
+def _draws(rng, n_max, c_max):
+    """Random algebras from rng, without end: each draws a kind, then n in
+    1..n_max, then the sequence by random_algebra."""
+    while True:
         kind = rng.choice(("cyclic", "linear"))
-        n = rng.randint(1, n_max)
-        out.append(random_algebra(rng, kind, n, c_max))
-    return out
+        yield random_algebra(rng, kind, rng.randint(1, n_max), c_max)
+
+
+def random_algebras(count, n_max, c_max, seed):
+    draws = _draws(random.Random(seed), n_max, c_max)
+    return [next(draws) for _ in range(count)]
 
 
 def _tilting_flags(alg):
@@ -162,8 +165,7 @@ def _tilting_flags(alg):
     return crit, dd2, bij, into, verified, t
 
 
-def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12,
-                  grid_n_max=5, grid_c_max=7):
+def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12):
     props = {n: PropertyResult(n) for n in (
         "criterion equals domdim >= 2",
         "criterion equals syzygy bijection",
@@ -175,7 +177,7 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12,
     )}
     # n_max and c_max bound every algebra checked: the samples, the grid
     # slice and the exhaustive slice below
-    algebras = grid_algebras(min(grid_n_max, n_max), min(grid_c_max, c_max))
+    algebras = grid_algebras(min(5, n_max), min(7, c_max))
     algebras += random_algebras(samples, n_max, c_max, seed)
     for alg in algebras:
         crit, dd2, bij, into, verified, t = _tilting_flags(alg)
@@ -364,14 +366,11 @@ def suite_drop(samples=200, seed=42, cap=30, n_max=6, c_max=8):
     agree = PropertyResult("the four drop conditions agree")
     algebras = [a for a in grid_algebras(4, 5)
                 if gldim(a) != INF and tilting_criterion(a)]
-    rng = random.Random(seed)
     seen = {(a.kind, a.c) for a in algebras}
     target = len(algebras) + samples
-    tries = 0
-    while len(algebras) < target and tries < samples * 200:
-        tries += 1
-        kind = rng.choice(("cyclic", "linear"))
-        alg = random_algebra(rng, kind, rng.randint(1, n_max), c_max)
+    for tries, alg in enumerate(_draws(random.Random(seed), n_max, c_max)):
+        if len(algebras) >= target or tries >= samples * 200:
+            break
         if (alg.kind, alg.c) in seen:
             continue
         if gldim(alg) == INF or not tilting_criterion(alg):
@@ -513,10 +512,9 @@ def suite_it(samples=1000, seed=42, n_max=6, c_max=8):
     base.record(
         igusa_todorov(c22, ModuleSum.of(simples(c22))) == (0, 0), "cyclic:2,2")
     rng = random.Random(seed)
-    done = 0
-    while done < samples:
-        kind = rng.choice(("cyclic", "linear"))
-        alg = random_algebra(rng, kind, rng.randint(1, n_max), c_max)
+    for alg in _draws(rng, n_max, c_max):
+        if match.checked >= samples:
+            break
         finite = [u for u in indecomposables(alg) if pdim(alg, u) != INF]
         if not finite:
             continue
@@ -525,7 +523,6 @@ def suite_it(samples=1000, seed=42, n_max=6, c_max=8):
         p = max(pdim(alg, u) for u in m)
         match.record(igusa_todorov(alg, m) == (p, p),
                      "%s %s" % (format_algebra(alg), m))
-        done += 1
     return SuiteReport("it", [match, base])
 
 
@@ -561,11 +558,11 @@ def run_suite(name, **params):
     unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise ValueError("suite %s takes no flag %s; it accepts: %s" % (
-            name, ", ".join(map(flag, unknown)),
-            ", ".join(flag(p) for p in accepted if p in CHECK_FLAGS)))
-    if "samples" in accepted:
-        for p, low in SAMPLED_MINIMA.items():
-            if params.get(p, low) < low:
-                raise ValueError("suite %s needs %s >= %d, got %d" % (
-                    name, flag(p), low, params[p]))
+            name, ", ".join(map(flag, unknown)), ", ".join(map(flag, accepted))))
+    # checked before any work, and a resolution over End(T) takes a step
+    minima = dict(SAMPLED_MINIMA if "samples" in accepted else {}, cap=1)
+    for p, low in minima.items():
+        if params.get(p, low) < low:
+            raise ValueError("suite %s needs %s >= %d, got %d" % (
+                name, flag(p), low, params[p]))
     return suite(**params)

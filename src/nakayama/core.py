@@ -359,13 +359,27 @@ class ModuleSum:
         return " + ".join(format_module(u) for u in self.summands) or "0"
 
 
-def basic_sum(m):
-    """A module argument as a ModuleSum: None is the empty sum and a
-    Uniserial one summand; repeated summands raise ValueError."""
+def summands(m):
+    """The summands of a module argument: None is the zero module, a
+    Uniserial one summand, and a ModuleSum, list or tuple its own
+    (elements unchecked); anything else raises ValueError."""
+    if isinstance(m, Uniserial):
+        return (m,)
+    if isinstance(m, ModuleSum):
+        return m.summands
+    if isinstance(m, (list, tuple)):
+        return m
     if m is None:
-        m = ModuleSum(())
-    elif isinstance(m, Uniserial):
-        m = ModuleSum.of([m])
+        return ()
+    raise ValueError("expected a module or a sum of modules, got %s %r"
+                     % (type(m).__name__, m))
+
+
+def basic_sum(m):
+    """A module argument as a ModuleSum, read by summands (a ModuleSum is
+    returned as is); repeated summands raise ValueError."""
+    if not isinstance(m, ModuleSum):
+        m = ModuleSum(summands(m))
     if not m.is_basic():
         raise ValueError("summands must be multiplicity-free")
     return m

@@ -7,37 +7,25 @@ below are left modules via g . phi = phi after g.  Products of canonical
 maps are canonical or zero, so every structure constant is 0 or 1 and module
 actions are column maps (each basis vector goes to a basis vector or to 0).
 
-The basis is indexed by summand block once, at construction: into[pos]
-lists the basis maps that end at summand pos, and since the basis runs over
-pairs of summands source first, the maps that start at pos form the
-contiguous range source_range[pos].  Resolution steps and the pattern check
-read this index rather than scanning all dim End maps for the few that
-matter.
+The basis runs over pairs of summands, source first: into[pos] lists the
+basis maps that end at summand pos, and source_range[pos] is the contiguous
+range of those that start there.
 
 Construction checks only the inputs, each module's unit decomposition and
-the pattern of each table: zero off composable pairs (a C-level count of
-None outside each row's source range), and each product or action running
-from the first source to the last target.  Associativity, two-sided units
-and the module axioms are checked by the `endo` suite
-(checks.broken_module_axiom), not here: a nonzero product of canonical maps
-is the canonical map of image length f.k + g.k - len(middle), and that sum
-is associative, while a wrong composite already fails the basis lookup.
+the pattern of each table: zero off composable pairs, and each product or
+action running from the first source to the last target.  Associativity,
+units and the module axioms are checked by the `endo` suite
+(checks.broken_module_axiom): products add image lengths, which is
+associative, and a wrong composite already fails the basis lookup.
 
-Resolutions carry each module action as sparse columns: the action of the
-i-th basis element is a list whose entry j is the image of basis vector j as
-{row: coefficient}, with zeros not stored ({} for a zero image), so a syzygy
-step costs the nonzero entries, not dim End * dim M^2.  A map acts as zero
-unless it ends in a block the module occupies, so a step visits only the
-maps into the blocks that the module and its cover kernel occupy; every
-other map shares one zero action row.  Shared rows are read-only: nothing
-here mutates an action row or column once built.  A step stores a
-coordinate as an int unless it is non-integral.
-
-Each simple is resolved once per algebra: End(X) is basic, so a syzygy of
-dimension 1 is a simple, and a minimal resolution is unique up to
-isomorphism (ASS I, I.5 and III.2), so its syzygy dimensions are stored.
-
-All ranks and kernels are exact rational computations.
+Resolutions carry each module action as sparse columns: entry j of the i-th
+action is the image of basis vector j as {row: coefficient}, zeros not
+stored ({} for a zero image).  A map acts as zero unless it ends in a block
+the module occupies, and all such maps share one zero row.  Shared rows are
+read-only: nothing here mutates an action row or column once built.
+End(X) is basic and minimal resolutions are unique up to isomorphism
+(ASS I, I.5 and III.2), so a syzygy of dimension 1 is a simple whose
+resolution is stored once per algebra.  Ranks and kernels are exact.
 """
 
 from fractions import Fraction
@@ -51,13 +39,13 @@ from .core import (
     projective,
 )
 from .homology import (
+    _first_syzygy,
     compose,
     ext_dim,
     gldim,
     hom_basis,
     identity_hom,
     pdim,
-    syzygy,
 )
 from .linalg import (
     intertwiner_system,
@@ -473,20 +461,6 @@ def _drop_record(gl, glb, pdt):
     return {"gldim": gl, "gldim_endo": glb, "pd_tau": pdt, "holds": holds}
 
 
-def _first_nonvanishing_ext(alg, a, b):
-    """Least i >= 1 with Ext^i(a, b) nonzero, INF if none (cycle-detected)."""
-    w = a
-    seen = set()
-    i = 1
-    while w is not None and w not in seen:
-        seen.add(w)
-        if ext_dim(alg, w, b, 1) != 0:
-            return i
-        w = syzygy(alg, w)
-        i += 1
-    return INF
-
-
 def mueller_domdim(alg, x):
     """Dominant dimension of End(x) via the Ext-vanishing run of x.
 
@@ -500,11 +474,10 @@ def mueller_domdim(alg, x):
         if projective(alg, i) not in have or injective(alg, i) not in have:
             raise ValueError("generator-cogenerator required: "
                              "every projective and injective must appear")
-    first = INF
-    for a in x:
-        for b in x:
-            first = min(first, _first_nonvanishing_ext(alg, a, b))
-    return 2 + (first - 1) if first != INF else INF
+    # Ext^i(a, b) = Ext^1(Omega^(i-1) a, b), so the run of vanishing
+    # Ext^i(a, b), i >= 1, is the least i >= 0 with Ext^1(Omega^i a, b) != 0
+    return 2 + min(_first_syzygy(alg, a, lambda w: ext_dim(alg, w, b, 1) != 0)
+                   for a in x for b in x)
 
 
 def module_endomorphisms(algebra, module):

@@ -6,29 +6,16 @@ which must satisfy k = top(u) - top(v) + len(v) modulo n (exactly, in the
 linear case) and 1 <= k <= min(len u, len v).  These canonical maps form a
 basis of the Hom space, and compositions of canonical maps are canonical with
 structure constant 1 (or zero), so all Hom/Ext arithmetic is integral.
+_hom_count counts the image lengths in one step and hom_basis lists them,
+two derivations of the same number.  The counting layer works on
+(top, length) ints; a Uniserial is built only where a public function
+returns one.
 
-The counting layer works on plain ints, not on Uniserial objects: one
-private count, _hom_count(n, cyclic, top_u, len_u, top_v, len_v), serves
-hom_dim and each of the three Hom terms of ext_dim.  It counts the
-admissible image lengths in one arithmetic step, while hom_basis lists them
-from the first one (_first_image_length), so the two are separate
-derivations of the same number.  Syzygies are (top, length) pairs from
-_syzygy_pair, and a Uniserial is built only where a public function returns
-one.
-
-Projective dimensions come from one walker, _walk_dims: it follows the
-syzygy recursion (i, l) -> (i-l, c_i-l) on (top, length) pairs until a
-projective is reached, sharing results along each path; a pair revisited on
-its own path means an infinite resolution.  Injective dimensions are
-projective dimensions over the opposite algebra, id_A(M) = pd_{A^op}(DM)
-(Assem-Simson-Skowronski I, A.4), so no dimension walk needs an injective
-envelope; the opposite is built once per algebra and kept on it (see
-core.opposite).  pdim and idim walk only the summands they are given and
-return the maximum over them, pdim_table and idim_table all sum(c)
-indecomposables, gldim only the simples and gorenstein_dim only the duals of
-the projectives on each side.  Dominant dimension is read the same way: it
-walks the syzygies of the dual over the opposite while each cover is
-injective there, so only cosyzygy still asks for an injective envelope.
+Injective and dominant dimensions are read over the opposite algebra through
+the duality D (core.dual): id_A(M) = pd_{A^op}(DM) (Assem-Simson-Skowronski
+I, A.4), and the coresolution that domdim counts is the dual of the
+resolution of DM there.  So no dimension walk needs an injective envelope;
+only cosyzygy reads one.
 """
 
 from functools import total_ordering
@@ -42,6 +29,7 @@ from .core import (
     opposite,
     projective,
     socle_vertex,
+    summands,
 )
 
 
@@ -165,12 +153,16 @@ def cosyzygy(alg, u):
     return Uniserial(env.top, env.length - u.length)
 
 
-def _summands(m):
-    if m is None:
-        return []
-    if isinstance(m, Uniserial):
-        return [m]
-    return list(m)
+def _first_syzygy(alg, u, test):
+    """Least i >= 0 with test(Omega^i u), or INF when the syzygy walk from u
+    reaches zero or repeats a module first."""
+    seen = set()
+    while u is not None and u not in seen:
+        if test(u):
+            return len(seen)
+        seen.add(u)
+        u = syzygy(alg, u)
+    return INF
 
 
 def _walk_dims(alg, pairs):
@@ -199,7 +191,7 @@ def _walk_dims(alg, pairs):
 
 def pdim(alg, m):
     """Projective dimension of a module or direct sum (0 for the zero module)."""
-    pairs = [(u.top, u.length) for u in _summands(m)]
+    pairs = [(u.top, u.length) for u in summands(m)]
     walk = _walk_dims(alg, pairs)
     return max((walk[w] for w in pairs), default=0)
 
@@ -207,7 +199,7 @@ def pdim(alg, m):
 def idim(alg, m):
     """Injective dimension (0 for the zero module): the projective dimension
     of the dual over the opposite algebra."""
-    return pdim(opposite(alg), [dual(alg, u) for u in _summands(m)])
+    return pdim(opposite(alg), [dual(alg, u) for u in summands(m)])
 
 
 def pdim_table(alg):
@@ -250,16 +242,8 @@ def domdim_module(alg, u):
     repeated module means the resolution stays projective-injective.
     """
     op = opposite(alg)
-    count = 0
-    seen = set()
-    w = dual(alg, u)
-    while w is not None and w not in seen:
-        if op.c_at(w.top + 1) > op.c_at(w.top):
-            return count
-        count += 1
-        seen.add(w)
-        w = syzygy(op, w)
-    return INF
+    return _first_syzygy(op, dual(alg, u),
+                         lambda w: op.c_at(w.top + 1) > op.c_at(w.top))
 
 
 def domdim(alg):

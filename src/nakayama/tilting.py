@@ -4,11 +4,12 @@ Q denotes the direct sum of all indecomposable projective-injective modules.
 The subcategory of interest consists of the modules generated and cogenerated
 by Q; inside it a distinguished tilting module exists precisely when the
 dominant dimension is at least 2, which a purely numerical test on the
-admissible sequence detects.  Membership and the cotilting module are read
-through the duality D onto the opposite algebra (core.dual).  This module
-also provides the classification predicates (selfinjective, Auslander,
-minimal Auslander-Gorenstein, ...), the drop conditions for the global
-dimension of the endomorphism algebra, and the Igusa-Todorov functions.
+admissible sequence detects.  Membership, the cotilting module and its
+verification are read through the duality D onto the opposite algebra
+(core.dual).  This module also provides the classification predicates
+(selfinjective, Auslander, minimal Auslander-Gorenstein, ...), the drop
+conditions for the global dimension of the endomorphism algebra, and the
+Igusa-Todorov functions.
 
 A rotation of a cyclic sequence is a quiver automorphism: it changes no
 invariant and relabels the canonical T and C.  So classify keeps the report
@@ -34,6 +35,7 @@ from .core import (
     projective,
     rotation_normal_form,
     socle_vertex,
+    summands,
     tau,
     tau_inv,
 )
@@ -43,7 +45,6 @@ from .homology import (
     ext_dim,
     gldim,
     gorenstein_dim,
-    idim,
     idim_table,
     pdim,
     syzygy,
@@ -79,12 +80,9 @@ def in_tilting_subcat(alg, m):
     Concretely, each summand u has its top in Q (its cover is injective),
     and D u has its top in Q of the opposite (the envelope of u is projective).
     """
-    if m is None:
-        return True
-    summands = m.summands if isinstance(m, ModuleSum) else (m,)
     q, _ = split_projective_vertices(alg)
     q_op, _ = split_projective_vertices(opposite(alg))
-    return all(u.top in q and dual(alg, u).top in q_op for u in summands)
+    return all(u.top in q and dual(alg, u).top in q_op for u in summands(m))
 
 
 def syzygy_correspondence(alg):
@@ -164,28 +162,25 @@ def canonical_cotilting(alg):
     return None if t is None else ModuleSum.of(dual(op, u) for u in t)
 
 
-def _verify(alg, m, dim):
-    """dim (pdim or idim) <= 1 on every summand, Ext^1 vanishes on all
-    ordered pairs, and the number of summands is n, tested in that order."""
+def verify_tilting(alg, m):
+    """pd <= 1 on every summand, Ext^1 vanishes on all ordered pairs, and
+    the number of summands is n, tested in that order."""
     if not isinstance(m, ModuleSum):
         raise ValueError("expected a ModuleSum")
     basic_sum(m)
-    if dim(alg, m) > 1:
+    if pdim(alg, m) > 1:
         return False
     if any(ext_dim(alg, u, v, 1) != 0 for u in m for v in m):
         return False
     return len(m) == alg.n
 
 
-def verify_tilting(alg, m):
-    """pd <= 1 on every summand, Ext^1 vanishes on all ordered pairs, and
-    the number of summands is n."""
-    return _verify(alg, m, pdim)
-
-
 def verify_cotilting(alg, m):
-    """The same tests as verify_tilting, with id in place of pd."""
-    return _verify(alg, m, idim)
+    """verify_tilting of D m over the opposite: id_A = pd_{A^op} o D, and D
+    turns Ext^1_A(u, v) into Ext^1_{A^op}(D v, D u)."""
+    if not isinstance(m, ModuleSum):
+        raise ValueError("expected a ModuleSum")
+    return verify_tilting(opposite(alg), ModuleSum.of(dual(alg, u) for u in m))
 
 
 class ClassificationReport(namedtuple("ClassificationReport", (
@@ -307,7 +302,7 @@ def gldim_drop_conditions(alg):
     deep = [s for s, i in idim_table(alg).items() if s.length == 1 and i == d]
     tau_parts = [tau(alg, u) for u in t if not is_projective(alg, u)]
 
-    cond_pd = pd_tau_tilting(alg) < d
+    cond_pd = pdim(alg, tau_parts) < d
     cond_ext = all(ext_dim(alg, w, s, d) == 0 for w in tau_parts for s in deep)
 
     cond_cover = True
@@ -339,8 +334,7 @@ def igusa_todorov(alg, m):
     phi is the first step at that eventual size; psi adds the largest finite
     pd over that step's set.
     """
-    summands = m.summands if isinstance(m, ModuleSum) else (m,)
-    state = frozenset(u for u in summands if not is_projective(alg, u))
+    state = frozenset(u for u in summands(m) if not is_projective(alg, u))
     states = []
     while state not in states:
         states.append(state)

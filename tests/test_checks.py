@@ -1,8 +1,13 @@
 """Report plumbing and small-parameter runs of the property suites."""
 
+import hashlib
+import inspect
+
 import pytest
 
 from nakayama.checks import (
+    CHECK_FLAGS,
+    SUITES,
     PropertyResult,
     grid_algebras,
     random_algebras,
@@ -52,16 +57,14 @@ def test_run_suite_rejects_parameters_the_suite_does_not_take(capsys):
 
 
 def test_run_suite_offers_only_flags_that_check_defines(capsys):
-    # the tilting suite's grid bounds are Python parameters with no flag
     assert main("check --suite tilting --cap 2".split()) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("suite tilting takes no flag --cap; "
                    "it accepts: --samples, --seed, --n-max, --c-max\n")
-    # and Python callers can still pass them
-    rep = run_suite("tilting", samples=0, n_max=2, c_max=3,
-                    grid_n_max=2, grid_c_max=3)
-    assert rep.ok
+    # every suite parameter is a flag of `nakayama check`
+    for suite in SUITES.values():
+        assert set(inspect.signature(suite).parameters) <= set(CHECK_FLAGS)
 
 
 def test_grid_algebras_are_valid():
@@ -90,9 +93,16 @@ def test_random_algebras_reproducible():
     assert [x.c for x in random_algebras(20, 5, 8, seed=7)] == a
 
 
+def test_sampled_suites_digest():
+    # taken before the three suites' random draws became one generator
+    reports = [run_suite("tilting", samples=200), run_suite("drop", samples=20),
+               run_suite("it", samples=100)]
+    text = "\n".join(repr(r) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "2f1ef00782fcfbbb"
+
+
 def test_suite_tilting_small_threaded():
-    rep = run_suite("tilting", samples=50, seed=1, n_max=4, c_max=6,
-                    grid_n_max=3, grid_c_max=4)
+    rep = run_suite("tilting", samples=50, seed=1, n_max=4, c_max=6)
     assert rep.suite == "tilting"
     assert rep.ok
     lines = rep.lines()
@@ -209,8 +219,7 @@ def test_tilting_catches_a_non_injective_syzygy_correspondence(monkeypatch):
         return x, omega, bij
 
     monkeypatch.setattr(checks, "syzygy_correspondence", merged)
-    rep = run_suite("tilting", samples=20, seed=1, n_max=4, c_max=6,
-                    grid_n_max=3, grid_c_max=4)
+    rep = run_suite("tilting", samples=20, seed=1, n_max=4, c_max=6)
     into = next(p for p in rep.properties if p.name
                 == "syzygy correspondence maps X injectively into the projectives")
     assert 0 < into.failed < into.checked

@@ -21,6 +21,7 @@ from nakayama.core import (
     parse_module_sum,
     projective,
     socle_vertex,
+    summands,
     tau,
     tau_inv,
     validate,
@@ -255,3 +256,10 @@ def test_basic_sum_reads_every_module_argument_one_way():
     assert basic_sum(m) is m
     with pytest.raises(ValueError, match="multiplicity-free"):
         basic_sum(ModuleSum.of([u, u]))
+    assert basic_sum([Uniserial(1, 1), u]) == basic_sum((u, Uniserial(1, 1))) == m
+    assert summands(None) == () and summands(u) == (u,)
+    assert summands(m) == m.summands and summands([u]) == [u]
+    for bad in ("M(2,3)", 5, {u}):
+        with pytest.raises(ValueError, match="expected a module or a sum of "
+                                             "modules, got %s" % type(bad).__name__):
+            basic_sum(bad)

@@ -59,6 +59,7 @@ from nakayama.linalg import kernel_basis, solve
 from nakayama.tilting import (
     basic_gen_cogen,
     canonical_tilting,
+    in_tilting_subcat,
     projective_injectives,
     tilting_criterion,
 )
@@ -795,6 +796,21 @@ def test_mueller_requires_gen_cogen():
         mueller_domdim(SHARP, canonical_tilting(SHARP))
     with pytest.raises(ValueError):
         mueller_domdim(A2, ModuleSum((Uniserial(2, 2), Uniserial(2, 2))))
+
+
+def test_module_arguments_read_a_list_as_its_sum():
+    x = basic_gen_cogen(SHARP)
+    t = canonical_tilting(SHARP)
+    b = end_algebra(SHARP, x)
+    for as_list in (lambda m: list(reversed(list(m))), tuple):
+        assert end_algebra(SHARP, as_list(x)).json_dict() == b.json_dict()
+        h, g = hom_module(b, t), hom_module(b, as_list(t))
+        assert (h.labels, h.cols) == (g.labels, g.cols)
+        assert mueller_domdim(SHARP, as_list(x)) == mueller_domdim(SHARP, x)
+        assert in_tilting_subcat(SHARP, as_list(t))
+    for call in (end_algebra, mueller_domdim, pdim, lambda _, m: hom_module(b, m)):
+        with pytest.raises(ValueError, match=r"got str 'M\(1,2\)'"):
+            call(SHARP, "M(1,2)")
 
 
 def _all_gen_cogens(alg, cap=64):

@@ -25,6 +25,7 @@ from nakayama.core import (
 )
 from nakayama.homology import (
     HomMap,
+    _first_syzygy,
     compose,
     cosyzygy,
     domdim,
@@ -168,6 +169,27 @@ def test_pdim_infinite_on_syzygy_cycle():
     alg = validate("cyclic", [3, 2, 2, 3, 3])
     assert pdim(alg, make_module(alg, 1, 1)) == INF
     assert gldim(alg) == INF
+
+
+def test_first_syzygy_is_inf_on_walks_that_end_or_repeat():
+    seen = []
+
+    def never(w):
+        seen.append(w)
+        return False
+
+    # S_2 -> S_1 -> M(5,2) -> S_3 -> P_2 -> 0 ends before the test holds
+    s2 = make_module(SHARP, 2, 1)
+    assert _first_syzygy(SHARP, s2, never) == INF
+    assert seen == [s2, make_module(SHARP, 1, 1), make_module(SHARP, 5, 2),
+                    make_module(SHARP, 3, 1), projective(SHARP, 2)]
+    assert _first_syzygy(SHARP, s2, lambda w: w.length == 2) == 2
+    assert _first_syzygy(SHARP, None, lambda w: True) == INF
+    # S_1 over cyclic:3,2,2,3,3 has a periodic walk; it stops at the repeat
+    alg = validate("cyclic", [3, 2, 2, 3, 3])
+    seen.clear()
+    assert _first_syzygy(alg, make_module(alg, 1, 1), never) == INF
+    assert len(set(seen)) == len(seen) > 1 and syzygy(alg, seen[-1]) in seen
 
 
 def test_dimension_tables_match_single_walks():

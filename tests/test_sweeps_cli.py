@@ -358,6 +358,24 @@ def test_cli_check_rejects_flags_below_their_range(suite, capsys):
         run_suite(suite, samples=-1)
 
 
+@pytest.mark.parametrize("suite", ["drop", "endo"])
+def test_cli_check_rejects_a_cap_below_one_before_any_work(suite, capsys,
+                                                         monkeypatch):
+    from nakayama import checks
+
+    def work(*args):
+        raise AssertionError("the suite started")
+
+    # the first work that drop and endo do
+    for name in ("grid_algebras", "end_algebra"):
+        monkeypatch.setattr(checks, name, work)
+    for cap in (0, -3):
+        assert main(["check", "--suite", suite, "--cap", str(cap)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "suite %s needs --cap >= 1, got %d\n" % (suite, cap)
+
+
 def test_cli_check_over_cap_is_a_named_failure(capsys):
     # an End(T) resolution that hits the cap refutes nothing; it still fails,
     # and the witness says the run was undecided

@@ -25,7 +25,17 @@ from nakayama.core import (
     socle_vertex,
     validate,
 )
-from nakayama.homology import domdim, gldim, idim, pdim, pdim_table, syzygy
+from nakayama.endo import mueller_domdim
+from nakayama.homology import (
+    domdim,
+    domdim_module,
+    ext_dim,
+    gldim,
+    idim,
+    pdim,
+    pdim_table,
+    syzygy,
+)
 from nakayama.sweeps import SweepSpec, sweep
 from nakayama.tilting import (
     _classify,
@@ -287,6 +297,73 @@ def test_verify_tilting_frozen():
     # dropping a summand breaks the count condition
     short = ModuleSum.of(list(canonical_tilting(SHARP))[:-1])
     assert not verify_tilting(SHARP, short)
+
+
+def _small_sums(alg):
+    """The canonical T and C that exist, and the first n indecomposables."""
+    mods = indecomposables(alg)
+    sums = [canonical_tilting(alg), canonical_cotilting(alg),
+            ModuleSum.of(mods[:alg.n])]
+    return [m for m in sums if m is not None]
+
+
+def test_cotilting_and_domdim_digest_over_the_n4_grid():
+    # taken while verify_cotilting tested idim over alg, domdim_module and
+    # mueller_domdim walked syzygies each in their own loop
+    rows = [(format_algebra(alg),
+             str(mueller_domdim(alg, basic_gen_cogen(alg))),
+             [str(domdim_module(alg, u)) for u in indecomposables(alg)],
+             [verify_cotilting(alg, m) for m in _small_sums(alg)])
+            for alg in grid_algebras(4, 6)]
+    assert len(rows) == 182
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == \
+        "3e8fac87980829f2"
+
+
+def _cotilting_by_idim(alg, m):
+    """The cotilting test over alg itself: id <= 1 on every summand, Ext^1
+    vanishes on all ordered pairs, and the number of summands is n."""
+    return (idim(alg, m) <= 1
+            and all(ext_dim(alg, u, v, 1) == 0 for u in m for v in m)
+            and len(m) == alg.n)
+
+
+def test_cotilting_through_the_dual_matches_the_idim_test():
+    seen = set()
+    for alg in grid_algebras(4, 6):
+        for m in _small_sums(alg):
+            want = _cotilting_by_idim(alg, m)
+            assert verify_cotilting(alg, m) == want, (alg, m)
+            seen.add(want)
+    assert seen == {True, False}
+    with pytest.raises(ValueError, match="multiplicity-free"):
+        verify_cotilting(SHARP, ModuleSum.of([make_module(SHARP, 1, 1)] * 2))
+    with pytest.raises(ValueError, match="expected a ModuleSum"):
+        verify_cotilting(SHARP, list(canonical_cotilting(SHARP)))
+
+
+def test_tilting_command_builds_t_four_times(monkeypatch, capsys):
+    # T, the opposite's T for C, and one T each for pd tau T and the drop
+    # conditions, which read pd tau T from the same tau parts
+    from nakayama import cli
+    builds, criteria = [], []
+    real_build, real_criterion = canonical_tilting, tilting_criterion
+
+    def build(alg):
+        builds.append(alg)
+        return real_build(alg)
+
+    def criterion(alg):
+        criteria.append(alg)
+        return real_criterion(alg)
+
+    # counted through the command's own bindings as well as the module's
+    for mod in (tilting, cli):
+        monkeypatch.setattr(mod, "canonical_tilting", build)
+        monkeypatch.setattr(mod, "tilting_criterion", criterion, raising=False)
+    assert cli.main(["tilting", "--linear", "1,2,2,2,2"]) == 0
+    assert "criterion: true" in capsys.readouterr().out
+    assert len(builds) == 4 and len(criteria) == 4
 
 
 def test_main_equivalences_on_grid():
