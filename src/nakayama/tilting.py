@@ -74,15 +74,23 @@ def basic_gen_cogen(alg):
     return ModuleSum.of(sorted(mods))
 
 
+def _subcat_split(alg):
+    """(q, p, member): split_projective_vertices(alg) and the membership
+    test of in_tilting_subcat for one indecomposable, from one split of the
+    algebra and one of its opposite."""
+    q, p = split_projective_vertices(alg)
+    q_op, _ = split_projective_vertices(opposite(alg))
+    return q, p, lambda u: u.top in q and dual(alg, u).top in q_op
+
+
 def in_tilting_subcat(alg, m):
     """Whether m is generated and cogenerated by the projective-injectives.
 
     Concretely, each summand u has its top in Q (its cover is injective),
     and D u has its top in Q of the opposite (the envelope of u is projective).
     """
-    q, _ = split_projective_vertices(alg)
-    q_op, _ = split_projective_vertices(opposite(alg))
-    return all(u.top in q and dual(alg, u).top in q_op for u in summands(m))
+    _, _, member = _subcat_split(alg)
+    return all(member(u) for u in summands(m))
 
 
 def syzygy_correspondence(alg):
@@ -97,14 +105,14 @@ def syzygy_correspondence(alg):
     Since c_{j-1} >= c_j - 1, those l form a run 1, 2, ... that ends before n,
     so the cost is O(n^2) whatever the size of the c_i.
     """
-    q, p = split_projective_vertices(alg)
+    q, p, member = _subcat_split(alg)
     x = []
     for i in sorted(q):
         c = alg.c_at(i)
         l = 1
         while l < c and alg.c_at(i - l) == c - l:
             u = Uniserial(i, l)
-            if in_tilting_subcat(alg, u):
+            if member(u):
                 x.append(u)
             l += 1
     omega = {u: syzygy(alg, u) for u in x}

@@ -333,6 +333,39 @@ def test_ext_matches_the_projectivity_checking_walk():
                         (alg, u, v, k)
 
 
+def _ext1_by_restriction(alg, w, v):
+    """dim Ext^1(w, v) from the argument behind ext_dim's count: the
+    canonical maps Omega w -> v less the distinct nonzero restrictions
+    along Omega w in P(top w) of the maps P(top w) -> v."""
+    omega = syzygy(alg, w)
+    if omega is None:
+        return 0
+    cover = projective(alg, w.top)
+    incl = HomMap(omega, cover, omega.length)
+    restricted = {compose(alg, incl, f) for f in hom_basis(alg, cover, v)} - {None}
+    return len(hom_basis(alg, omega, v)) - len(restricted)
+
+
+def test_ext1_matches_the_maps_that_do_not_extend_to_the_cover():
+    pairs = 0
+    for alg in grid_algebras(4, 6):
+        mods = indecomposables(alg)
+        for u in mods:
+            for v in mods:
+                assert ext_dim(alg, u, v, 1) == _ext1_by_restriction(alg, u, v), \
+                    (alg, u, v)
+                pairs += 1
+    assert pairs == 39155
+
+
+def test_ext_rejects_a_negative_degree():
+    alg = validate("cyclic", [2, 2])
+    with pytest.raises(ValueError, match="got -1"):
+        ext_dim(alg, make_module(alg, 1, 1), make_module(alg, 2, 1), -1)
+    with pytest.raises(ValueError, match="got -2"):
+        ext_dim(alg, None, None, -2)
+
+
 def _dual(alg, op, u):
     soc = socle_vertex(alg, u)
     star = op.n + 1 - soc if alg.kind == "linear" else 1 - soc

@@ -119,6 +119,27 @@ def test_syzygy_correspondence_matches_pd_table_definition():
         assert syzygy_correspondence(alg)[0] == want, alg
 
 
+def test_syzygy_correspondence_splits_each_algebra_once(monkeypatch):
+    # one split of the algebra and one of its opposite per call, however
+    # many candidates are tested for membership
+    calls = []
+    real_split = split_projective_vertices
+
+    def split(alg):
+        calls.append(alg)
+        return real_split(alg)
+
+    monkeypatch.setattr(tilting, "split_projective_vertices", split)
+    # each member of X was a candidate tested on its own
+    most_members = 0
+    for alg in grid_algebras(5, 9):
+        calls.clear()
+        x = syzygy_correspondence(alg)[0]
+        assert len(calls) <= 2, (alg, len(calls))
+        most_members = max(most_members, len(x))
+    assert most_members >= 2
+
+
 def test_classification_digest_over_the_n6_grid():
     # classify's outputs up to n = 6; the benchmark's pins stop at n = 5
     rows = [classify(alg).json_dict() for alg in grid_algebras(6, 9)]
