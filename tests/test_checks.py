@@ -101,6 +101,13 @@ def test_sampled_suites_digest():
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "2f1ef00782fcfbbb"
 
 
+def test_structural_and_endo_suites_digest():
+    # taken before the two suites read the split and End(T) once per algebra
+    reports = [run_suite("structural", n_max=4, c_max=6), run_suite("endo")]
+    text = "\n".join(repr(r) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "c41b2deb9772c03a"
+
+
 def test_suite_tilting_small_threaded():
     rep = run_suite("tilting", samples=50, seed=1, n_max=4, c_max=6)
     assert rep.suite == "tilting"
