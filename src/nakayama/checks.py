@@ -26,7 +26,7 @@ from .core import (
 )
 from .endo import (
     OverCap,
-    drop_check,
+    _drop_record,
     end_algebra,
     gldim_over,
     hom_module,
@@ -49,6 +49,7 @@ from .homology import (
 from .oracle import oracle_ext1_dim, oracle_hom_dim
 from .sweeps import generate_sequences, random_algebra
 from .tilting import (
+    _subcat_split,
     basic_gen_cogen,
     canonical_cotilting,
     canonical_tilting,
@@ -56,8 +57,8 @@ from .tilting import (
     gldim_drop_conditions,
     igusa_todorov,
     in_tilting_subcat,
+    pd_tau_tilting,
     projective_injectives,
-    split_projective_vertices,
     syzygy_correspondence,
     tilting_criterion,
     verify_cotilting,
@@ -189,7 +190,7 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12):
         props["criterion equals verified tilting"].record(crit == verified, w)
         if t is not None:
             props["tilting summands lie in the subcategory"].record(
-                all(in_tilting_subcat(alg, u) for u in t), w)
+                in_tilting_subcat(alg, t), w)
             c = canonical_cotilting(alg)
             props["cotilting verifies when tilting exists"].record(
                 verify_cotilting(alg, c), w)
@@ -198,8 +199,9 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12):
     for alg in grid_algebras(min(3, n_max), min(5, c_max)):
         if tilting_criterion(alg):
             continue
+        _, _, member = _subcat_split(alg)
         cands = [u for u in indecomposables(alg)
-                 if in_tilting_subcat(alg, u) and pdim(alg, u) <= 1]
+                 if member(u) and pdim(alg, u) <= 1]
         found = any(
             verify_tilting(alg, ModuleSum.of(combo))
             for combo in combinations(cands, alg.n))
@@ -241,10 +243,9 @@ def suite_oracle(n_max=4, c_max=6):
     return SuiteReport("oracle", [hom_prop, ext_prop])
 
 
-def _in_gen_cogen_of_projective_injectives(alg, u):
-    """Membership in Gen intersect Cogen of the projective-injectives,
+def _in_gen_cogen_of_projective_injectives(alg, u, qs):
+    """Membership in Gen intersect Cogen of the projective-injectives qs,
     tested by exhibiting an explicit quotient and submodule witness."""
-    qs = projective_injectives(alg)
     gen = any(q.top == u.top and q.length >= u.length for q in qs)
     cogen = any(socle_vertex(alg, q) == socle_vertex(alg, u)
                 and q.length >= u.length for q in qs)
@@ -280,7 +281,7 @@ def suite_structural(n_max=5, c_max=7):
         out = []
         w = format_algebra(alg)
         rep = classify(alg)
-        q, split = split_projective_vertices(alg)
+        q, split, member = _subcat_split(alg)
         # injectivity by the envelope, not by the inequality the split reads
         envelopes = {injective(alg, j) for j in range(1, alg.n + 1)}
         out.append((names[11], q == {u.top for u in envelopes
@@ -294,14 +295,14 @@ def suite_structural(n_max=5, c_max=7):
         if not rep.tilting_exists:
             return out
 
-        alt = list(projective_injectives(alg))
-        alt += [cosyzygy(alg, projective(alg, i)) for i in split]
+        qs = [projective(alg, j) for j in sorted(q)]
+        alt = qs + [cosyzygy(alg, projective(alg, i)) for i in split]
         out.append((names[12], rep.t_c == ModuleSum.of(alt), w))
         ok = all(len(m) == alg.n and m.is_basic() for m in (rep.t_c, rep.c_c))
         out.append((names[13], ok, w))
         gl = rep.gldim
         mods = indecomposables(alg)
-        members = [u for u in mods if in_tilting_subcat(alg, u)]
+        members = [u for u in mods if member(u)]
         ids = idim_table(alg) if gl != INF else {}
         if gl != INF and gl >= 1:
             # the bound is empty for semisimple algebras, where every module
@@ -312,23 +313,21 @@ def suite_structural(n_max=5, c_max=7):
         pd_one = [y for y in mods if pdim(alg, y) == 1]
         ok = all(ext_dim(alg, y, x, 1) == 0 for y in pd_one for x in members)
         out.append((names[1], ok, w))
-        ok = all(in_tilting_subcat(alg, u)
-                 == _in_gen_cogen_of_projective_injectives(alg, u)
+        ok = all(member(u) == _in_gen_cogen_of_projective_injectives(alg, u, qs)
                  for u in mods)
         out.append((names[2], ok, w))
         ok = ({u for u in members if is_projective(alg, u)}
               == {u for u in members if u in envelopes})
         out.append((names[3], ok, w))
-        ok = all(
-            in_tilting_subcat(alg, projective(alg, u.top))
-            and in_tilting_subcat(alg, injective(alg, socle_vertex(alg, u)))
-            for u in members)
+        ok = all(member(projective(alg, u.top))
+                 and member(injective(alg, socle_vertex(alg, u)))
+                 for u in members)
         out.append((names[4], ok, w))
         out.append((names[5], rep.domdim == domdim(op), w))
         if gl != INF:
             top = max(ids[projective(alg, i)] for i in range(1, alg.n + 1))
             out.append((names[6], rep.gdim == gl and top == gl, w))
-        x, _, _ = syzygy_correspondence(alg)
+        x = [u for u in members if pdim(alg, u) == 1]
         out.append((names[7], len(q) + len(x) <= alg.n, w))
         out.append((names[8], rep.tilting_cotilting == rep.one_aus_gorenstein, w))
         ok = all(
@@ -380,14 +379,16 @@ def suite_drop(samples=200, seed=42, cap=30, n_max=6, c_max=8):
 
     for alg in algebras:
         w = format_algebra(alg)
-        rec = drop_check(alg, cap)
+        t = canonical_tilting(alg)
+        rec = _drop_record(gldim(alg), gldim_over(end_algebra(alg, t), cap),
+                           pd_tau_tilting(alg, t))
         if rec["holds"] is None:
             holds.record(False, _over_cap(w, cap))
         else:
             holds.record(rec["holds"], w)
             bounds.record(
                 rec["gldim"] - 1 <= rec["gldim_endo"] <= rec["gldim"], w)
-        agree.record(len(set(gldim_drop_conditions(alg).values())) == 1, w)
+        agree.record(len(set(gldim_drop_conditions(alg, t).values())) == 1, w)
     return SuiteReport("drop", [holds, bounds, agree])
 
 
@@ -499,7 +500,7 @@ def suite_endo(seed=42, cap=30):
                 if p == INF or p < 1 or checked_pairs >= 120:
                     continue
                 w = "%s %s" % (format_algebra(alg), format_module(m))
-                ok = projdim_key_check(alg, m, cap)
+                ok = projdim_key_check(b, m, cap)
                 key.record(ok is True, w if ok is not None else _over_cap(w, cap))
                 checked_pairs += 1
     return SuiteReport("endo", [dims, hered, antitone, br, key, radical, axioms])

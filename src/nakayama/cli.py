@@ -114,15 +114,17 @@ def cmd_tilting(args):
         "c_c": None if c is None else list(c),
         "verify_tilting": None if t is None else verify_tilting(alg, t),
         "verify_cotilting": None if c is None else verify_cotilting(alg, c),
-        "pd_tau": None if t is None else pd_tau_tilting(alg),
+        "pd_tau": None if t is None else pd_tau_tilting(alg, t),
         "drop_conditions": None,
     }
     if t is not None and gldim(alg) != INF:
-        record["drop_conditions"] = gldim_drop_conditions(alg)
+        record["drop_conditions"] = gldim_drop_conditions(alg, t)
     return _emit(args, record)
 
 
 def cmd_endo(args):
+    if args.cap < 1:
+        raise ValueError("cap must be positive")
     alg = _algebra_from(args)
     t = _tilting(alg)
     b = end_algebra(alg, t)
@@ -139,7 +141,7 @@ def cmd_endo(args):
     gl = gldim(alg)
     if gl != INF:
         record["drop"] = _drop_record(gl, record["gldim_endo"],
-                                      pd_tau_tilting(alg))
+                                      pd_tau_tilting(alg, t))
     if args.json:
         record["structure_constants"] = b.json_dict()
     return _emit(args, record)

@@ -448,16 +448,14 @@ def drop_check(alg, cap=30):
     gl = gldim(alg)
     if gl == INF:
         raise ValueError("global dimension must be finite")
-    return _drop_record(gl, gldim_over(end_algebra(alg, _tilting(alg)), cap),
-                        pd_tau_tilting(alg))
+    t = _tilting(alg)
+    return _drop_record(gl, gldim_over(end_algebra(alg, t), cap),
+                        pd_tau_tilting(alg, t))
 
 
 def _drop_record(gl, glb, pdt):
     """The drop_check record for gldim gl, gldim of End(T) glb and pd tau pdt."""
-    if isinstance(glb, OverCap):
-        holds = None
-    else:
-        holds = (glb < gl) == (pdt < gl)
+    holds = None if isinstance(glb, OverCap) else (glb < gl) == (pdt < gl)
     return {"gldim": gl, "gldim_endo": glb, "pd_tau": pdt, "holds": holds}
 
 
@@ -502,17 +500,18 @@ def module_endomorphisms(algebra, module):
     return total - rank(rows)
 
 
-def projdim_key_check(alg, m, cap=30):
-    """Whether pd over End(T) of Hom(T, m) equals pd(m) - 1, for the
-    canonical tilting module T and m covered by a projective-injective.
+def projdim_key_check(b, m, cap=30):
+    """Whether pd over b = End(T) of Hom(T, m) equals pd(m) - 1, for the
+    canonical tilting module T of b.alg and m covered by a projective-injective.
     None when the resolution overran the cap."""
-    t = _tilting(alg)
+    alg = b.alg
+    if b.summands != _tilting(alg).summands:
+        raise ValueError("expected End(T) of the canonical tilting module T")
     if not is_injective(alg, projective(alg, m.top)):
         raise ValueError("module is not generated by the projective-injectives")
     p = pdim(alg, m)
     if p == INF or p < 1:
         raise ValueError("projective dimension must be finite and positive")
-    b = end_algebra(alg, t)
     over = pd_over(b, hom_module(b, m), cap)
     if isinstance(over, OverCap):
         return None

@@ -284,14 +284,14 @@ def _classify(alg):
     )
 
 
-def pd_tau_tilting(alg):
+def pd_tau_tilting(alg, t):
     """max pd of tau(u) over the non-projective summands of the canonical
-    tilting module; 0 when every summand is projective."""
-    return pdim(alg, [tau(alg, u) for u in _tilting(alg) if not is_projective(alg, u)])
+    tilting module t; 0 when every summand is projective."""
+    return pdim(alg, [tau(alg, u) for u in t if not is_projective(alg, u)])
 
 
-def gldim_drop_conditions(alg):
-    """Four equivalent tests for gldim End < gldim, evaluated independently.
+def gldim_drop_conditions(alg, t):
+    """Four equivalent tests for gldim End(t) < gldim, evaluated independently.
 
     Keys: 'pd' (pd tau T < d), 'ext' (Ext^d(tau T, S) = 0 for the simples S
     of injective dimension d), 'cover' (tau-inverse of the (d-1)-st cosyzygy
@@ -302,7 +302,6 @@ def gldim_drop_conditions(alg):
     d = gldim(alg)
     if d == INF:
         raise ValueError("global dimension must be finite")
-    t = _tilting(alg)
     keys = ("pd", "ext", "cover", "nu")
     if d == 0:
         return dict.fromkeys(keys, True)

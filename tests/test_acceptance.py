@@ -95,7 +95,7 @@ def test_criterion_02_sharp_example():
     assert domdim(SHARP) == 2
     assert gldim(SHARP) == 4
     assert t == want
-    assert pd_tau_tilting(SHARP) == 4
+    assert pd_tau_tilting(SHARP, t) == 4
     assert rec["gldim_endo"] == 4 and rec["holds"] is True
     assert elapsed < 60.0
 
@@ -124,8 +124,9 @@ def test_criterion_04_radical_square_example():
     t0 = time.monotonic()
     g = gldim(LIN5)
     d = domdim(LIN5)
-    pdt = pd_tau_tilting(LIN5)
-    glb = gldim_over(end_algebra(LIN5, canonical_tilting(LIN5)))
+    t = canonical_tilting(LIN5)
+    pdt = pd_tau_tilting(LIN5, t)
+    glb = gldim_over(end_algebra(LIN5, t))
     elapsed = time.monotonic() - t0
     ok = (g == 4 and d == 4 and pdt == 0 and glb == 3 and elapsed < 30.0)
     _report("4", ok, "rad-square example gldim=%s domdim=%s pd_tau=%s "

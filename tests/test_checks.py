@@ -169,10 +169,11 @@ def test_oracle_witness_names_its_own_kind(monkeypatch):
 def test_drop_bound_violation_is_reported_not_raised(monkeypatch):
     # an End(T) global dimension one above gldim breaks the bound; the
     # property must record it instead of an assert raising out of the suite
-    from nakayama import endo
+    from nakayama import checks, endo
     from nakayama.homology import gldim
-    monkeypatch.setattr(endo, "gldim_over",
-                        lambda algebra, cap=30: gldim(algebra.alg) + 1)
+    for mod in (checks, endo):
+        monkeypatch.setattr(mod, "gldim_over",
+                            lambda algebra, cap=30: gldim(algebra.alg) + 1)
     rep = run_suite("drop", samples=2, seed=3, cap=20, n_max=4, c_max=5)
     bounds = next(p for p in rep.properties
                   if p.name == "endo gldim within one of gldim")
@@ -205,7 +206,7 @@ def test_drop_catches_disagreeing_conditions(monkeypatch):
     from nakayama import checks
     monkeypatch.setattr(
         checks, "gldim_drop_conditions",
-        lambda alg: {"pd": True, "ext": False, "cover": True, "nu": True})
+        lambda alg, t: {"pd": True, "ext": False, "cover": True, "nu": True})
     rep = run_suite("drop", samples=2, seed=3, cap=20, n_max=4, c_max=5)
     agree = next(p for p in rep.properties
                  if p.name == "the four drop conditions agree")
@@ -231,3 +232,42 @@ def test_tilting_catches_a_non_injective_syzygy_correspondence(monkeypatch):
                 == "syzygy correspondence maps X injectively into the projectives")
     assert 0 < into.failed < into.checked
     assert not rep.ok
+
+
+def test_suites_and_endo_command_build_each_object_once(monkeypatch, capsys):
+    # per algebra: at most 6 splits in structural (classify's included, from
+    # an empty rotation table), one T in drop, and one End(T) in endo for
+    # each algebra that reaches it; `nakayama endo` builds T once
+    from nakayama import checks, cli, endo, tilting
+    calls = {}
+
+    def count(name, *mods):
+        real, calls[name] = getattr(mods[0], name), 0
+
+        def counted(*args, _real=real):
+            calls[name] += 1
+            return _real(*args)
+
+        for mod in mods:
+            monkeypatch.setattr(mod, name, counted)
+
+    count("split_projective_vertices", tilting)
+    count("canonical_tilting", tilting, checks, cli)
+    count("end_algebra", endo, checks, cli)
+    monkeypatch.setattr(tilting, "_reports", {})
+
+    def run(*args, **params):
+        calls.update(dict.fromkeys(calls, 0))
+        return run_suite(*args, **params).properties
+
+    run("structural", n_max=4, c_max=6)
+    assert calls["split_projective_vertices"] <= 6 * len(grid_algebras(4, 6))
+    holds = run("drop", samples=5, seed=3, cap=20, n_max=4, c_max=5)[0]
+    assert calls["canonical_tilting"] == calls["end_algebra"] == holds.checked
+    radical = run("endo")[5]
+    assert radical.checked == 33
+    assert calls["end_algebra"] == 1 + radical.checked
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(["endo", "--cyclic", "3,2,3,4,3"]) == 0
+    assert "holds" in capsys.readouterr().out
+    assert calls["canonical_tilting"] == calls["end_algebra"] == 1

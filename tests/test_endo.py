@@ -873,10 +873,10 @@ def test_br_dimension_identity():
 def test_projdim_key_frozen():
     # S_4 is a summand of the canonical tilting module: pd 1 upstairs, 0 over B_C
     assert pdim(SHARP, Uniserial(4, 1)) == 1
-    assert projdim_key_check(SHARP, Uniserial(4, 1)) is True
-    assert pdim(SHARP, Uniserial(1, 2)) == 2
-    assert projdim_key_check(SHARP, Uniserial(1, 2)) is True
     b = end_algebra(SHARP, canonical_tilting(SHARP))
+    assert projdim_key_check(b, Uniserial(4, 1)) is True
+    assert pdim(SHARP, Uniserial(1, 2)) == 2
+    assert projdim_key_check(b, Uniserial(1, 2)) is True
     assert pd_over(b, hom_module(b, Uniserial(1, 2))) == 1
 
 
@@ -891,6 +891,7 @@ def test_projdim_key_across_grid():
                 continue
             if not tilting_criterion(alg) or gldim(alg) == INF:
                 continue
+            b = end_algebra(alg, canonical_tilting(alg))
             for i in range(1, n + 1):
                 if not is_injective(alg, projective(alg, i)):
                     continue
@@ -899,18 +900,24 @@ def test_projdim_key_across_grid():
                     p = pdim(alg, m)
                     if p == INF or p < 1:
                         continue
-                    assert projdim_key_check(alg, m) is True
+                    assert projdim_key_check(b, m) is True
                     checked += 1
     assert checked >= 50
 
 
 def test_projdim_key_preconditions():
+    b = end_algebra(SHARP, canonical_tilting(SHARP))
     with pytest.raises(ValueError):
-        projdim_key_check(SHARP, Uniserial(4, 4))   # projective: pd 0
+        projdim_key_check(b, Uniserial(4, 4))   # projective: pd 0
     with pytest.raises(ValueError):
-        projdim_key_check(SHARP, Uniserial(2, 1))   # cover not injective
+        projdim_key_check(b, Uniserial(2, 1))   # cover not injective
+    no_t = AdmissibleSequence("cyclic", (2, 3, 3))
     with pytest.raises(ValueError):
-        projdim_key_check(AdmissibleSequence("cyclic", (2, 3, 3)), Uniserial(1, 1))
+        projdim_key_check(end_algebra(no_t, basic_gen_cogen(no_t)), Uniserial(1, 1))
+    # End of a module other than the canonical T gives no verdict
+    with pytest.raises(ValueError, match="canonical tilting"):
+        projdim_key_check(end_algebra(SHARP, basic_gen_cogen(SHARP)),
+                          Uniserial(1, 2))
 
 
 def test_envelope_quotient_dimension_bookkeeping():

@@ -322,6 +322,21 @@ def test_cli_endo_over_cap_prints_marker(capsys):
     assert "drop: not applicable" in out
 
 
+def test_cli_endo_rejects_a_bad_cap_before_any_work(capsys, monkeypatch):
+    # the flag is blamed even where the algebra has no tilting module
+    import nakayama.cli
+    import nakayama.tilting
+
+    calls = []
+    for mod, name in ((nakayama.cli, "end_algebra"),
+                      (nakayama.tilting, "canonical_tilting")):
+        monkeypatch.setattr(mod, name, lambda *args, _n=name: calls.append(_n))
+    for algebra in ("3,2,3,4,3", "2,3,3"):
+        assert main(["endo", "--cyclic", algebra, "--cap", "0"]) == 1
+        assert capsys.readouterr() == ("", "cap must be positive\n")
+    assert calls == []
+
+
 def test_cli_endo_requires_tilting(capsys):
     assert main(["endo", "--cyclic", "2,3,3"]) == 1
     assert "dominant dimension" in capsys.readouterr().err

@@ -363,9 +363,9 @@ def test_cotilting_through_the_dual_matches_the_idim_test():
         verify_cotilting(SHARP, list(canonical_cotilting(SHARP)))
 
 
-def test_tilting_command_builds_t_four_times(monkeypatch, capsys):
-    # T, the opposite's T for C, and one T each for pd tau T and the drop
-    # conditions, which read pd tau T from the same tau parts
+def test_tilting_command_builds_t_once_over_each_side(monkeypatch, capsys):
+    # T, and the opposite's T for C; pd tau T and the drop conditions read
+    # the T the command holds
     from nakayama import cli
     builds, criteria = [], []
     real_build, real_criterion = canonical_tilting, tilting_criterion
@@ -384,7 +384,7 @@ def test_tilting_command_builds_t_four_times(monkeypatch, capsys):
         monkeypatch.setattr(mod, "tilting_criterion", criterion, raising=False)
     assert cli.main(["tilting", "--linear", "1,2,2,2,2"]) == 0
     assert "criterion: true" in capsys.readouterr().out
-    assert len(builds) == 4 and len(criteria) == 4
+    assert builds == [RAD2, opposite(RAD2)] and criteria == builds
 
 
 def test_main_equivalences_on_grid():
@@ -495,30 +495,30 @@ def test_report_json_shape():
 
 
 def test_pd_tau_tilting_frozen():
-    assert pd_tau_tilting(SHARP) == 4
-    assert pd_tau_tilting(RAD2) == 0
-    assert pd_tau_tilting(validate("cyclic", [2, 2, 2])) == 0
-    with pytest.raises(ValueError):
-        pd_tau_tilting(validate("cyclic", [2, 3, 3]))
+    assert pd_tau_tilting(SHARP, canonical_tilting(SHARP)) == 4
+    assert pd_tau_tilting(RAD2, canonical_tilting(RAD2)) == 0
+    c222 = validate("cyclic", [2, 2, 2])
+    assert pd_tau_tilting(c222, canonical_tilting(c222)) == 0
 
 
 def test_drop_conditions_frozen():
-    assert gldim_drop_conditions(RAD2) == {
+    def conditions(alg):
+        return gldim_drop_conditions(alg, canonical_tilting(alg))
+
+    assert conditions(RAD2) == {
         "pd": True, "ext": True, "cover": True, "nu": True}
-    assert gldim_drop_conditions(SHARP) == {
+    assert conditions(SHARP) == {
         "pd": False, "ext": False, "cover": False, "nu": False}
-    assert all(gldim_drop_conditions(validate("linear", [1])).values())
+    assert all(conditions(validate("linear", [1])).values())
     with pytest.raises(ValueError):
-        gldim_drop_conditions(ONE_AG)  # infinite global dimension
-    with pytest.raises(ValueError):
-        gldim_drop_conditions(validate("cyclic", [2, 3, 3]))
+        conditions(ONE_AG)  # infinite global dimension
 
 
 def test_drop_conditions_agree_on_grid():
     for alg in GRID:
         if gldim(alg) == INF or not tilting_criterion(alg):
             continue
-        flags = set(gldim_drop_conditions(alg).values())
+        flags = set(gldim_drop_conditions(alg, canonical_tilting(alg)).values())
         assert len(flags) == 1
 
 
