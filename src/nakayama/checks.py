@@ -155,19 +155,8 @@ def random_algebras(count, n_max, c_max, seed):
     return [next(draws) for _ in range(count)]
 
 
-def _tilting_flags(alg):
-    crit = tilting_criterion(alg)
-    dd2 = domdim(alg) >= 2
-    x, omega, bij = syzygy_correspondence(alg)
-    into = len(set(omega.values())) == len(x) and all(
-        w is not None and is_projective(alg, w) for w in omega.values())
-    t = canonical_tilting(alg)
-    verified = t is not None and verify_tilting(alg, t)
-    return crit, dd2, bij, into, verified, t
-
-
 def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12):
-    props = {n: PropertyResult(n) for n in (
+    props = [PropertyResult(n) for n in (
         "criterion equals domdim >= 2",
         "criterion equals syzygy bijection",
         "syzygy correspondence maps X injectively into the projectives",
@@ -175,25 +164,25 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12):
         "tilting summands lie in the subcategory",
         "cotilting verifies when tilting exists",
         "no small tilting module when criterion fails",
-    )}
+    )]
+    by_domdim, by_bijection, into, by_tilting, t_members, cotilts, no_small = props
     # n_max and c_max bound every algebra checked: the samples, the grid
     # slice and the exhaustive slice below
     algebras = grid_algebras(min(5, n_max), min(7, c_max))
     algebras += random_algebras(samples, n_max, c_max, seed)
     for alg in algebras:
-        crit, dd2, bij, into, verified, t = _tilting_flags(alg)
         w = format_algebra(alg)
-        props["criterion equals domdim >= 2"].record(crit == dd2, w)
-        props["criterion equals syzygy bijection"].record(crit == bij, w)
-        props["syzygy correspondence maps X injectively into the projectives"].record(
-            into, w)
-        props["criterion equals verified tilting"].record(crit == verified, w)
+        crit = tilting_criterion(alg)
+        by_domdim.record(crit == (domdim(alg) >= 2), w)
+        x, omega, bij = syzygy_correspondence(alg)
+        by_bijection.record(crit == bij, w)
+        into.record(len(set(omega.values())) == len(x) and all(
+            v is not None and is_projective(alg, v) for v in omega.values()), w)
+        t = canonical_tilting(alg)
+        by_tilting.record(crit == (t is not None and verify_tilting(alg, t)), w)
         if t is not None:
-            props["tilting summands lie in the subcategory"].record(
-                in_tilting_subcat(alg, t), w)
-            c = canonical_cotilting(alg)
-            props["cotilting verifies when tilting exists"].record(
-                verify_cotilting(alg, c), w)
+            t_members.record(in_tilting_subcat(alg, t), w)
+            cotilts.record(verify_cotilting(alg, canonical_cotilting(alg)), w)
     # exhaustive non-existence on a small slice: when the criterion fails,
     # no n-subset of pd<=1 subcategory members is a tilting module
     for alg in grid_algebras(min(3, n_max), min(5, c_max)):
@@ -205,9 +194,8 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12):
         found = any(
             verify_tilting(alg, ModuleSum.of(combo))
             for combo in combinations(cands, alg.n))
-        props["no small tilting module when criterion fails"].record(
-            not found, format_algebra(alg))
-    return SuiteReport("tilting", list(props.values()))
+        no_small.record(not found, format_algebra(alg))
+    return SuiteReport("tilting", props)
 
 
 def _oracle_counts(alg):
@@ -253,7 +241,7 @@ def _in_gen_cogen_of_projective_injectives(alg, u, qs):
 
 
 def suite_structural(n_max=5, c_max=7):
-    names = [
+    props = [PropertyResult(n) for n in (
         "pd and id at most gldim minus one inside the subcategory",
         "ext^1 from pd-one modules into the subcategory vanishes",
         "subcategory membership matches quotient/submodule witnesses",
@@ -274,32 +262,32 @@ def suite_structural(n_max=5, c_max=7):
         "selfinjective iff dominant dimension is infinite",
         "Auslander implies 1-Auslander-Gorenstein",
         "finite one-sided selfinjective dimensions agree",
-    ]
-    props = {n: PropertyResult(n) for n in names}
-
-    def run(alg):
-        out = []
+    )]
+    (dims_bound, ext_pd_one, witnessed, proj_inj, closed, dd_symmetric,
+     gorenstein, pi_count, tc_is_1ag, uniserial, ext_beyond, pi_vertices,
+     t_shape, basic_n, involution, selfinj_dd, aus_1ag, sides) = props
+    for alg in grid_algebras(n_max, c_max):
         w = format_algebra(alg)
         rep = classify(alg)
         q, split, member = _subcat_split(alg)
         # injectivity by the envelope, not by the inequality the split reads
         envelopes = {injective(alg, j) for j in range(1, alg.n + 1)}
-        out.append((names[11], q == {u.top for u in envelopes
-                                     if is_projective(alg, u)}, w))
+        pi_vertices.record(
+            q == {u.top for u in envelopes if is_projective(alg, u)}, w)
         op = opposite(alg)
-        out.append((names[14], opposite(op) == alg and sum(op.c) == sum(alg.c), w))
-        out.append((names[15], rep.selfinjective == (rep.domdim == INF), w))
-        out.append((names[16], not rep.auslander or rep.one_aus_gorenstein, w))
-        out.append((names[17], INF in (rep.id_left, rep.id_right)
-                    or rep.id_left == rep.id_right, w))
+        involution.record(opposite(op) == alg and sum(op.c) == sum(alg.c), w)
+        selfinj_dd.record(rep.selfinjective == (rep.domdim == INF), w)
+        aus_1ag.record(not rep.auslander or rep.one_aus_gorenstein, w)
+        sides.record(INF in (rep.id_left, rep.id_right)
+                     or rep.id_left == rep.id_right, w)
         if not rep.tilting_exists:
-            return out
+            continue
 
         qs = [projective(alg, j) for j in sorted(q)]
         alt = qs + [cosyzygy(alg, projective(alg, i)) for i in split]
-        out.append((names[12], rep.t_c == ModuleSum.of(alt), w))
-        ok = all(len(m) == alg.n and m.is_basic() for m in (rep.t_c, rep.c_c))
-        out.append((names[13], ok, w))
+        t_shape.record(rep.t_c == ModuleSum.of(alt), w)
+        basic_n.record(all(len(m) == alg.n and m.is_basic()
+                           for m in (rep.t_c, rep.c_c)), w)
         gl = rep.gldim
         mods = indecomposables(alg)
         members = [u for u in mods if member(u)]
@@ -307,50 +295,33 @@ def suite_structural(n_max=5, c_max=7):
         if gl != INF and gl >= 1:
             # the bound is empty for semisimple algebras, where every module
             # has pd 0 and the subcategory is everything
-            ok = all(pdim(alg, u) <= gl - 1 and ids[u] <= gl - 1
-                     for u in members)
-            out.append((names[0], ok, w))
+            dims_bound.record(all(pdim(alg, u) <= gl - 1 and ids[u] <= gl - 1
+                                  for u in members), w)
         pd_one = [y for y in mods if pdim(alg, y) == 1]
-        ok = all(ext_dim(alg, y, x, 1) == 0 for y in pd_one for x in members)
-        out.append((names[1], ok, w))
-        ok = all(member(u) == _in_gen_cogen_of_projective_injectives(alg, u, qs)
-                 for u in mods)
-        out.append((names[2], ok, w))
-        ok = ({u for u in members if is_projective(alg, u)}
-              == {u for u in members if u in envelopes})
-        out.append((names[3], ok, w))
-        ok = all(member(projective(alg, u.top))
-                 and member(injective(alg, socle_vertex(alg, u)))
-                 for u in members)
-        out.append((names[4], ok, w))
-        out.append((names[5], rep.domdim == domdim(op), w))
+        ext_pd_one.record(all(ext_dim(alg, y, x, 1) == 0
+                              for y in pd_one for x in members), w)
+        witnessed.record(all(
+            member(u) == _in_gen_cogen_of_projective_injectives(alg, u, qs)
+            for u in mods), w)
+        proj_inj.record({u for u in members if is_projective(alg, u)}
+                        == {u for u in members if u in envelopes}, w)
+        closed.record(all(member(projective(alg, u.top))
+                          and member(injective(alg, socle_vertex(alg, u)))
+                          for u in members), w)
+        dd_symmetric.record(rep.domdim == domdim(op), w)
         if gl != INF:
             top = max(ids[projective(alg, i)] for i in range(1, alg.n + 1))
-            out.append((names[6], rep.gdim == gl and top == gl, w))
+            gorenstein.record(rep.gdim == gl and top == gl, w)
         x = [u for u in members if pdim(alg, u) == 1]
-        out.append((names[7], len(q) + len(x) <= alg.n, w))
-        out.append((names[8], rep.tilting_cotilting == rep.one_aus_gorenstein, w))
-        ok = all(
-            (syzygy(alg, u) is None or isinstance(syzygy(alg, u), Uniserial))
-            and (cosyzygy(alg, u) is None
-                 or isinstance(cosyzygy(alg, u), Uniserial))
-            for u in mods)
-        out.append((names[9], ok, w))
-        ok = True
-        for u in mods:
-            p = pdim(alg, u)
-            if p == INF:
-                continue
-            ok = ok and all(
-                ext_dim(alg, u, v, p + d) == 0 for v in simples(alg)
-                for d in (1, 2))
-        out.append((names[10], ok, w))
-        return out
-
-    for alg in grid_algebras(n_max, c_max):
-        for name, ok, w in run(alg):
-            props[name].record(ok, w)
-    return SuiteReport("structural", list(props.values()))
+        pi_count.record(len(q) + len(x) <= alg.n, w)
+        tc_is_1ag.record(rep.tilting_cotilting == rep.one_aus_gorenstein, w)
+        uniserial.record(all(
+            walk(alg, u) is None or isinstance(walk(alg, u), Uniserial)
+            for u in mods for walk in (syzygy, cosyzygy)), w)
+        finite = [(u, pdim(alg, u)) for u in mods if pdim(alg, u) != INF]
+        ext_beyond.record(all(ext_dim(alg, u, v, p + d) == 0 for u, p in finite
+                              for v in simples(alg) for d in (1, 2)), w)
+    return SuiteReport("structural", props)
 
 
 def _over_cap(witness, cap):
@@ -363,7 +334,7 @@ def suite_drop(samples=200, seed=42, cap=30, n_max=6, c_max=8):
     holds = PropertyResult("gldim drop equivalence")
     bounds = PropertyResult("endo gldim within one of gldim")
     agree = PropertyResult("the four drop conditions agree")
-    algebras = [a for a in grid_algebras(4, 5)
+    algebras = [a for a in grid_algebras(min(4, n_max), min(5, c_max))
                 if gldim(a) != INF and tilting_criterion(a)]
     seen = {(a.kind, a.c) for a in algebras}
     target = len(algebras) + samples

@@ -386,7 +386,6 @@ def basic_sum(m):
 
 
 def parse_module_sum(alg, text):
-    text = text.strip()
-    if text == "0":
-        return ModuleSum(())
-    return ModuleSum.of(parse_module(alg, part) for part in text.split("+"))
+    """The sum of the '+'-separated modules in text; a '0' part adds nothing."""
+    parts = (parse_module(alg, part) for part in text.split("+"))
+    return ModuleSum.of(u for u in parts if u is not None)

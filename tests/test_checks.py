@@ -117,25 +117,31 @@ def test_suite_tilting_small_threaded():
     assert all(": ok (" in ln for ln in lines)
 
 
-def test_tilting_suite_checks_no_algebra_beyond_its_bounds(monkeypatch):
-    # every algebra the suite checks, grid, samples and exhaustive slice,
-    # passes through the criterion
+@pytest.mark.parametrize("suite, probe, unchecked_at_n1", [
+    # with n = 1 every algebra satisfies the criterion, so the tilting
+    # suite's exhaustive non-existence check has nothing to check, and says so
+    ("tilting", "tilting_criterion",
+     ["no small tilting module when criterion fails: FAIL (nothing checked)"]),
+    # drop calls gldim on every candidate, before the criterion
+    ("drop", "gldim", []),
+], ids=["tilting", "drop"])
+def test_suite_checks_no_algebra_beyond_its_bounds(monkeypatch, suite, probe,
+                                                   unchecked_at_n1):
+    # every algebra the suite checks, grid, samples and any fixed slice,
+    # passes through the probe
     from nakayama import checks
-    real, seen = checks.tilting_criterion, []
-    monkeypatch.setattr(checks, "tilting_criterion",
+    real, seen = getattr(checks, probe), []
+    monkeypatch.setattr(checks, probe,
                         lambda alg: seen.append(alg) or real(alg))
-    rep = run_suite("tilting", samples=0, n_max=2, c_max=3)
+    rep = run_suite(suite, samples=2, n_max=2, c_max=3)
     assert seen and all(alg.n <= 2 and max(alg.c) <= 3 for alg in seen)
     assert max(alg.n for alg in seen) == 2
     assert rep.ok
-    # with n = 1 every algebra satisfies the criterion, so the exhaustive
-    # non-existence check has nothing to check, and says so
     seen.clear()
-    rep = run_suite("tilting", samples=0, n_max=1, c_max=2)
+    rep = run_suite(suite, samples=0, n_max=1, c_max=2)
     assert seen and all(alg.n == 1 and max(alg.c) <= 2 for alg in seen)
-    assert [p.line() for p in rep.properties if not p.checked] == [
-        "no small tilting module when criterion fails: FAIL (nothing checked)"]
-    assert not rep.ok
+    assert [p.line() for p in rep.properties if not p.checked] == unchecked_at_n1
+    assert rep.ok == (not unchecked_at_n1)
 
 
 def test_suite_drop_small():
@@ -182,23 +188,37 @@ def test_drop_bound_violation_is_reported_not_raised(monkeypatch):
     assert not rep.ok
 
 
-def test_structural_catches_disagreeing_selfinjective_sides(monkeypatch):
+def _right_side_one_more(real):
     # a classify whose finite right side is one more than its left side
-    from nakayama import checks
     from nakayama.core import INF
-    real = checks.classify
 
     def broken(alg):
         rep = real(alg)
         if rep.id_right == INF:
             return rep
         return rep._replace(id_right=rep.id_right + 1)
+    return broken
 
-    monkeypatch.setattr(checks, "classify", broken)
-    rep = run_suite("structural", n_max=2, c_max=3)
-    sides = next(p for p in rep.properties
-                 if p.name == "finite one-sided selfinjective dimensions agree")
-    assert sides.checked and sides.failed
+
+@pytest.mark.parametrize("suite, params, target, mutate, name", [
+    pytest.param("structural", {"n_max": 2, "c_max": 3}, "classify",
+                 _right_side_one_more,
+                 "finite one-sided selfinjective dimensions agree", id="sides"),
+    pytest.param("structural", {"n_max": 3, "c_max": 4}, "domdim",
+                 lambda real: lambda alg: real(alg) + 1,
+                 "dominant dimension is opposite-symmetric", id="domdim"),
+    pytest.param("tilting", {"samples": 0, "n_max": 2, "c_max": 3},
+                 "verify_cotilting", lambda real: lambda alg, c: False,
+                 "cotilting verifies when tilting exists", id="cotilting"),
+])
+def test_a_broken_check_fails_only_its_own_property(monkeypatch, suite, params,
+                                                    target, mutate, name):
+    # each property is bound to its own check, so breaking one check fails
+    # the property named for it and no other
+    from nakayama import checks
+    monkeypatch.setattr(checks, target, mutate(getattr(checks, target)))
+    rep = run_suite(suite, **params)
+    assert [p.name for p in rep.properties if p.failed] == [name]
     assert not rep.ok
 
 

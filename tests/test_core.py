@@ -234,6 +234,12 @@ def test_module_sum_ops():
     a = ModuleSum.of([Uniserial(4, 2), Uniserial(1, 3)])
     assert a.is_basic()
     assert parse_module_sum(SHARP, "0") == ModuleSum(())
+    # a "0" part is the zero summand and drops out of a longer sum
+    assert parse_module_sum(SHARP, "0+M(1,1)") == ModuleSum.of([Uniserial(1, 1)])
+    assert parse_module_sum(SHARP, "M(1,1) + 0 + M(2,1)") == ModuleSum.of(
+        [Uniserial(1, 1), Uniserial(2, 1)])
+    with pytest.raises(ValueError, match="expected 'M"):
+        parse_module_sum(SHARP, "")
 
 
 # --- extended naturals -------------------------------------------------------
