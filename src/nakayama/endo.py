@@ -28,8 +28,6 @@ End(X) is basic and minimal resolutions are unique up to isomorphism
 resolution is stored once per algebra.  Ranks and kernels are exact.
 """
 
-from fractions import Fraction
-
 from .core import (
     INF,
     basic_sum,
@@ -364,7 +362,11 @@ def syzygy_step(algebra, dim, mats):
                     for f, x in at_free:
                         if x:
                             v, s = coord[f]
-                            col[v] = x // s if x % s == 0 else Fraction(x, s)
+                            if x % s == 0:
+                                col[v] = x // s
+                            else:  # rare; see linalg.solve for the import
+                                from fractions import Fraction
+                                col[v] = Fraction(x, s)
             new_mats[g] = cols
     return kd, new_mats
 

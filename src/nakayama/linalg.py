@@ -12,7 +12,6 @@ hundreds of rows and columns; exactness is the point.  `intertwiner_system`
 writes the Hom equations whose rank the oracle and End(X) modules read.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -122,6 +121,10 @@ def solve(mat, rhs):
     reduced_kernel vector v is then zero at the other free columns, and
     x = -v[:n] / v[n].
     """
+    # imported here so that `import nakayama` does not load fractions,
+    # which brings in decimal and numbers
+    from fractions import Fraction
+
     n = len(mat[0]) if mat else 0
     v = reduced_kernel([list(row) + [b] for row, b in zip(mat, rhs)],
                        n + 1)[2].get(n)

@@ -1,9 +1,14 @@
 """The package's public API: what `from nakayama import *` exports."""
 
 import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import nakayama
+from nakayama.linalg import solve
 
 
 def test_all_lists_each_imported_public_name_once():
@@ -62,3 +67,19 @@ def test_oracle_shares_only_core_and_linalg_with_the_package():
     # linalg sits under every layer
     assert _package_imports("oracle.py") == {"core", "linalg"}
     assert _package_imports("linalg.py") == set()
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    # a fresh interpreter, so the modules already loaded here do not count;
+    # comparing before and after keeps whatever site loads out of it
+    src = str(Path(nakayama.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; before = set(sys.modules); import nakayama; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                               capture_output=True, text=True).stdout.split())
+    assert "nakayama" in added
+    assert not added & {"fractions", "decimal"}
+    x = solve([[2]], [1])
+    assert x == [Fraction(1, 2)] and type(x[0]) is Fraction
