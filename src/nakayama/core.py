@@ -92,7 +92,7 @@ class AdmissibleSequence:
     def __init__(self, kind, c):
         if kind not in KINDS:
             raise ValueError("kind must be 'cyclic' or 'linear', got %r" % (kind,))
-        c = tuple(int(x) for x in c)
+        c = tuple(map(int, c))
         n = len(c)
         self.kind = kind
         self.c = c
@@ -150,7 +150,12 @@ def rotation_normal_form(c):
     with the least such t; vertex j of cyclic:r is vertex j + t of cyclic:c."""
     n = len(c)
     cc = tuple(c) * 2
-    return min((cc[t:t + n], t) for t in range(n))
+    best, best_t = cc[:n], 0
+    for t in range(1, n):
+        r = cc[t:t + n]
+        if r < best:
+            best, best_t = r, t
+    return best, best_t
 
 
 def validate(kind, c):

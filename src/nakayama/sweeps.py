@@ -40,23 +40,25 @@ class SweepSpec(namedtuple("SweepSpec", (
 def generate_sequences(kind, n, max_c):
     """Yield every admissible sequence with entries bounded by max_c,
     depth-first, which is lexicographic order without repeats."""
-
-    def extend(prefix):
-        if len(prefix) == n:
-            if kind == "linear" or prefix[0] <= prefix[-1] + 1:
-                yield tuple(prefix)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    linear = kind == "linear"
+    # start from the least sequence; each step raises the last entry that is
+    # below its bound (max_c, and the entry before it plus one) and resets
+    # every entry after it to 2, the least value any entry after c_1 takes
+    c = [1 if linear else 2] + [2] * (n - 1)
+    if max(c) > max_c:
+        return
+    while True:
+        if linear or c[0] <= c[-1] + 1:
+            yield tuple(c)
+        i = n - 1
+        while i > 0 and (c[i] >= max_c or c[i] > c[i - 1]):
+            i -= 1
+        if i == 0 and (linear or c[0] >= max_c):
             return
-        for nxt in range(2, min(max_c, prefix[-1] + 1) + 1):
-            prefix.append(nxt)
-            yield from extend(prefix)
-            prefix.pop()
-
-    if kind == "linear":
-        firsts = [1] if max_c >= 1 else []
-    else:
-        firsts = range(2, max_c + 1)
-    for first in firsts:
-        yield from extend([first])
+        c[i] += 1
+        c[i + 1:] = [2] * (n - 1 - i)
 
 
 def min_rotation(c):
@@ -69,7 +71,7 @@ def difference_class_rep(kind, c):
         return tuple(c)
     n = len(c)
     t = (min(c) - 2) // n
-    return tuple(x - t * n for x in c)
+    return tuple(c) if t == 0 else tuple(x - t * n for x in c)
 
 
 def is_elementary(c):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from nakayama.checks import grid_algebras
@@ -20,6 +22,7 @@ from nakayama.core import (
     parse_module,
     parse_module_sum,
     projective,
+    rotation_normal_form,
     socle_vertex,
     summands,
     tau,
@@ -269,3 +272,13 @@ def test_basic_sum_reads_every_module_argument_one_way():
         with pytest.raises(ValueError, match="expected a module or a sum of "
                                              "modules, got %s" % type(bad).__name__):
             basic_sum(bad)
+
+
+def test_rotation_normal_form_is_the_first_least_rotation():
+    # the reference takes the least (rotation, t) pair, so a tie between
+    # equal rotations goes to the least t: constant c and (2,3,2,3) have them
+    for n in range(1, 7):
+        for c in product(range(2, 6), repeat=n):
+            cc = c * 2
+            assert rotation_normal_form(c) == min((cc[t:t + n], t) for t in range(n))
+    assert rotation_normal_form((3, 2, 3, 2)) == ((2, 3, 2, 3), 1)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -35,6 +36,35 @@ from nakayama.tilting import classify
 
 def test_generation_pin_n2():
     assert list(generate_sequences("cyclic", 2, 3)) == [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+def _admissible(kind, c):
+    """The definition, read directly: c_1 = 1 in the linear case, every
+    other entry at least 2, and c_{i+1} <= c_i + 1, cyclically if cyclic."""
+    n = len(c)
+    if kind == "linear" and c[0] != 1:
+        return False
+    steps = range(n) if kind == "cyclic" else range(n - 1)
+    return (all(x >= 2 for x in c[kind == "linear":])
+            and all(c[(i + 1) % n] <= c[i] + 1 for i in steps))
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "linear"])
+def test_generation_is_the_filtered_product_in_order(kind):
+    # product() runs in lexicographic order, the order generation promises;
+    # m = 0 (and m = 1 for cyclic) lies below the least entry
+    for n, m_max in [(n, 6) for n in range(1, 7)] + [(n, 9) for n in range(1, 5)]:
+        for m in range(m_max + 1):
+            expected = [c for c in product(range(1, m + 1), repeat=n)
+                        if _admissible(kind, c)]
+            assert list(generate_sequences(kind, n, m)) == expected, (n, m)
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "linear"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_generation_rejects_n_below_one(kind, n):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        list(generate_sequences(kind, n, 5))
 
 
 def test_generation_respects_wrap():
