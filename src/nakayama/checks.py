@@ -330,29 +330,23 @@ def _over_cap(witness, cap):
     return "%s (endo resolution over cap %d)" % (witness, cap)
 
 
-def suite_drop(samples=200, seed=42, cap=30, n_max=6, c_max=8):
+def _tilting_algebras(n_max, c_max):
+    """(alg, T, End(T)) for each algebra of grid_algebras(n_max, c_max) with
+    finite gldim and a canonical tilting module T, in grid order."""
+    for alg in grid_algebras(n_max, c_max):
+        if gldim(alg) == INF or not tilting_criterion(alg):
+            continue
+        t = canonical_tilting(alg)
+        yield alg, t, end_algebra(alg, t)
+
+
+def suite_drop(cap=30, n_max=6, c_max=8):
     holds = PropertyResult("gldim drop equivalence")
     bounds = PropertyResult("endo gldim within one of gldim")
     agree = PropertyResult("the four drop conditions agree")
-    algebras = [a for a in grid_algebras(min(4, n_max), min(5, c_max))
-                if gldim(a) != INF and tilting_criterion(a)]
-    seen = {(a.kind, a.c) for a in algebras}
-    target = len(algebras) + samples
-    for tries, alg in enumerate(_draws(random.Random(seed), n_max, c_max)):
-        if len(algebras) >= target or tries >= samples * 200:
-            break
-        if (alg.kind, alg.c) in seen:
-            continue
-        if gldim(alg) == INF or not tilting_criterion(alg):
-            continue
-        seen.add((alg.kind, alg.c))
-        algebras.append(alg)
-
-    for alg in algebras:
+    for alg, t, b in _tilting_algebras(n_max, c_max):
         w = format_algebra(alg)
-        t = canonical_tilting(alg)
-        rec = _drop_record(gldim(alg), gldim_over(end_algebra(alg, t), cap),
-                           pd_tau_tilting(alg, t))
+        rec = _drop_record(gldim(alg), gldim_over(b, cap), pd_tau_tilting(alg, t))
         if rec["holds"] is None:
             holds.record(False, _over_cap(w, cap))
         else:
@@ -444,11 +438,7 @@ def suite_endo(seed=42, cap=30):
                 format_algebra(alg))
 
     checked_pairs = 0
-    for alg in grid_algebras(4, 6):
-        if not tilting_criterion(alg) or gldim(alg) == INF:
-            continue
-        t = canonical_tilting(alg)
-        b = end_algebra(alg, t)
+    for alg, _, b in _tilting_algebras(4, 6):
         name = format_algebra(alg)
         rad, simple = radical_and_simples(b)
         radical.record(len(rad) == b.dim - len(b.summands)
@@ -487,9 +477,8 @@ def suite_it(samples=1000, seed=42, n_max=6, c_max=8):
     for alg in _draws(rng, n_max, c_max):
         if match.checked >= samples:
             break
+        # never empty: the projectives have pd 0
         finite = [u for u in indecomposables(alg) if pdim(alg, u) != INF]
-        if not finite:
-            continue
         picks = rng.sample(finite, rng.randint(1, min(len(finite), alg.n + 2)))
         m = ModuleSum.of(sorted(set(picks)))
         p = max(pdim(alg, u) for u in m)

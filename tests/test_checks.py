@@ -14,7 +14,7 @@ from nakayama.checks import (
     run_suite,
 )
 from nakayama.cli import main
-from nakayama.core import validate
+from nakayama.core import INF, validate
 
 
 def test_property_result_lines():
@@ -94,11 +94,10 @@ def test_random_algebras_reproducible():
 
 
 def test_sampled_suites_digest():
-    # taken before the three suites' random draws became one generator
-    reports = [run_suite("tilting", samples=200), run_suite("drop", samples=20),
-               run_suite("it", samples=100)]
+    # taken before the drop suite listed its grid instead of drawing from it
+    reports = [run_suite("tilting", samples=200), run_suite("it", samples=100)]
     text = "\n".join(repr(r) for r in reports)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "2f1ef00782fcfbbb"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "491293e9bedca13e"
 
 
 def test_structural_and_endo_suites_digest():
@@ -117,35 +116,48 @@ def test_suite_tilting_small_threaded():
     assert all(": ok (" in ln for ln in lines)
 
 
-@pytest.mark.parametrize("suite, probe, unchecked_at_n1", [
+@pytest.mark.parametrize("suite, probe, samples, unchecked_at_n1", [
     # with n = 1 every algebra satisfies the criterion, so the tilting
     # suite's exhaustive non-existence check has nothing to check, and says so
-    ("tilting", "tilting_criterion",
+    ("tilting", "tilting_criterion", {"samples": 2},
      ["no small tilting module when criterion fails: FAIL (nothing checked)"]),
-    # drop calls gldim on every candidate, before the criterion
-    ("drop", "gldim", []),
+    # drop lists its grid, calling gldim on every algebra before the criterion
+    ("drop", "gldim", {}, []),
 ], ids=["tilting", "drop"])
 def test_suite_checks_no_algebra_beyond_its_bounds(monkeypatch, suite, probe,
-                                                   unchecked_at_n1):
+                                                   samples, unchecked_at_n1):
     # every algebra the suite checks, grid, samples and any fixed slice,
     # passes through the probe
     from nakayama import checks
     real, seen = getattr(checks, probe), []
     monkeypatch.setattr(checks, probe,
                         lambda alg: seen.append(alg) or real(alg))
-    rep = run_suite(suite, samples=2, n_max=2, c_max=3)
+    real_draw, draws = checks.random_algebra, []
+    monkeypatch.setattr(checks, "random_algebra",
+                        lambda *args: draws.append(args) or real_draw(*args))
+    real_pd, checked = checks.pd_tau_tilting, []
+    monkeypatch.setattr(checks, "pd_tau_tilting",
+                        lambda alg, t: checked.append(alg) or real_pd(alg, t))
+    rep = run_suite(suite, n_max=2, c_max=3, **samples)
     assert seen and all(alg.n <= 2 and max(alg.c) <= 3 for alg in seen)
     assert max(alg.n for alg in seen) == 2
     assert rep.ok
+    # only a suite that takes samples draws; drop checks every algebra of
+    # its grid with finite gldim and a tilting module, once, in grid order
+    assert bool(draws) == bool(samples)
+    if suite == "drop":
+        assert checked == [a for a in grid_algebras(2, 3)
+                           if real(a) != INF and checks.tilting_criterion(a)]
+        assert len(checked) == rep.properties[0].checked == 3
     seen.clear()
-    rep = run_suite(suite, samples=0, n_max=1, c_max=2)
+    rep = run_suite(suite, n_max=1, c_max=2, **dict.fromkeys(samples, 0))
     assert seen and all(alg.n == 1 and max(alg.c) <= 2 for alg in seen)
     assert [p.line() for p in rep.properties if not p.checked] == unchecked_at_n1
     assert rep.ok == (not unchecked_at_n1)
 
 
 def test_suite_drop_small():
-    rep = run_suite("drop", samples=5, seed=3, cap=20, n_max=4, c_max=5)
+    rep = run_suite("drop", cap=20, n_max=4, c_max=5)
     assert rep.ok
     names = [p.name for p in rep.properties]
     assert "gldim drop equivalence" in names
@@ -180,7 +192,7 @@ def test_drop_bound_violation_is_reported_not_raised(monkeypatch):
     for mod in (checks, endo):
         monkeypatch.setattr(mod, "gldim_over",
                             lambda algebra, cap=30: gldim(algebra.alg) + 1)
-    rep = run_suite("drop", samples=2, seed=3, cap=20, n_max=4, c_max=5)
+    rep = run_suite("drop", cap=20, n_max=4, c_max=5)
     bounds = next(p for p in rep.properties
                   if p.name == "endo gldim within one of gldim")
     assert bounds.checked and bounds.failed == bounds.checked
@@ -226,7 +238,7 @@ def test_drop_catches_disagreeing_conditions(monkeypatch):
     monkeypatch.setattr(
         checks, "gldim_drop_conditions",
         lambda alg, t: {"pd": True, "ext": False, "cover": True, "nu": True})
-    rep = run_suite("drop", samples=2, seed=3, cap=20, n_max=4, c_max=5)
+    rep = run_suite("drop", cap=20, n_max=4, c_max=5)
     agree = next(p for p in rep.properties
                  if p.name == "the four drop conditions agree")
     assert agree.checked and agree.failed == agree.checked
@@ -281,7 +293,7 @@ def test_suites_and_endo_command_build_each_object_once(monkeypatch, capsys):
 
     run("structural", n_max=4, c_max=6)
     assert calls["split_projective_vertices"] <= 6 * len(grid_algebras(4, 6))
-    holds = run("drop", samples=5, seed=3, cap=20, n_max=4, c_max=5)[0]
+    holds = run("drop", cap=20, n_max=4, c_max=5)[0]
     assert calls["canonical_tilting"] == calls["end_algebra"] == holds.checked
     radical = run("endo")[5]
     assert radical.checked == 33

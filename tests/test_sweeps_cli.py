@@ -387,7 +387,7 @@ def test_cli_check_nothing_checked_fails(capsys):
     assert "suite it: FAIL" in out
 
 
-@pytest.mark.parametrize("suite", ["tilting", "drop", "it"])
+@pytest.mark.parametrize("suite", ["tilting", "it"])
 def test_cli_check_rejects_flags_below_their_range(suite, capsys):
     # the suites that draw random algebras need a vertex and an entry >= 2
     # to draw from, and a count of samples that is not negative
@@ -401,6 +401,22 @@ def test_cli_check_rejects_flags_below_their_range(suite, capsys):
             suite, flag_name, low, value)
     with pytest.raises(ValueError, match="needs --samples >= 0, got -1"):
         run_suite(suite, samples=-1)
+
+
+def test_cli_check_drop_takes_only_its_grid_flags(capsys):
+    # drop lists its grid instead of drawing, so it takes no --samples or
+    # --seed, and an empty grid checks nothing, as in structural
+    for argv in (["--samples", "5"], ["--samples", "-1"], ["--seed", "3"]):
+        assert main(["check", "--suite", "drop"] + argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("suite drop takes no flag %s; "
+                       "it accepts: --cap, --n-max, --c-max\n" % argv[0])
+    for flag_name in ("--n-max", "--c-max"):
+        assert main(["check", "--suite", "drop", flag_name, "0"]) == 1
+        out = capsys.readouterr().out
+        assert "gldim drop equivalence: FAIL (nothing checked)" in out
+        assert "suite drop: FAIL" in out
 
 
 @pytest.mark.parametrize("suite", ["drop", "endo"])
@@ -424,7 +440,8 @@ def test_cli_check_rejects_a_cap_below_one_before_any_work(suite, capsys,
 def test_cli_check_over_cap_is_a_named_failure(capsys):
     # an End(T) resolution that hits the cap refutes nothing; it still fails,
     # and the witness says the run was undecided
-    assert main(["check", "--suite", "drop", "--samples", "0", "--cap", "1"]) == 1
+    assert main(["check", "--suite", "drop", "--n-max", "4", "--c-max", "5",
+                 "--cap", "1"]) == 1
     out = capsys.readouterr().out
     assert ("gldim drop equivalence: FAIL (27 of 29) first counterexample: "
             "cyclic:2,3 (endo resolution over cap 1)") in out
