@@ -100,6 +100,12 @@ def test_sampled_suites_digest():
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "491293e9bedca13e"
 
 
+def test_drop_suite_digest():
+    # taken when the drop suite came to list its grid: 91 algebras
+    text = repr(run_suite("drop", n_max=5, c_max=6))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "db0c44f8189ce0a9"
+
+
 def test_structural_and_endo_suites_digest():
     # taken before the two suites read the split and End(T) once per algebra
     reports = [run_suite("structural", n_max=4, c_max=6), run_suite("endo")]
