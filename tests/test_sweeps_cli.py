@@ -67,6 +67,16 @@ def test_generation_rejects_n_below_one(kind, n):
         list(generate_sequences(kind, n, 5))
 
 
+@pytest.mark.parametrize("kind", ["moebius", "Cyclic", ""])
+def test_sequence_helpers_reject_an_unknown_kind(kind):
+    # each of them used to read any kind but one as the other
+    for call in (lambda: list(generate_sequences(kind, 2, 3)),
+                 lambda: difference_class_rep(kind, (8, 8, 7)),
+                 lambda: SweepSpec(kind, 2, 3)):
+        with pytest.raises(ValueError, match="^kind must be cyclic or linear$"):
+            call()
+
+
 def test_generation_respects_wrap():
     for c in generate_sequences("cyclic", 4, 6):
         validate("cyclic", c)
