@@ -92,7 +92,11 @@ class AdmissibleSequence:
     def __init__(self, kind, c):
         if kind not in KINDS:
             raise ValueError("kind must be 'cyclic' or 'linear', got %r" % (kind,))
-        c = tuple(map(int, c))
+        given = tuple(c)
+        c = tuple(map(int, given))
+        if c != given:
+            raise ValueError("sequence entry %r is not an integer" % (
+                next(x for x, i in zip(given, c) if x != i),))
         n = len(c)
         self.kind = kind
         self.c = c

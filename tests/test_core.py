@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -93,6 +94,17 @@ def test_validate_rejects():
     # linear forces c_i <= i
     with pytest.raises(ValueError):
         validate("linear", [1, 2, 4])
+
+
+def test_entries_must_be_integers():
+    # int() would truncate 2.9 to 2 and build linear:1,2 without a word
+    for c, bad in (([1, 2.9], "2.9"), ([2, 2.5, 3], "2.5"), ([1, "2"], "'2'")):
+        with pytest.raises(ValueError, match="^sequence entry %s is not an "
+                                             "integer$" % re.escape(bad)):
+            AdmissibleSequence("linear" if c[0] == 1 else "cyclic", c)
+    # an entry equal to its int() is that integer, from any iterable
+    assert AdmissibleSequence("linear", [1, 2.0]).c == (1, 2)
+    assert validate("cyclic", (x for x in (3, 2, 3))) == validate("cyclic", [3, 2, 3])
 
 
 def test_n_equals_one():
