@@ -97,7 +97,7 @@ def test_validate_rejects():
 
 
 def test_entries_must_be_integers():
-    # int() would truncate 2.9 to 2 and build linear:1,2 without a word
+    # int() alone would truncate 2.9 to 2 and build linear:1,2 without a word
     for c, bad in (([1, 2.9], "2.9"), ([2, 2.5, 3], "2.5"), ([1, "2"], "'2'")):
         with pytest.raises(ValueError, match="^sequence entry %s is not an "
                                              "integer$" % re.escape(bad)):

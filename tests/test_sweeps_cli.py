@@ -69,7 +69,7 @@ def test_generation_rejects_n_below_one(kind, n):
 
 @pytest.mark.parametrize("kind", ["moebius", "Cyclic", ""])
 def test_sequence_helpers_reject_an_unknown_kind(kind):
-    # each of them used to read any kind but one as the other
+    # an unknown kind is an error, not read as one of the two kinds
     for call in (lambda: list(generate_sequences(kind, 2, 3)),
                  lambda: difference_class_rep(kind, (8, 8, 7)),
                  lambda: SweepSpec(kind, 2, 3)):
