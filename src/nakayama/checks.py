@@ -11,6 +11,7 @@ from itertools import combinations
 
 from .core import (
     INF,
+    KINDS,
     AdmissibleSequence,
     ModuleSum,
     Uniserial,
@@ -135,7 +136,7 @@ class SuiteReport:
 
 def grid_algebras(n_max, c_max):
     out = []
-    for kind in ("cyclic", "linear"):
+    for kind in KINDS:
         for n in range(1, n_max + 1):
             for c in generate_sequences(kind, n, c_max):
                 out.append(AdmissibleSequence(kind, c))
@@ -146,7 +147,7 @@ def _draws(rng, n_max, c_max):
     """Random algebras from rng, without end: each draws a kind, then n in
     1..n_max, then the sequence by random_algebra."""
     while True:
-        kind = rng.choice(("cyclic", "linear"))
+        kind = rng.choice(KINDS)
         yield random_algebra(rng, kind, rng.randint(1, n_max), c_max)
 
 

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .core import INF, AdmissibleSequence, ModuleSum, format_algebra
+from .core import INF, KINDS, ModuleSum, format_algebra, parse_algebra
 from .checks import CHECK_FLAGS, _oracle_counts, flag, run_suite, SUITES
 from .endo import _drop_record, end_algebra, gldim_over, mueller_domdim
 from .homology import gldim
@@ -42,14 +42,9 @@ def _add_algebra_flags(p):
 def _algebra_from(args):
     if (args.cyclic is None) == (args.linear is None):
         raise ValueError("exactly one of --cyclic or --linear is required")
-    kind = "cyclic" if args.cyclic is not None else "linear"
-    raw = args.cyclic if kind == "cyclic" else args.linear
-    try:
-        c = tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise ValueError("could not parse %r as a comma-separated "
-                         "integer sequence" % raw)
-    return AdmissibleSequence(kind, c)
+    if args.cyclic is not None:
+        return parse_algebra("cyclic:" + args.cyclic)
+    return parse_algebra("linear:" + args.linear)
 
 
 def _text(v):
@@ -250,7 +245,7 @@ def build_parser():
     p.set_defaults(func=cmd_endo)
 
     p = sub.add_parser("enumerate", help="sweep admissible sequences")
-    p.add_argument("--kind", choices=("cyclic", "linear"), required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("-n", type=int, required=True, help="number of vertices")
     p.add_argument("--max-c", type=int, required=True,
                    help="upper bound for the sequence entries")

@@ -80,6 +80,12 @@ def dim_json(d):
 KINDS = ("cyclic", "linear")
 
 
+def check_kind(kind):
+    """Raise ValueError unless kind is one of KINDS."""
+    if kind not in KINDS:
+        raise ValueError("kind must be 'cyclic' or 'linear', got %r" % (kind,))
+
+
 class AdmissibleSequence:
     """A Nakayama algebra, given by its kind and admissible sequence.
 
@@ -90,8 +96,7 @@ class AdmissibleSequence:
     """
 
     def __init__(self, kind, c):
-        if kind not in KINDS:
-            raise ValueError("kind must be 'cyclic' or 'linear', got %r" % (kind,))
+        check_kind(kind)
         given = tuple(c)
         c = tuple(map(int, given))
         if c != given:
@@ -172,10 +177,16 @@ def format_algebra(alg):
 
 
 def parse_algebra(text):
-    kind, _, rest = text.strip().partition(":")
-    if not rest:
+    """The algebra written 'kind:c1,...,cn'; ValueError names what is wrong."""
+    kind, colon, rest = text.partition(":")
+    if not colon:
         raise ValueError("expected 'kind:c1,c2,...', got %r" % text)
-    return validate(kind, [int(x) for x in rest.split(",")])
+    try:
+        c = [int(x) for x in rest.split(",")]
+    except ValueError:
+        raise ValueError("could not parse %r as a comma-separated "
+                         "integer sequence" % rest) from None
+    return validate(kind.strip(), c)
 
 
 # --- uniserial modules -------------------------------------------------------

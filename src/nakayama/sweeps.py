@@ -2,18 +2,13 @@
 
 from collections import namedtuple
 
-from .core import KINDS, rotation_normal_form, validate
+from .core import check_kind, rotation_normal_form, validate
 from .tilting import ClassificationReport, classify
 
 REPORT_KEYS = ClassificationReport._fields
 
 CSV_COLUMNS = ("kind", "n", "c", "gldim", "domdim", "gdim",
                "selfinjective", "auslander", "one_AG", "tilting_exists")
-
-
-def _check_kind(kind):
-    if kind not in KINDS:
-        raise ValueError("kind must be cyclic or linear")
 
 
 class SweepSpec(namedtuple("SweepSpec", (
@@ -27,7 +22,7 @@ class SweepSpec(namedtuple("SweepSpec", (
         self = super().__new__(cls, kind, n, max_c, filters, up_to_rotation,
                                up_to_difference_class, elementary,
                                absolutely_elementary, row_cap)
-        _check_kind(self.kind)
+        check_kind(self.kind)
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.max_c < (2 if self.kind == "cyclic" else 1):
@@ -44,7 +39,7 @@ class SweepSpec(namedtuple("SweepSpec", (
 def generate_sequences(kind, n, max_c):
     """Yield every admissible sequence with entries bounded by max_c,
     depth-first, which is lexicographic order without repeats."""
-    _check_kind(kind)
+    check_kind(kind)
     if n < 1:
         raise ValueError("n must be at least 1")
     linear = kind == "linear"
@@ -72,7 +67,7 @@ def min_rotation(c):
 
 def difference_class_rep(kind, c):
     """Subtract n from every entry as often as admissibility allows."""
-    _check_kind(kind)
+    check_kind(kind)
     if kind != "cyclic":
         return tuple(c)
     n = len(c)

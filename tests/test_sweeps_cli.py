@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import product
@@ -69,11 +70,14 @@ def test_generation_rejects_n_below_one(kind, n):
 
 @pytest.mark.parametrize("kind", ["moebius", "Cyclic", ""])
 def test_sequence_helpers_reject_an_unknown_kind(kind):
-    # an unknown kind is an error, not read as one of the two kinds
+    # an unknown kind is an error, not read as one of the two kinds, and
+    # every entry point names it in the same words
+    message = "^kind must be 'cyclic' or 'linear', got %s$" % re.escape(repr(kind))
     for call in (lambda: list(generate_sequences(kind, 2, 3)),
                  lambda: difference_class_rep(kind, (8, 8, 7)),
-                 lambda: SweepSpec(kind, 2, 3)):
-        with pytest.raises(ValueError, match="^kind must be cyclic or linear$"):
+                 lambda: SweepSpec(kind, 2, 3),
+                 lambda: AdmissibleSequence(kind, (2, 2))):
+        with pytest.raises(ValueError, match=message):
             call()
 
 
@@ -227,6 +231,16 @@ def test_cli_classify_rejects_bad_sequence(capsys):
     assert "c_2" in capsys.readouterr().err
     assert main(["classify", "--cyclic", "2,2", "--linear", "1,2"]) == 1
     assert main(["classify", "--cyclic", "a,b"]) == 1
+
+
+def test_a_non_integer_entry_gets_one_message(capsys):
+    # parse_algebra is the one sequence parser, and the CLI reads its flags
+    # through it
+    message = "could not parse '2,x' as a comma-separated integer sequence"
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        parse_algebra("cyclic:2,x")
+    assert main(["classify", "--cyclic", "2,x"]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 @pytest.mark.parametrize("argv", [
