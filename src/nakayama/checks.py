@@ -44,6 +44,7 @@ from .homology import (
     hom_dim,
     idim_table,
     pdim,
+    pdim_table,
     simples,
     syzygy,
 )
@@ -190,8 +191,8 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12):
         if tilting_criterion(alg):
             continue
         _, _, member = _subcat_split(alg)
-        cands = [u for u in indecomposables(alg)
-                 if member(u) and pdim(alg, u) <= 1]
+        pds = pdim_table(alg)
+        cands = [u for u in pds if member(u) and pds[u] <= 1]
         found = any(
             verify_tilting(alg, ModuleSum.of(combo))
             for combo in combinations(cands, alg.n))
@@ -291,14 +292,15 @@ def suite_structural(n_max=5, c_max=7):
                            for m in (rep.t_c, rep.c_c)), w)
         gl = rep.gldim
         mods = indecomposables(alg)
+        pds = pdim_table(alg)
         members = [u for u in mods if member(u)]
         ids = idim_table(alg) if gl != INF else {}
         if gl != INF and gl >= 1:
             # the bound is empty for semisimple algebras, where every module
             # has pd 0 and the subcategory is everything
-            dims_bound.record(all(pdim(alg, u) <= gl - 1 and ids[u] <= gl - 1
+            dims_bound.record(all(pds[u] <= gl - 1 and ids[u] <= gl - 1
                                   for u in members), w)
-        pd_one = [y for y in mods if pdim(alg, y) == 1]
+        pd_one = [y for y in mods if pds[y] == 1]
         ext_pd_one.record(all(ext_dim(alg, y, x, 1) == 0
                               for y in pd_one for x in members), w)
         witnessed.record(all(
@@ -313,15 +315,16 @@ def suite_structural(n_max=5, c_max=7):
         if gl != INF:
             top = max(ids[projective(alg, i)] for i in range(1, alg.n + 1))
             gorenstein.record(rep.gdim == gl and top == gl, w)
-        x = [u for u in members if pdim(alg, u) == 1]
+        x = [u for u in members if pds[u] == 1]
         pi_count.record(len(q) + len(x) <= alg.n, w)
         tc_is_1ag.record(rep.tilting_cotilting == rep.one_aus_gorenstein, w)
         uniserial.record(all(
-            walk(alg, u) is None or isinstance(walk(alg, u), Uniserial)
-            for u in mods for walk in (syzygy, cosyzygy)), w)
-        finite = [(u, pdim(alg, u)) for u in mods if pdim(alg, u) != INF]
-        ext_beyond.record(all(ext_dim(alg, u, v, p + d) == 0 for u, p in finite
-                              for v in simples(alg) for d in (1, 2)), w)
+            m is None or isinstance(m, Uniserial)
+            for u in mods for m in (syzygy(alg, u), cosyzygy(alg, u))), w)
+        sims = simples(alg)
+        ext_beyond.record(all(ext_dim(alg, u, v, p + d) == 0
+                              for u, p in pds.items() if p != INF
+                              for v in sims for d in (1, 2)), w)
     return SuiteReport("structural", props)
 
 
@@ -479,10 +482,11 @@ def suite_it(samples=1000, seed=42, n_max=6, c_max=8):
         if match.checked >= samples:
             break
         # never empty: the projectives have pd 0
-        finite = [u for u in indecomposables(alg) if pdim(alg, u) != INF]
+        pds = pdim_table(alg)
+        finite = [u for u in pds if pds[u] != INF]
         picks = rng.sample(finite, rng.randint(1, min(len(finite), alg.n + 2)))
         m = ModuleSum.of(sorted(set(picks)))
-        p = max(pdim(alg, u) for u in m)
+        p = max(pds[u] for u in m)
         match.record(igusa_todorov(alg, m) == (p, p),
                      "%s %s" % (format_algebra(alg), m))
     return SuiteReport("it", [match, base])

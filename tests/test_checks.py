@@ -15,6 +15,8 @@ from nakayama.checks import (
 )
 from nakayama.cli import main
 from nakayama.core import INF, validate
+from nakayama.homology import pdim
+from nakayama.tilting import classify
 
 
 def test_property_result_lines():
@@ -111,6 +113,21 @@ def test_structural_and_endo_suites_digest():
     reports = [run_suite("structural", n_max=4, c_max=6), run_suite("endo")]
     text = "\n".join(repr(r) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "c41b2deb9772c03a"
+
+
+def test_structural_suite_reads_one_pdim_table_per_tilting_algebra(monkeypatch):
+    # the per-module dimensions come from one table per algebra that the
+    # suite checks past the criterion, not from pdim one module at a time
+    from nakayama import checks
+    real, tables, singles = checks.pdim_table, [], []
+    monkeypatch.setattr(checks, "pdim_table",
+                        lambda alg: tables.append(alg) or real(alg))
+    monkeypatch.setattr(checks, "pdim",
+                        lambda alg, m: singles.append((alg, m)) or pdim(alg, m))
+    checks.suite_structural(n_max=4, c_max=6)
+    assert singles == []
+    assert tables == [alg for alg in grid_algebras(4, 6)
+                      if classify(alg).tilting_exists]
 
 
 def test_suite_tilting_small_threaded():
