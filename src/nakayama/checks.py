@@ -169,10 +169,11 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12):
     )]
     by_domdim, by_bijection, into, by_tilting, t_members, cotilts, no_small = props
     # n_max and c_max bound every algebra checked: the samples, the grid
-    # slice and the exhaustive slice below
+    # slice and the exhaustive slice below; each distinct algebra of the
+    # slice and the samples is checked once, in first-seen order
     algebras = grid_algebras(min(5, n_max), min(7, c_max))
     algebras += random_algebras(samples, n_max, c_max, seed)
-    for alg in algebras:
+    for alg in dict.fromkeys(algebras):
         w = format_algebra(alg)
         crit = tilting_criterion(alg)
         by_domdim.record(crit == (domdim(alg) >= 2), w)

@@ -96,10 +96,11 @@ def test_random_algebras_reproducible():
 
 
 def test_sampled_suites_digest():
-    # taken before the drop suite listed its grid instead of drawing from it
+    # taken when the tilting suite came to check each distinct algebra once:
+    # 830 algebras here, 941 when it rechecked repeated draws
     reports = [run_suite("tilting", samples=200), run_suite("it", samples=100)]
     text = "\n".join(repr(r) for r in reports)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "491293e9bedca13e"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "a0138c9dd4de1ac1"
 
 
 def test_drop_suite_digest():
@@ -177,6 +178,20 @@ def test_suite_checks_no_algebra_beyond_its_bounds(monkeypatch, suite, probe,
     assert seen and all(alg.n == 1 and max(alg.c) <= 2 for alg in seen)
     assert [p.line() for p in rep.properties if not p.checked] == unchecked_at_n1
     assert rep.ok == (not unchecked_at_n1)
+
+
+def test_suite_tilting_checks_each_distinct_algebra_once(monkeypatch):
+    # a draw that repeats an algebra of the grid slice or an earlier draw
+    # is not checked again, and the order is that of first sight
+    from nakayama import checks
+    real, seen = checks.syzygy_correspondence, []
+    monkeypatch.setattr(checks, "syzygy_correspondence",
+                        lambda alg: seen.append(alg) or real(alg))
+    rep = run_suite("tilting", samples=50, seed=3, n_max=3, c_max=4)
+    algebras = grid_algebras(3, 4) + random_algebras(50, 3, 4, 3)
+    assert len(seen) < len(algebras)
+    assert seen == list(dict.fromkeys(algebras))
+    assert rep.properties[0].checked == len(seen)
 
 
 def test_suite_drop_small():
