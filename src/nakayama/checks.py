@@ -234,15 +234,6 @@ def suite_oracle(n_max=4, c_max=6):
     return SuiteReport("oracle", [hom_prop, ext_prop])
 
 
-def _in_gen_cogen_of_projective_injectives(alg, u, qs):
-    """Membership in Gen intersect Cogen of the projective-injectives qs,
-    tested by exhibiting an explicit quotient and submodule witness."""
-    gen = any(q.top == u.top and q.length >= u.length for q in qs)
-    cogen = any(socle_vertex(alg, q) == socle_vertex(alg, u)
-                and q.length >= u.length for q in qs)
-    return gen and cogen
-
-
 def suite_structural(n_max=5, c_max=7):
     props = [PropertyResult(n) for n in (
         "pd and id at most gldim minus one inside the subcategory",
@@ -274,9 +265,9 @@ def suite_structural(n_max=5, c_max=7):
         rep = classify(alg)
         q, split, member = _subcat_split(alg)
         # injectivity by the envelope, not by the inequality the split reads
-        envelopes = {injective(alg, j) for j in range(1, alg.n + 1)}
+        envelope = {j: injective(alg, j) for j in range(1, alg.n + 1)}
         pi_vertices.record(
-            q == {u.top for u in envelopes if is_projective(alg, u)}, w)
+            q == {u.top for u in envelope.values() if is_projective(alg, u)}, w)
         op = opposite(alg)
         involution.record(opposite(op) == alg and sum(op.c) == sum(alg.c), w)
         selfinj_dd.record(rep.selfinjective == (rep.domdim == INF), w)
@@ -294,7 +285,7 @@ def suite_structural(n_max=5, c_max=7):
         gl = rep.gldim
         mods = indecomposables(alg)
         pds = pdim_table(alg)
-        members = [u for u in mods if member(u)]
+        members = {u for u in mods if member(u)}
         ids = idim_table(alg) if gl != INF else {}
         if gl != INF and gl >= 1:
             # the bound is empty for semisimple algebras, where every module
@@ -304,20 +295,22 @@ def suite_structural(n_max=5, c_max=7):
         pd_one = [y for y in mods if pds[y] == 1]
         ext_pd_one.record(all(ext_dim(alg, y, x, 1) == 0
                               for y in pd_one for x in members), w)
-        witnessed.record(all(
-            member(u) == _in_gen_cogen_of_projective_injectives(alg, u, qs)
-            for u in mods), w)
+        # Gen and Cogen of the projective-injectives: quotients and submodules
+        quotients = {Uniserial(p.top, l) for p in qs for l in range(1, p.length + 1)}
+        submodules = {Uniserial(alg.normalize(p.top - p.length + l), l)
+                      for p in qs for l in range(1, p.length + 1)}
+        witnessed.record(members == quotients & submodules, w)
         proj_inj.record({u for u in members if is_projective(alg, u)}
-                        == {u for u in members if u in envelopes}, w)
-        closed.record(all(member(projective(alg, u.top))
-                          and member(injective(alg, socle_vertex(alg, u)))
+                        == {u for u in members
+                            if envelope[socle_vertex(alg, u)] == u}, w)
+        closed.record(all(projective(alg, u.top) in members
+                          and envelope[socle_vertex(alg, u)] in members
                           for u in members), w)
         dd_symmetric.record(rep.domdim == domdim(op), w)
         if gl != INF:
             top = max(ids[projective(alg, i)] for i in range(1, alg.n + 1))
             gorenstein.record(rep.gdim == gl and top == gl, w)
-        x = [u for u in members if pds[u] == 1]
-        pi_count.record(len(q) + len(x) <= alg.n, w)
+        pi_count.record(len(q) + sum(pds[u] == 1 for u in members) <= alg.n, w)
         tc_is_1ag.record(rep.tilting_cotilting == rep.one_aus_gorenstein, w)
         uniserial.record(all(
             m is None or isinstance(m, Uniserial)
