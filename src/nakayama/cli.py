@@ -42,9 +42,8 @@ def _add_algebra_flags(p):
 def _algebra_from(args):
     if (args.cyclic is None) == (args.linear is None):
         raise ValueError("exactly one of --cyclic or --linear is required")
-    if args.cyclic is not None:
-        return parse_algebra("cyclic:" + args.cyclic)
-    return parse_algebra("linear:" + args.linear)
+    kind = "cyclic" if args.linear is None else "linear"
+    return parse_algebra(kind + ":" + getattr(args, kind))
 
 
 def _text(v):

@@ -177,7 +177,6 @@ def format_algebra(alg):
 
 
 def parse_algebra(text):
-    """The algebra written 'kind:c1,...,cn'; ValueError names what is wrong."""
     kind, colon, rest = text.partition(":")
     if not colon:
         raise ValueError("expected 'kind:c1,c2,...', got %r" % text)
