@@ -86,6 +86,15 @@ def check_kind(kind):
         raise ValueError("kind must be 'cyclic' or 'linear', got %r" % (kind,))
 
 
+def _entry(x):
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError("sequence entry %r is not an integer" % (x,))
+
+
 class AdmissibleSequence:
     """A Nakayama algebra, given by its kind and admissible sequence.
 
@@ -97,11 +106,7 @@ class AdmissibleSequence:
 
     def __init__(self, kind, c):
         check_kind(kind)
-        given = tuple(c)
-        c = tuple(map(int, given))
-        if c != given:
-            raise ValueError("sequence entry %r is not an integer" % (
-                next(x for x, i in zip(given, c) if x != i),))
+        c = tuple(map(_entry, c))
         n = len(c)
         self.kind = kind
         self.c = c

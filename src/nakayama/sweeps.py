@@ -68,10 +68,8 @@ def min_rotation(c):
 def difference_class_rep(kind, c):
     """Subtract n from every entry as often as admissibility allows."""
     check_kind(kind)
-    if kind != "cyclic":
-        return tuple(c)
     n = len(c)
-    t = (min(c) - 2) // n
+    t = (min(c) - 2) // n if kind == "cyclic" else 0
     return tuple(c) if t == 0 else tuple(x - t * n for x in c)
 
 
@@ -95,13 +93,13 @@ def random_algebra(rng, kind, n, c_max):
 
 
 def sweep(spec):
-    """Classify the sequences selected by the spec, in sorted order, until
-    row_cap rows pass the filters.
-
-    Returns (rows, truncated); rows are ClassificationReports in sorted
-    sequence order, truncated marks a hit row_cap.  Sequences are drawn
-    lazily, so a capped sweep generates only what it classifies, unless a
-    reduction to class representatives has to see them all first.
+    """Classify, in lexicographic order, the generated sequences that each
+    set flag keeps, until row_cap rows pass the filters: `elementary` and
+    `up_to_difference_class` keep min c <= n + 1 (the sequences that are
+    their own `difference_class_rep`), `absolutely_elementary` min c = 2,
+    `up_to_rotation` those that are their own `min_rotation` (all linear
+    ones).  Returns (rows, truncated), truncated marking a hit row_cap; a
+    capped sweep generates only what it classifies.
     """
     seqs = generate_sequences(spec.kind, spec.n, spec.max_c)
     if spec.elementary:
@@ -109,19 +107,17 @@ def sweep(spec):
     if spec.absolutely_elementary:
         seqs = filter(is_absolutely_elementary, seqs)
     if spec.up_to_difference_class:
-        seqs = sorted({difference_class_rep(spec.kind, c) for c in seqs})
-    if spec.up_to_rotation and spec.kind == "cyclic":
-        seqs = sorted({min_rotation(c) for c in seqs})
+        seqs = (c for c in seqs if difference_class_rep(spec.kind, c) == c)
+    if spec.up_to_rotation:
+        seqs = (c for c in seqs if min_rotation(c) == c)
     rows = []
-    truncated = False
     for c in seqs:
-        rep = classify(validate(spec.kind, list(c)))
+        rep = classify(validate(spec.kind, c))
         if all(getattr(rep, f) for f in spec.filters):
             rows.append(rep)
-            if spec.row_cap and len(rows) >= spec.row_cap:
-                truncated = True
-                break
-    return rows, truncated
+            if len(rows) == spec.row_cap:
+                return rows, True
+    return rows, False
 
 
 def csv_row(rep):

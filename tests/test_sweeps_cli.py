@@ -107,6 +107,44 @@ def test_absolutely_elementary_classification_n3():
     assert [r.c for r in rows] == [(2, 2, 2), (2, 2, 3)]
 
 
+@pytest.mark.parametrize("kind", ["cyclic", "linear"])
+def test_difference_class_reduction_keeps_the_elementary_sequences(kind):
+    # each difference class's least member is its one elementary member; both
+    # are per-sequence tests, so equality at max_c = 8 holds below it too
+    for n in range(1, 6):
+        spec = SweepSpec(kind, n, 8)
+        assert (sweep(spec._replace(up_to_difference_class=True))
+                == sweep(spec._replace(elementary=True)))
+        rot = spec._replace(up_to_rotation=True)
+        assert (sweep(rot._replace(up_to_difference_class=True))
+                == sweep(rot._replace(elementary=True)))
+        if kind == "linear":   # c_1 = 1 is the one least entry
+            assert sweep(rot) == sweep(spec)
+
+
+def test_class_census_through_sweep():
+    # one row per class: cyclic difference classes, whose least rotation has
+    # min c <= n + 1 and so every entry <= 2n, and every linear sequence,
+    # whose c_i <= i <= n; the paper's two theorems hold on every row
+    counts = {}
+    for kind, n_max in (("cyclic", 6), ("linear", 8)):
+        for n in range(1, n_max + 1):
+            rows, _ = sweep(SweepSpec(kind, n, 2 * n if kind == "cyclic" else n,
+                                      up_to_rotation=True,
+                                      up_to_difference_class=True))
+            for r in rows:
+                assert r.tilting_exists == (r.domdim >= 2), r.c
+                assert r.tilting_cotilting == r.one_aus_gorenstein, r.c
+            counts.setdefault(kind, []).append(
+                (len(rows), sum(r.tilting_exists for r in rows),
+                 sum(r.tilting_cotilting for r in rows)))
+    assert [list(x) for x in zip(*counts["cyclic"])] == [
+        [1, 4, 12, 40, 130, 480], [1, 3, 7, 17, 39, 107], [1, 3, 5, 9, 12, 22]]
+    assert [list(x) for x in zip(*counts["linear"])] == [
+        [1, 1, 2, 5, 14, 42, 132, 429], [1, 0, 1, 1, 3, 6, 15, 36],
+        [1, 0, 1, 0, 1, 0, 1, 0]]
+
+
 def test_elementary_predicates():
     assert is_elementary((4, 4, 4))
     assert not is_elementary((5, 5, 5))
@@ -157,7 +195,11 @@ def test_sweep_classifies_only_up_to_the_row_cap(monkeypatch, cap):
     assert rows == full[:cap] and len(full) > cap
 
 
-def test_capped_sweep_draws_only_the_sequences_it_needs(monkeypatch):
+@pytest.mark.parametrize("reductions", [
+    (), ("up_to_rotation",), ("up_to_difference_class",),
+    ("up_to_rotation", "up_to_difference_class")],
+    ids=["none", "rotation", "difference_class", "both"])
+def test_capped_sweep_draws_only_the_sequences_it_needs(monkeypatch, reductions):
     import nakayama.sweeps
 
     real = nakayama.sweeps.generate_sequences
@@ -169,8 +211,9 @@ def test_capped_sweep_draws_only_the_sequences_it_needs(monkeypatch):
             yield c
 
     monkeypatch.setattr(nakayama.sweeps, "generate_sequences", counted)
-    rows, truncated = sweep(SweepSpec(kind="cyclic", n=5, max_c=7, elementary=True,
-                                      filters=("tilting_exists",), row_cap=3))
+    spec = SweepSpec(kind="cyclic", n=5, max_c=7, elementary=True,
+                     filters=("tilting_exists",), row_cap=3)
+    rows, truncated = sweep(spec._replace(**dict.fromkeys(reductions, True)))
     assert truncated and len(rows) == 3
     assert drawn[-1] == rows[-1].c
     assert len(drawn) < len(list(real("cyclic", 5, 7)))
