@@ -14,9 +14,10 @@ import os
 import sys
 
 from .core import INF, KINDS, ModuleSum, format_algebra, parse_algebra
-from .checks import CHECK_FLAGS, _oracle_counts, flag, run_suite, SUITES
+from .checks import CHECK_FLAGS, flag, run_suite
 from .endo import _drop_record, end_algebra, gldim_over, mueller_domdim
 from .homology import gldim
+from .suites import SUITES, _oracle_counts
 from .sweeps import CSV_COLUMNS, SweepSpec, csv_row, sweep
 from .tilting import (
     _tilting,
@@ -155,7 +156,6 @@ def cmd_enumerate(args):
         kind=args.kind, n=args.n, max_c=args.max_c,
         filters=tuple(args.filter or ()),
         up_to_rotation=args.up_to_rotation,
-        up_to_difference_class=args.up_to_difference_class,
         elementary=args.elementary,
         absolutely_elementary=args.absolutely_elementary,
         row_cap=args.row_cap)
@@ -254,7 +254,6 @@ def build_parser():
     p.add_argument("--elementary", action="store_true")
     p.add_argument("--absolutely-elementary", action="store_true")
     p.add_argument("--up-to-rotation", action="store_true")
-    p.add_argument("--up-to-difference-class", action="store_true")
     p.add_argument("--row-cap", type=int, default=0)
     out = p.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true")

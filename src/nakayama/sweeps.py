@@ -12,16 +12,15 @@ CSV_COLUMNS = ("kind", "n", "c", "gldim", "domdim", "gdim",
 
 
 class SweepSpec(namedtuple("SweepSpec", (
-        "kind", "n", "max_c", "filters", "up_to_rotation", "up_to_difference_class",
-        "elementary", "absolutely_elementary", "row_cap"))):
+        "kind", "n", "max_c", "filters", "up_to_rotation", "elementary",
+        "absolutely_elementary", "row_cap"))):
     __slots__ = ()
 
     def __new__(cls, kind, n, max_c, filters=(), up_to_rotation=False,
-                up_to_difference_class=False, elementary=False,
-                absolutely_elementary=False, row_cap=0):   # row_cap 0 = unlimited
+                elementary=False, absolutely_elementary=False,
+                row_cap=0):   # row_cap 0 = unlimited
         self = super().__new__(cls, kind, n, max_c, filters, up_to_rotation,
-                               up_to_difference_class, elementary,
-                               absolutely_elementary, row_cap)
+                               elementary, absolutely_elementary, row_cap)
         check_kind(self.kind)
         if self.n < 1:
             raise ValueError("n must be at least 1")
@@ -94,9 +93,9 @@ def random_algebra(rng, kind, n, c_max):
 
 def sweep(spec):
     """Classify, in lexicographic order, the generated sequences that each
-    set flag keeps, until row_cap rows pass the filters: `elementary` and
-    `up_to_difference_class` keep min c <= n + 1 (the sequences that are
-    their own `difference_class_rep`), `absolutely_elementary` min c = 2,
+    set flag keeps, until row_cap rows pass the filters: `elementary` keeps
+    min c <= n + 1 (the sequences that are their own
+    `difference_class_rep`), `absolutely_elementary` min c = 2,
     `up_to_rotation` those that are their own `min_rotation` (all linear
     ones).  Returns (rows, truncated), truncated marking a hit row_cap; a
     capped sweep generates only what it classifies.
@@ -106,8 +105,6 @@ def sweep(spec):
         seqs = filter(is_elementary, seqs)
     if spec.absolutely_elementary:
         seqs = filter(is_absolutely_elementary, seqs)
-    if spec.up_to_difference_class:
-        seqs = (c for c in seqs if difference_class_rep(spec.kind, c) == c)
     if spec.up_to_rotation:
         seqs = (c for c in seqs if min_rotation(c) == c)
     rows = []

@@ -75,11 +75,17 @@ def test_import_loads_neither_fractions_nor_decimal():
     src = str(Path(nakayama.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # the property suites and the CLI load only when they are used
     code = ("import sys; before = set(sys.modules); import nakayama; "
+            "from nakayama import checks, core, endo, homology, oracle, sweeps, "
+            "tilting; print(*sorted(set(sys.modules) - before)); "
+            "nakayama.run_suite('it', samples=1); "
             "print(*sorted(set(sys.modules) - before))")
-    added = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                               capture_output=True, text=True).stdout.split())
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    added, after_suite = [set(line.split()) for line in out.splitlines()]
     assert "nakayama" in added
-    assert not added & {"fractions", "decimal"}
+    assert not added & {"fractions", "decimal", "nakayama.suites", "nakayama.cli"}
+    assert "nakayama.suites" in after_suite
     x = solve([[2]], [1])
     assert x == [Fraction(1, 2)] and type(x[0]) is Fraction

@@ -7,7 +7,6 @@ import pytest
 
 from nakayama.checks import (
     CHECK_FLAGS,
-    SUITES,
     PropertyResult,
     grid_algebras,
     random_algebras,
@@ -16,6 +15,7 @@ from nakayama.checks import (
 from nakayama.cli import main
 from nakayama.core import INF, validate
 from nakayama.homology import pdim
+from nakayama.suites import SUITES
 from nakayama.tilting import classify
 
 
@@ -119,14 +119,14 @@ def test_structural_and_endo_suites_digest():
 def test_structural_suite_reads_one_pdim_table_per_tilting_algebra(monkeypatch):
     # the per-module dimensions come from one table per algebra that the
     # suite checks past the criterion, not from pdim one module at a time
-    from nakayama import checks
-    real, tables, singles = checks.pdim_table, [], []
-    monkeypatch.setattr(checks, "pdim_table",
+    from nakayama import suites
+    real, tables, singles = suites.pdim_table, [], []
+    monkeypatch.setattr(suites, "pdim_table",
                         lambda alg: tables.append(alg) or real(alg))
-    monkeypatch.setattr(checks, "pdim",
+    monkeypatch.setattr(suites, "pdim",
                         lambda alg, m: singles.append((alg, m)) or pdim(alg, m))
-    checks.suite_structural(n_max=4, c_max=6)
-    assert singles == []
+    suites.suite_structural(n_max=4, c_max=6)
+    assert tables and singles == []
     assert tables == [alg for alg in grid_algebras(4, 6)
                       if classify(alg).tilting_exists]
 
@@ -151,16 +151,16 @@ def test_suite_tilting_small_threaded():
 def test_suite_checks_no_algebra_beyond_its_bounds(monkeypatch, suite, probe,
                                                    samples, unchecked_at_n1):
     # every algebra the suite checks, grid, samples and any fixed slice,
-    # passes through the probe
-    from nakayama import checks
-    real, seen = getattr(checks, probe), []
-    monkeypatch.setattr(checks, probe,
+    # passes through the probe; the draws are made in checks
+    from nakayama import checks, suites
+    real, seen = getattr(suites, probe), []
+    monkeypatch.setattr(suites, probe,
                         lambda alg: seen.append(alg) or real(alg))
     real_draw, draws = checks.random_algebra, []
     monkeypatch.setattr(checks, "random_algebra",
                         lambda *args: draws.append(args) or real_draw(*args))
-    real_pd, checked = checks.pd_tau_tilting, []
-    monkeypatch.setattr(checks, "pd_tau_tilting",
+    real_pd, checked = suites.pd_tau_tilting, []
+    monkeypatch.setattr(suites, "pd_tau_tilting",
                         lambda alg, t: checked.append(alg) or real_pd(alg, t))
     rep = run_suite(suite, n_max=2, c_max=3, **samples)
     assert seen and all(alg.n <= 2 and max(alg.c) <= 3 for alg in seen)
@@ -171,7 +171,7 @@ def test_suite_checks_no_algebra_beyond_its_bounds(monkeypatch, suite, probe,
     assert bool(draws) == bool(samples)
     if suite == "drop":
         assert checked == [a for a in grid_algebras(2, 3)
-                           if real(a) != INF and checks.tilting_criterion(a)]
+                           if real(a) != INF and suites.tilting_criterion(a)]
         assert len(checked) == rep.properties[0].checked == 3
     seen.clear()
     rep = run_suite(suite, n_max=1, c_max=2, **dict.fromkeys(samples, 0))
@@ -183,13 +183,13 @@ def test_suite_checks_no_algebra_beyond_its_bounds(monkeypatch, suite, probe,
 def test_suite_tilting_checks_each_distinct_algebra_once(monkeypatch):
     # a draw that repeats an algebra of the grid slice or an earlier draw
     # is not checked again, and the order is that of first sight
-    from nakayama import checks
-    real, seen = checks.syzygy_correspondence, []
-    monkeypatch.setattr(checks, "syzygy_correspondence",
+    from nakayama import suites
+    real, seen = suites.syzygy_correspondence, []
+    monkeypatch.setattr(suites, "syzygy_correspondence",
                         lambda alg: seen.append(alg) or real(alg))
     rep = run_suite("tilting", samples=50, seed=3, n_max=3, c_max=4)
     algebras = grid_algebras(3, 4) + random_algebras(50, 3, 4, 3)
-    assert len(seen) < len(algebras)
+    assert 0 < len(seen) < len(algebras)
     assert seen == list(dict.fromkeys(algebras))
     assert rep.properties[0].checked == len(seen)
 
@@ -210,11 +210,11 @@ def test_suite_it_small():
 def test_oracle_witness_names_its_own_kind(monkeypatch):
     # ext^1 goes wrong on n = 1 and hom on n = 2; the grid reaches n = 1
     # first, so a witness shared by both kinds would name ext1 on the hom line
-    from nakayama import checks
-    hom, ext1 = checks.oracle_hom_dim, checks.oracle_ext1_dim
-    monkeypatch.setattr(checks, "oracle_hom_dim",
+    from nakayama import suites
+    hom, ext1 = suites.oracle_hom_dim, suites.oracle_ext1_dim
+    monkeypatch.setattr(suites, "oracle_hom_dim",
                         lambda alg, u, v: hom(alg, u, v) + (alg.n == 2))
-    monkeypatch.setattr(checks, "oracle_ext1_dim",
+    monkeypatch.setattr(suites, "oracle_ext1_dim",
                         lambda alg, u, v: ext1(alg, u, v) + (alg.n == 1))
     hom_prop, ext_prop = run_suite("oracle", n_max=2, c_max=3).properties
     assert hom_prop.failed and ext_prop.failed
@@ -225,9 +225,9 @@ def test_oracle_witness_names_its_own_kind(monkeypatch):
 def test_drop_bound_violation_is_reported_not_raised(monkeypatch):
     # an End(T) global dimension one above gldim breaks the bound; the
     # property must record it instead of an assert raising out of the suite
-    from nakayama import checks, endo
+    from nakayama import endo, suites
     from nakayama.homology import gldim
-    for mod in (checks, endo):
+    for mod in (suites, endo):
         monkeypatch.setattr(mod, "gldim_over",
                             lambda algebra, cap=30: gldim(algebra.alg) + 1)
     rep = run_suite("drop", cap=20, n_max=4, c_max=5)
@@ -265,16 +265,16 @@ def test_a_broken_check_fails_only_its_own_property(monkeypatch, suite, params,
                                                     target, mutate, name):
     # each property is bound to its own check, so breaking one check fails
     # the property named for it and no other
-    from nakayama import checks
-    monkeypatch.setattr(checks, target, mutate(getattr(checks, target)))
+    from nakayama import suites
+    monkeypatch.setattr(suites, target, mutate(getattr(suites, target)))
     rep = run_suite(suite, **params)
     assert [p.name for p in rep.properties if p.failed] == [name]
 
 
 def test_drop_catches_disagreeing_conditions(monkeypatch):
-    from nakayama import checks
+    from nakayama import suites
     monkeypatch.setattr(
-        checks, "gldim_drop_conditions",
+        suites, "gldim_drop_conditions",
         lambda alg, t: {"pd": True, "ext": False, "cover": True, "nu": True})
     rep = run_suite("drop", cap=20, n_max=4, c_max=5)
     agree = next(p for p in rep.properties
@@ -284,8 +284,8 @@ def test_drop_catches_disagreeing_conditions(monkeypatch):
 
 
 def test_tilting_catches_a_non_injective_syzygy_correspondence(monkeypatch):
-    from nakayama import checks
-    real = checks.syzygy_correspondence
+    from nakayama import suites
+    real = suites.syzygy_correspondence
 
     def merged(alg):
         # send the first two modules of X to the same projective
@@ -295,7 +295,7 @@ def test_tilting_catches_a_non_injective_syzygy_correspondence(monkeypatch):
             omega[x[1]] = omega[x[0]]
         return x, omega, bij
 
-    monkeypatch.setattr(checks, "syzygy_correspondence", merged)
+    monkeypatch.setattr(suites, "syzygy_correspondence", merged)
     rep = run_suite("tilting", samples=20, seed=1, n_max=4, c_max=6)
     into = next(p for p in rep.properties if p.name
                 == "syzygy correspondence maps X injectively into the projectives")
@@ -307,7 +307,7 @@ def test_suites_and_endo_command_build_each_object_once(monkeypatch, capsys):
     # per algebra: at most 6 splits in structural (classify's included, from
     # an empty rotation table), one T in drop, and one End(T) in endo for
     # each algebra that reaches it; `nakayama endo` builds T once
-    from nakayama import checks, cli, endo, tilting
+    from nakayama import cli, endo, suites, tilting
     calls = {}
 
     def count(name, *mods):
@@ -321,8 +321,8 @@ def test_suites_and_endo_command_build_each_object_once(monkeypatch, capsys):
             monkeypatch.setattr(mod, name, counted)
 
     count("split_projective_vertices", tilting)
-    count("canonical_tilting", tilting, checks, cli)
-    count("end_algebra", endo, checks, cli)
+    count("canonical_tilting", tilting, suites, cli)
+    count("end_algebra", endo, suites, cli)
     monkeypatch.setattr(tilting, "_reports", {})
 
     def run(*args, **params):

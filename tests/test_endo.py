@@ -6,13 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from nakayama import checks, endo
-from nakayama.checks import (
-    broken_algebra_axiom,
-    broken_module_axiom,
-    grid_algebras,
-    run_suite,
-)
+from nakayama import endo, suites
+from nakayama.checks import grid_algebras, run_suite
 from nakayama.core import (
     INF,
     AdmissibleSequence,
@@ -56,6 +51,7 @@ from nakayama.homology import (
     simples,
 )
 from nakayama.linalg import kernel_basis, solve
+from nakayama.suites import broken_algebra_axiom, broken_module_axiom
 from nakayama.tilting import (
     basic_gen_cogen,
     canonical_tilting,
@@ -330,7 +326,7 @@ def test_construction_runs_no_axiom_check(monkeypatch):
     # simples and Hom modules calls it not once
     calls = []
     for fn in (broken_algebra_axiom, broken_module_axiom):
-        monkeypatch.setattr(checks, fn.__name__,
+        monkeypatch.setattr(suites, fn.__name__,
                             lambda *args, fn=fn: calls.append(fn) or fn(*args))
     for alg in (SHARP, LIN5, TWO_AUS):
         b = end_algebra(alg, canonical_tilting(alg))

@@ -109,17 +109,15 @@ def test_absolutely_elementary_classification_n3():
 
 @pytest.mark.parametrize("kind", ["cyclic", "linear"])
 def test_difference_class_reduction_keeps_the_elementary_sequences(kind):
-    # each difference class's least member is its one elementary member; both
-    # are per-sequence tests, so equality at max_c = 8 holds below it too
+    # each difference class's least member is its one elementary member, so
+    # `elementary` is the difference-class reduction; a linear sequence is its
+    # own representative and, c_1 = 1 being its one least entry, its own
+    # least rotation
     for n in range(1, 6):
-        spec = SweepSpec(kind, n, 8)
-        assert (sweep(spec._replace(up_to_difference_class=True))
-                == sweep(spec._replace(elementary=True)))
-        rot = spec._replace(up_to_rotation=True)
-        assert (sweep(rot._replace(up_to_difference_class=True))
-                == sweep(rot._replace(elementary=True)))
-        if kind == "linear":   # c_1 = 1 is the one least entry
-            assert sweep(rot) == sweep(spec)
+        for c in generate_sequences(kind, n, 8):
+            assert is_elementary(c) == (difference_class_rep(kind, c) == c), c
+            if kind == "linear":
+                assert is_elementary(c) and min_rotation(c) == c, c
 
 
 def test_class_census_through_sweep():
@@ -130,8 +128,7 @@ def test_class_census_through_sweep():
     for kind, n_max in (("cyclic", 6), ("linear", 8)):
         for n in range(1, n_max + 1):
             rows, _ = sweep(SweepSpec(kind, n, 2 * n if kind == "cyclic" else n,
-                                      up_to_rotation=True,
-                                      up_to_difference_class=True))
+                                      up_to_rotation=True, elementary=True))
             for r in rows:
                 assert r.tilting_exists == (r.domdim >= 2), r.c
                 assert r.tilting_cotilting == r.one_aus_gorenstein, r.c
@@ -196,9 +193,8 @@ def test_sweep_classifies_only_up_to_the_row_cap(monkeypatch, cap):
 
 
 @pytest.mark.parametrize("reductions", [
-    (), ("up_to_rotation",), ("up_to_difference_class",),
-    ("up_to_rotation", "up_to_difference_class")],
-    ids=["none", "rotation", "difference_class", "both"])
+    (), ("up_to_rotation",), ("elementary",), ("up_to_rotation", "elementary")],
+    ids=["none", "rotation", "elementary", "both"])
 def test_capped_sweep_draws_only_the_sequences_it_needs(monkeypatch, reductions):
     import nakayama.sweeps
 
@@ -211,8 +207,8 @@ def test_capped_sweep_draws_only_the_sequences_it_needs(monkeypatch, reductions)
             yield c
 
     monkeypatch.setattr(nakayama.sweeps, "generate_sequences", counted)
-    spec = SweepSpec(kind="cyclic", n=5, max_c=7, elementary=True,
-                     filters=("tilting_exists",), row_cap=3)
+    spec = SweepSpec(kind="cyclic", n=5, max_c=7, filters=("tilting_exists",),
+                     row_cap=3)
     rows, truncated = sweep(spec._replace(**dict.fromkeys(reductions, True)))
     assert truncated and len(rows) == 3
     assert drawn[-1] == rows[-1].c
@@ -489,19 +485,22 @@ def test_cli_check_drop_takes_only_its_grid_flags(capsys):
 @pytest.mark.parametrize("suite", ["drop", "endo"])
 def test_cli_check_rejects_a_cap_below_one_before_any_work(suite, capsys,
                                                          monkeypatch):
-    from nakayama import checks
+    from nakayama import suites
 
     def work(*args):
         raise AssertionError("the suite started")
 
     # the first work that drop and endo do
     for name in ("grid_algebras", "end_algebra"):
-        monkeypatch.setattr(checks, name, work)
+        monkeypatch.setattr(suites, name, work)
     for cap in (0, -3):
         assert main(["check", "--suite", suite, "--cap", str(cap)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "suite %s needs --cap >= 1, got %d\n" % (suite, cap)
+    # the patches are the ones the suite reads
+    with pytest.raises(AssertionError, match="the suite started"):
+        main(["check", "--suite", suite, "--cap", "1"])
 
 
 def test_cli_check_over_cap_is_a_named_failure(capsys):
@@ -575,9 +574,9 @@ def test_cli_oracle_rejects_grid_flags_with_an_algebra(capsys, argv):
 
 
 def test_cli_oracle_single_names_the_mismatched_pair(capsys, monkeypatch):
-    from nakayama import checks
-    hom = checks.oracle_hom_dim
-    monkeypatch.setattr(checks, "oracle_hom_dim",
+    from nakayama import suites
+    hom = suites.oracle_hom_dim
+    monkeypatch.setattr(suites, "oracle_hom_dim",
                         lambda alg, u, v: hom(alg, u, v) + 1)
     assert main(["oracle", "--cyclic", "2,2"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -589,9 +588,9 @@ def test_cli_oracle_single_names_the_mismatched_pair(capsys, monkeypatch):
 
 
 def test_cli_check_and_oracle_json_carry_the_witness(capsys, monkeypatch):
-    from nakayama import checks
-    hom = checks.oracle_hom_dim
-    monkeypatch.setattr(checks, "oracle_hom_dim",
+    from nakayama import suites
+    hom = suites.oracle_hom_dim
+    monkeypatch.setattr(suites, "oracle_hom_dim",
                         lambda alg, u, v: hom(alg, u, v) + 1)
     assert main(["oracle", "--cyclic", "2,2", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
