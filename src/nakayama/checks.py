@@ -1,11 +1,21 @@
-"""Algebra families, suite results, and `run_suite`, which checks a suite's
-parameters and runs it.  The suites live in `suites`, which `run_suite`
-imports on first use, so `import nakayama` never compiles them.
+"""Algebra families, suite results, the oracle counts that the `oracle`
+suite and command share, the suite names, and `run_suite`, which checks a
+suite's parameters and runs it.  The suites live in `suites`, which
+`run_suite` imports on first use, so neither `import nakayama` nor the CLI's
+start-up compiles them.
 """
 
 import random
 
-from .core import KINDS, AdmissibleSequence
+from .core import (
+    KINDS,
+    AdmissibleSequence,
+    format_algebra,
+    format_module,
+    indecomposables,
+)
+from .homology import ext_dim, hom_dim
+from .oracle import oracle_ext1_dim, oracle_hom_dim
 from .sweeps import generate_sequences, random_algebra
 
 
@@ -98,6 +108,31 @@ def random_algebras(count, n_max, c_max, seed):
     return [next(draws) for _ in range(count)]
 
 
+def _oracle_counts(alg):
+    """(pairs, hom, ext1) over all pairs of indecomposables of alg.
+
+    hom and ext1 are each (mismatches, first mismatch) for their own kind.
+    """
+    mods = indecomposables(alg)
+    hom_bad = ext_bad = 0
+    hom_witness = ext_witness = ""
+    for u in mods:
+        for v in mods:
+            if hom_dim(alg, u, v) != oracle_hom_dim(alg, u, v):
+                hom_bad += 1
+                hom_witness = hom_witness or "%s hom %s -> %s" % (
+                    format_algebra(alg), format_module(u), format_module(v))
+            if ext_dim(alg, u, v, 1) != oracle_ext1_dim(alg, u, v):
+                ext_bad += 1
+                ext_witness = ext_witness or "%s ext1 %s -> %s" % (
+                    format_algebra(alg), format_module(u), format_module(v))
+    return len(mods) ** 2, (hom_bad, hom_witness), (ext_bad, ext_witness)
+
+
+# the names of the suites in `suites.SUITES`, sorted, so that the CLI can
+# offer them without compiling the suites
+SUITE_NAMES = ("drop", "endo", "it", "oracle", "structural", "tilting")
+
 # the suite parameters that `nakayama check` has flags for
 CHECK_FLAGS = ("samples", "seed", "n_max", "c_max", "cap")
 
@@ -112,12 +147,12 @@ def flag(param):
 
 
 def run_suite(name, **params):
+    if name not in SUITE_NAMES:
+        raise ValueError("unknown suite %r; available: %s" % (
+            name, ", ".join(SUITE_NAMES)))
     # imported here so that `import nakayama` does not compile the suites
     from .suites import SUITES
 
-    if name not in SUITES:
-        raise ValueError("unknown suite %r; available: %s" % (
-            name, ", ".join(sorted(SUITES))))
     suite = SUITES[name]
     accepted = suite.__code__.co_varnames[:suite.__code__.co_argcount]
     unknown = sorted(set(params) - set(accepted))

@@ -14,10 +14,9 @@ import os
 import sys
 
 from .core import INF, KINDS, ModuleSum, format_algebra, parse_algebra
-from .checks import CHECK_FLAGS, flag, run_suite
+from .checks import CHECK_FLAGS, SUITE_NAMES, _oracle_counts, flag, run_suite
 from .endo import _drop_record, end_algebra, gldim_over, mueller_domdim
 from .homology import gldim
-from .suites import SUITES, _oracle_counts
 from .sweeps import CSV_COLUMNS, SweepSpec, csv_row, sweep
 from .tilting import (
     _tilting,
@@ -261,7 +260,7 @@ def build_parser():
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("check", help="run a property suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     for name in CHECK_FLAGS:
         p.add_argument(flag(name), type=int, dest=name)
     p.add_argument("--json", action="store_true")

@@ -502,12 +502,15 @@ def module_endomorphisms(algebra, module):
     return total - rank(rows)
 
 
-def projdim_key_check(b, m, cap=30):
-    """Whether pd over b = End(T) of Hom(T, m) equals pd(m) - 1, for the
-    canonical tilting module T of b.alg and m covered by a projective-injective.
-    None when the resolution overran the cap."""
+def projdim_key_check(b, t, m, cap=30):
+    """Whether pd over b = End(T) of Hom(T, m) equals pd(m) - 1, for t the
+    canonical tilting module T of b.alg as `canonical_tilting` gives it (None
+    when there is none) and m covered by a projective-injective.  None when
+    the resolution overran the cap."""
     alg = b.alg
-    if b.summands != _tilting(alg).summands:
+    if t is None:
+        raise ValueError("no canonical tilting module: dominant dimension < 2")
+    if b.summands != t.summands:
         raise ValueError("expected End(T) of the canonical tilting module T")
     if not is_injective(alg, projective(alg, m.top)):
         raise ValueError("module is not generated by the projective-injectives")

@@ -2,16 +2,19 @@
 
 A uniserial is realized as a representation of the quiver: one coordinate
 slot per composition factor, arrows acting as index shifts.  Hom spaces are
-intertwiner kernels, found by generic exact elimination.  Ext^1(M, N) is a
-dimension count for an explicitly constructed projective presentation
-0 -> K -> P_0 -> M -> 0: since Ext^1(P_0, N) = 0, the sequence
+intertwiner kernels, found by generic exact elimination over the integers.
+Ext^1(M, N) is a dimension count for an explicitly constructed projective
+presentation 0 -> K -> P_0 -> M -> 0: since Ext^1(P_0, N) = 0, the sequence
 
     0 -> Hom(M, N) -> Hom(P_0, N) -> Hom(K, N) -> Ext^1(M, N) -> 0
 
 is exact (Assem-Simson-Skowronski, Elements of the Representation Theory of
-Associative Algebras I, IV.2 and A.4).  Nothing here shares a formula with
-homology.py: the closed-form image-length count and the syzygy index
-arithmetic never appear.
+Associative Algebras I, IV.2 and A.4).  The cover P_0 -> M sends P_0's slot
+j to M's slot j for j < len(M) and kills the others, so K is read off P_0's
+matrices: at each vertex it is spanned by P_0's slots j >= len(M), and its
+arrow maps are the submatrices of P_0's on those slots, checked to map K
+into K.  Nothing here shares a formula with homology.py: the closed-form
+image-length count and the syzygy index arithmetic never appear.
 
 The tables are kept per quiver (kind, n) and never emptied, and their keys
 are exact: a uniserial's representation reads only the quiver and its
@@ -27,29 +30,56 @@ the caller's own key.  The rotation is exact: sigma is an automorphism of
 the quiver, so Hom(sigma M, sigma N) = Hom(M, N), and the presentation of
 sigma u is sigma applied to that of u, with the same c_top (ibid. III.1 and
 IV.2).  It only relabels vertices and shares no formula with homology.py.
+The table of Hom between representations uses the same fact once more: a
+miss moves the pair (M, N) by the rotation that takes M to the member of
+least content (dims, then arrow matrices) of its rotation class, found by
+rotating M's matrices, and eliminates only when that pair is new.  So the
+K-pairs of different presentations share their eliminations too.
 """
 
 from .core import Uniserial
-from .linalg import intertwiner_system, kernel_basis, mat_mul, rank, solve
+from .linalg import intertwiner_system, rank
 
 
 class _Quiver:
     """The quiver (kind, n) of an algebra and the oracle's tables over it."""
 
     def __init__(self, alg):
-        first = 1 if alg.kind == "cyclic" else 2
+        self.cyclic = alg.kind == "cyclic"
+        first = 1 if self.cyclic else 2
         # (v, w) for each arrow v -> w = v - 1
         self.arrows = [(v, alg.normalize(v - 1)) for v in range(first, alg.n + 1)]
         self.reps = {}           # (top, length) -> MatrixRep
         self.contents = {}       # (dims, arrow matrices) -> MatrixRep
         self.presentations = {}  # (top, length, c_top) -> (K, incl, P_0, u) reps
         self.homs = {}           # (MatrixRep, MatrixRep) -> dim Hom
+        self.rotations = {}      # MatrixRep -> (s, its rotations), cyclic only
+
+    def _content(self, rep):
+        return (tuple(rep.dims),
+                tuple(tuple(map(tuple, rep.mats[v])) for v, _ in self.arrows))
 
     def unique(self, rep):
         """The first representation built with rep's dims and arrow matrices."""
-        key = (tuple(rep.dims),
-               tuple(tuple(map(tuple, rep.mats[v])) for v, _ in self.arrows))
-        return self.contents.setdefault(key, rep)
+        return self.contents.setdefault(self._content(rep), rep)
+
+    def turns(self, rep):
+        """(s, rots) for a representation of a cyclic quiver: rots[t] is rep
+        moved by the rotation i -> i + t, unique'd by content, and rots[s] is
+        the one of least content (dims first, then arrow matrices)."""
+        found = self.rotations.get(rep)
+        if found is None:
+            n = len(rep.dims)
+            keys, rots = [], []
+            for t in range(n):
+                # the arrow out of vertex v becomes the arrow out of v + t
+                moved = MatrixRep(self, rep.dims[n - t:] + rep.dims[:n - t],
+                                  {v: rep.mats[(v - 1 - t) % n + 1]
+                                   for v in range(1, n + 1)})
+                keys.append(self._content(moved))
+                rots.append(self.contents.setdefault(keys[-1], moved))
+            found = self.rotations[rep] = (keys.index(min(keys)), rots)
+        return found
 
 
 _quivers = {}  # (kind, n) -> _Quiver
@@ -106,14 +136,25 @@ def _rep(q, alg, u):
 
 
 def _hom(m_rep, n_rep):
-    """dim Hom(M, N): variables minus the rank of the intertwiner system."""
-    homs = m_rep.quiver.homs
-    d = homs.get((m_rep, n_rep))
+    """dim Hom(M, N): variables minus the rank of the intertwiner system.
+
+    On a cyclic quiver a miss moves the pair by the rotation that takes M to
+    the least-content member of its rotation class, solves that pair only if
+    it is new, and keeps the answer under both pairs."""
+    q = m_rep.quiver
+    d = q.homs.get((m_rep, n_rep))
     if d is None:
-        rows, total = intertwiner_system(m_rep.dims, n_rep.dims, [
-            (v - 1, w - 1, m_rep.mats[v], n_rep.mats[v])
-            for v, w in m_rep.quiver.arrows])
-        d = homs[m_rep, n_rep] = total - rank(rows) if total else 0
+        pair = m_rep, n_rep
+        if q.cyclic:
+            s, m_rots = q.turns(m_rep)
+            pair = m_rots[s], q.turns(n_rep)[1][s]
+            d = q.homs.get(pair)
+        if d is None:
+            rows, total = intertwiner_system(pair[0].dims, pair[1].dims, [
+                (v - 1, w - 1, pair[0].mats[v], pair[1].mats[v])
+                for v, w in q.arrows])
+            d = q.homs[pair] = total - rank(rows) if total else 0
+        q.homs[m_rep, n_rep] = d
     return d
 
 
@@ -141,38 +182,33 @@ def oracle_hom_dim(alg, u, v):
 def _presentation(q, alg, u, c_top):
     """(K, incl, P_0, u): the representations of the explicit kernel K of the
     cover P_0 = M(top u, c_top) ->> u, of P_0 and of u, with K's inclusion
-    matrices."""
+    matrices.
+
+    The cover sends P_0's slot j to u's slot j for j < len(u) and kills the
+    rest, so K is spanned, at each vertex, by P_0's slots j >= len(u), and
+    its arrow maps are the submatrices of P_0's on those slots."""
     key = (u.top, u.length, c_top)
     found = q.presentations.get(key)
     if found is not None:
         return found
     cover = Uniserial(u.top, c_top)
     p0 = _rep(q, alg, cover)
-    # projection sends P_0 slot j to M slot j for j < len(u); rebuild the
-    # per-vertex matrices from slot bookkeeping
-    p0_slots, m_slots = _slots(alg, cover), _slots(alg, u)
-    incl, kdims = {}, []
-    for v in range(1, alg.n + 1):
-        pi = [[1 if pj == mj else 0 for pj in p0_slots[v - 1]] for mj in m_slots[v - 1]]
-        basis = kernel_basis(pi, len(p0_slots[v - 1]))
-        incl[v] = [list(col) for col in zip(*basis)] if basis else [[] for _ in p0_slots[v - 1]]
-        kdims.append(len(basis))
+    # K's basis at each vertex: the positions there of P_0's slots j >= len(u)
+    kept = [[a for a, j in enumerate(slots) if j >= u.length]
+            for slots in _slots(alg, cover)]
+    incl = {v: [[int(a == b) for b in kept[v - 1]] for a in range(p0.dims[v - 1])]
+            for v in range(1, alg.n + 1)}
     kmats = {}
     for v, w in q.arrows:
-        img = mat_mul(p0.mats[v], incl[v]) if kdims[v - 1] else \
-            [[] for _ in range(len(p0.mats[v]))]
-        cols = []
-        for c in range(kdims[v - 1]):
-            column = [img[r][c] for r in range(len(img))]
-            x = solve(incl[w], column) if incl[w] and len(incl[w][0]) else \
-                ([] if all(e == 0 for e in column) else None)
-            assert x is not None, "kernel is not arrow-stable; presentation is broken"
-            assert all(e.denominator == 1 for e in x), \
-                "kernel arrow map is not integral; presentation is broken"
-            cols.append([int(e) for e in x])
-        kmats[v] = [[cols[c][r] for c in range(kdims[v - 1])] for r in range(kdims[w - 1])]
-    return q.presentations.setdefault(
-        key, (q.unique(MatrixRep(q, kdims, kmats)), incl, p0, _rep(q, alg, u)))
+        m = p0.mats[v]
+        # the arrow sends K_v into K_w: zero off K's rows in K's columns
+        assert not any(m[a][b] for a in range(len(m)) if a not in kept[w - 1]
+                       for b in kept[v - 1]), \
+            "kernel is not arrow-stable; presentation is broken"
+        kmats[v] = [[m[a][b] for b in kept[v - 1]] for a in kept[w - 1]]
+    return q.presentations.setdefault(key, (
+        q.unique(MatrixRep(q, [len(k) for k in kept], kmats)), incl, p0,
+        _rep(q, alg, u)))
 
 
 def oracle_ext1_dim(alg, u, v):

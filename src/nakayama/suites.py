@@ -14,6 +14,7 @@ from .checks import (
     PropertyResult,
     SuiteReport,
     _draws,
+    _oracle_counts,
     grid_algebras,
     random_algebras,
 )
@@ -55,7 +56,6 @@ from .homology import (
     simples,
     syzygy,
 )
-from .oracle import oracle_ext1_dim, oracle_hom_dim
 from .tilting import (
     _subcat_split,
     basic_gen_cogen,
@@ -116,27 +116,6 @@ def suite_tilting(samples=10000, seed=42, n_max=8, c_max=12):
             for combo in combinations(cands, alg.n))
         no_small.record(not found, format_algebra(alg))
     return SuiteReport("tilting", props)
-
-
-def _oracle_counts(alg):
-    """(pairs, hom, ext1) over all pairs of indecomposables of alg.
-
-    hom and ext1 are each (mismatches, first mismatch) for their own kind.
-    """
-    mods = indecomposables(alg)
-    hom_bad = ext_bad = 0
-    hom_witness = ext_witness = ""
-    for u in mods:
-        for v in mods:
-            if hom_dim(alg, u, v) != oracle_hom_dim(alg, u, v):
-                hom_bad += 1
-                hom_witness = hom_witness or "%s hom %s -> %s" % (
-                    format_algebra(alg), format_module(u), format_module(v))
-            if ext_dim(alg, u, v, 1) != oracle_ext1_dim(alg, u, v):
-                ext_bad += 1
-                ext_witness = ext_witness or "%s ext1 %s -> %s" % (
-                    format_algebra(alg), format_module(u), format_module(v))
-    return len(mods) ** 2, (hom_bad, hom_witness), (ext_bad, ext_witness)
 
 
 def suite_oracle(n_max=4, c_max=6):
@@ -353,7 +332,7 @@ def suite_endo(seed=42, cap=30):
                 format_algebra(alg))
 
     checked_pairs = 0
-    for alg, _, b in _tilting_algebras(4, 6):
+    for alg, t, b in _tilting_algebras(4, 6):
         name = format_algebra(alg)
         rad, simple = radical_and_simples(b)
         radical.record(len(rad) == b.dim - len(b.summands)
@@ -376,7 +355,7 @@ def suite_endo(seed=42, cap=30):
                 if p == INF or p < 1 or checked_pairs >= 120:
                     continue
                 w = "%s %s" % (format_algebra(alg), format_module(m))
-                ok = projdim_key_check(b, m, cap)
+                ok = projdim_key_check(b, t, m, cap)
                 key.record(ok is True, w if ok is not None else _over_cap(w, cap))
                 checked_pairs += 1
     return SuiteReport("endo", [dims, hered, antitone, br, key, radical, axioms])

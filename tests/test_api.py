@@ -75,17 +75,20 @@ def test_import_loads_neither_fractions_nor_decimal():
     src = str(Path(nakayama.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # the property suites and the CLI load only when they are used
+    # the CLI loads only when it is used, and the property suites only when
+    # a suite runs, not when the CLI starts
     code = ("import sys; before = set(sys.modules); import nakayama; "
             "from nakayama import checks, core, endo, homology, oracle, sweeps, "
             "tilting; print(*sorted(set(sys.modules) - before)); "
+            "import nakayama.cli; print(*sorted(set(sys.modules) - before)); "
             "nakayama.run_suite('it', samples=1); "
             "print(*sorted(set(sys.modules) - before))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    added, after_suite = [set(line.split()) for line in out.splitlines()]
+    added, after_cli, after_suite = [set(line.split()) for line in out.splitlines()]
     assert "nakayama" in added
     assert not added & {"fractions", "decimal", "nakayama.suites", "nakayama.cli"}
+    assert "nakayama.cli" in after_cli and "nakayama.suites" not in after_cli
     assert "nakayama.suites" in after_suite
     x = solve([[2]], [1])
     assert x == [Fraction(1, 2)] and type(x[0]) is Fraction

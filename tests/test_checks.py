@@ -7,6 +7,7 @@ import pytest
 
 from nakayama.checks import (
     CHECK_FLAGS,
+    SUITE_NAMES,
     PropertyResult,
     grid_algebras,
     random_algebras,
@@ -44,6 +45,11 @@ def test_property_result_lines():
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError, match="available"):
         run_suite("nonsense")
+
+
+def test_suite_names_are_the_suites():
+    # the names `nakayama check --suite` offers without compiling the suites
+    assert list(SUITE_NAMES) == sorted(SUITES)
 
 
 def test_run_suite_rejects_parameters_the_suite_does_not_take(capsys):
@@ -210,11 +216,11 @@ def test_suite_it_small():
 def test_oracle_witness_names_its_own_kind(monkeypatch):
     # ext^1 goes wrong on n = 1 and hom on n = 2; the grid reaches n = 1
     # first, so a witness shared by both kinds would name ext1 on the hom line
-    from nakayama import suites
-    hom, ext1 = suites.oracle_hom_dim, suites.oracle_ext1_dim
-    monkeypatch.setattr(suites, "oracle_hom_dim",
+    from nakayama import checks
+    hom, ext1 = checks.oracle_hom_dim, checks.oracle_ext1_dim
+    monkeypatch.setattr(checks, "oracle_hom_dim",
                         lambda alg, u, v: hom(alg, u, v) + (alg.n == 2))
-    monkeypatch.setattr(suites, "oracle_ext1_dim",
+    monkeypatch.setattr(checks, "oracle_ext1_dim",
                         lambda alg, u, v: ext1(alg, u, v) + (alg.n == 1))
     hom_prop, ext_prop = run_suite("oracle", n_max=2, c_max=3).properties
     assert hom_prop.failed and ext_prop.failed

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nakayama import endo, suites
+from nakayama import endo
 from nakayama.checks import grid_algebras, run_suite
 from nakayama.core import (
     INF,
@@ -322,17 +322,25 @@ def test_endo_suite_rejects_a_dropped_right_unit(monkeypatch):
 
 
 def test_construction_runs_no_axiom_check(monkeypatch):
-    # the axiom check belongs to the endo suite; building End(T), its
-    # simples and Hom modules calls it not once
+    # the axiom check belongs to the endo suite: building End(T) and a Hom
+    # module composes each composable pair of basis maps exactly once, to
+    # fill the table, and building the simples composes nothing
     calls = []
-    for fn in (broken_algebra_axiom, broken_module_axiom):
-        monkeypatch.setattr(suites, fn.__name__,
-                            lambda *args, fn=fn: calls.append(fn) or fn(*args))
+    monkeypatch.setattr(endo, "compose",
+                        lambda *args: calls.append(args) or compose(*args))
+
+    def composable(lefts, rights):
+        return sum(f.target == g.source for f in lefts for g in rights)
+
     for alg in (SHARP, LIN5, TWO_AUS):
         b = end_algebra(alg, canonical_tilting(alg))
-        hom_module(b, basic_gen_cogen(alg))
+        assert len(calls) == composable(b.basis, b.basis) > 0, alg
+        calls.clear()
+        m = hom_module(b, basic_gen_cogen(alg))
+        assert len(calls) == composable(b.basis, m.labels) > 0, alg
+        calls.clear()
         simple_modules(b)
-    assert calls == []
+        assert calls == []
 
 
 def test_block_index_of_the_basis():
@@ -869,10 +877,11 @@ def test_br_dimension_identity():
 def test_projdim_key_frozen():
     # S_4 is a summand of the canonical tilting module: pd 1 upstairs, 0 over B_C
     assert pdim(SHARP, Uniserial(4, 1)) == 1
-    b = end_algebra(SHARP, canonical_tilting(SHARP))
-    assert projdim_key_check(b, Uniserial(4, 1)) is True
+    t = canonical_tilting(SHARP)
+    b = end_algebra(SHARP, t)
+    assert projdim_key_check(b, t, Uniserial(4, 1)) is True
     assert pdim(SHARP, Uniserial(1, 2)) == 2
-    assert projdim_key_check(b, Uniserial(1, 2)) is True
+    assert projdim_key_check(b, t, Uniserial(1, 2)) is True
     assert pd_over(b, hom_module(b, Uniserial(1, 2))) == 1
 
 
@@ -887,7 +896,8 @@ def test_projdim_key_across_grid():
                 continue
             if not tilting_criterion(alg) or gldim(alg) == INF:
                 continue
-            b = end_algebra(alg, canonical_tilting(alg))
+            t = canonical_tilting(alg)
+            b = end_algebra(alg, t)
             for i in range(1, n + 1):
                 if not is_injective(alg, projective(alg, i)):
                     continue
@@ -896,23 +906,25 @@ def test_projdim_key_across_grid():
                     p = pdim(alg, m)
                     if p == INF or p < 1:
                         continue
-                    assert projdim_key_check(b, m) is True
+                    assert projdim_key_check(b, t, m) is True
                     checked += 1
     assert checked >= 50
 
 
 def test_projdim_key_preconditions():
-    b = end_algebra(SHARP, canonical_tilting(SHARP))
+    t = canonical_tilting(SHARP)
+    b = end_algebra(SHARP, t)
     with pytest.raises(ValueError):
-        projdim_key_check(b, Uniserial(4, 4))   # projective: pd 0
+        projdim_key_check(b, t, Uniserial(4, 4))   # projective: pd 0
     with pytest.raises(ValueError):
-        projdim_key_check(b, Uniserial(2, 1))   # cover not injective
+        projdim_key_check(b, t, Uniserial(2, 1))   # cover not injective
     no_t = AdmissibleSequence("cyclic", (2, 3, 3))
-    with pytest.raises(ValueError):
-        projdim_key_check(end_algebra(no_t, basic_gen_cogen(no_t)), Uniserial(1, 1))
+    with pytest.raises(ValueError, match="no canonical tilting module"):
+        projdim_key_check(end_algebra(no_t, basic_gen_cogen(no_t)),
+                          canonical_tilting(no_t), Uniserial(1, 1))
     # End of a module other than the canonical T gives no verdict
     with pytest.raises(ValueError, match="canonical tilting"):
-        projdim_key_check(end_algebra(SHARP, basic_gen_cogen(SHARP)),
+        projdim_key_check(end_algebra(SHARP, basic_gen_cogen(SHARP)), t,
                           Uniserial(1, 2))
 
 

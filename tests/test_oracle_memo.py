@@ -1,9 +1,10 @@
 """The matrix oracle's tables: one per quiver (kind, n), answers keyed by the
 quiver first, answers free of call order, answers unchanged by turning a
-cyclic pair so that u's top is 1, rank work bounded by the distinct
-rotation classes, a quiver lookup only on an answer-table miss, no cover
-rebuilt once a presentation is kept, a warm pass answered from the Hom/Ext^1
-tables alone, and the integrality check on a presentation's arrow maps."""
+cyclic pair so that u's top is 1, every kept rep-pair Hom equal to its own
+elimination, one elimination per rotation class of a pair, a quiver lookup
+only on an answer-table miss, no cover rebuilt once a presentation is kept,
+a warm pass answered from the Hom/Ext^1 tables alone, and the
+arrow-stability check on a presentation's kernel."""
 
 import random
 from collections import defaultdict
@@ -14,6 +15,7 @@ from nakayama import oracle
 from nakayama.checks import grid_algebras
 from nakayama.core import Uniserial, indecomposables, validate
 from nakayama.homology import ext_dim, hom_dim
+from nakayama.linalg import intertwiner_system, rank
 from nakayama.oracle import MatrixRep, _presentation, oracle_ext1_dim, oracle_hom_dim
 
 
@@ -62,18 +64,21 @@ def _counting(calls, real):
 def grid_order_pass():
     """One pass over grid_algebras(4, 6) in grid order from empty tables:
     (the algebras, the per-quiver tables it leaves, its Hom and Ext^1 answer
-    tables, its number of oracle.rank calls)."""
-    calls = []
+    tables, its oracle.rank calls, its oracle.intertwiner_system calls)."""
+    calls, systems = [], []
     with pytest.MonkeyPatch.context() as mp:
         _empty_caches(mp)
         mp.setattr(oracle, "rank", _counting(calls, oracle.rank))
+        mp.setattr(oracle, "intertwiner_system",
+                   _counting(systems, oracle.intertwiner_system))
         algs = grid_algebras(4, 6)
         _grid_pass(algs)
-        return algs, oracle._quivers, oracle._hom_dims, oracle._ext1_dims, len(calls)
+        return (algs, oracle._quivers, oracle._hom_dims, oracle._ext1_dims,
+                calls, systems)
 
 
 def test_tables_are_kept_per_quiver(grid_order_pass):
-    algs, quivers, hom_dims, ext1_dims, _ = grid_order_pass
+    algs, quivers, hom_dims, ext1_dims, *_ = grid_order_pass
     assert not [name for name, obj in vars(oracle).items()
                 if hasattr(obj, "cache_info")]
     assert set(quivers) == {(alg.kind, alg.n) for alg in algs}
@@ -146,16 +151,62 @@ def test_a_uniserials_representation_depends_only_on_the_quiver():
     assert compared > 0
 
 
+def _own_hom(m_rep, n_rep):
+    """dim Hom(M, N) from the pair's own intertwiner system, with no table."""
+    rows, total = intertwiner_system(m_rep.dims, n_rep.dims, [
+        (v - 1, w - 1, m_rep.mats[v], n_rep.mats[v])
+        for v, w in m_rep.quiver.arrows])
+    return total - rank(rows) if total else 0
+
+
+def test_every_kept_rep_pair_hom_is_its_own_elimination(grid_order_pass):
+    # pairs whose answer came from a rotated pair's elimination, K-pairs of
+    # the presentations included, against an elimination of their own
+    _, quivers, *_ = grid_order_pass
+    checked = shared = 0
+    for (kind, n), q in quivers.items():
+        if kind != "cyclic":
+            continue
+        for (m, k), d in q.homs.items():
+            assert d == _own_hom(m, k), (kind, n, m.dims, k.dims)
+            checked += 1
+        shared += sum(s != 0 for s, _ in q.rotations.values())
+    assert checked and shared
+
+
+def _system_class(system):
+    """The rotation class of one cyclic intertwiner system's inputs: the
+    least of the n relabellings of (m_dims, n_dims, arrows) by v -> v + t."""
+    m_dims, n_dims, arrows = system
+    n = len(m_dims)
+
+    def moved(t):
+        return (tuple(m_dims[(i - t) % n] for i in range(n)),
+                tuple(n_dims[(i - t) % n] for i in range(n)),
+                tuple(sorted(((v + t) % n, (w + t) % n, tuple(map(tuple, ma)),
+                              tuple(map(tuple, na)))
+                             for v, w, ma, na in arrows)))
+    return min(moved(t) for t in range(n))
+
+
 def test_rank_runs_once_per_distinct_hom(grid_order_pass, monkeypatch):
-    algs, *_, grid_order_calls = grid_order_pass
-    assert grid_order_calls == 885
+    algs, *_, grid_order_calls, systems = grid_order_pass
+    assert len(grid_order_calls) == 449
+    # a system is eliminated only when it has variables, and on a cyclic
+    # quiver (one arrow per vertex) no two eliminated pairs are rotations
+    # of each other
+    solved = [args for args in systems
+              if any(a * b for a, b in zip(args[0], args[1]))]
+    assert len(solved) == len(grid_order_calls)
+    cyclic = [_system_class(args) for args in solved if len(args[2]) == len(args[0])]
+    assert cyclic and len(set(cyclic)) == len(cyclic)
     shuffled = algs[:]
     random.Random(12).shuffle(shuffled)
     calls = []
     _empty_caches(monkeypatch)
     monkeypatch.setattr(oracle, "rank", _counting(calls, oracle.rank))
     _grid_pass(shuffled)
-    assert len(calls) == 885
+    assert len(calls) == 449
     calls.clear()
     _grid_pass(shuffled)
     assert calls == []
@@ -232,12 +283,16 @@ def test_a_warm_pass_is_answered_from_the_tables(monkeypatch):
     assert calls == []
 
 
-def test_presentation_rejects_a_non_integral_arrow_map(monkeypatch):
-    real = oracle.solve
+def test_presentation_rejects_a_kernel_that_is_not_arrow_stable(monkeypatch):
     _empty_caches(monkeypatch)
-    monkeypatch.setattr(oracle, "solve", lambda mat, rhs: [
-        x / 2 for x in real(mat, rhs)])
     alg = validate("cyclic", [3, 3])
-    u = Uniserial(1, 1)  # the kernel M(2,2) of P_1 = M(1,3) ->> u has an arrow
-    with pytest.raises(AssertionError, match="not integral"):
-        _presentation(oracle._quiver(alg), alg, u, alg.c[u.top - 1])
+    q = oracle._quiver(alg)
+    u = Uniserial(1, 1)
+    # P_1 = M(1, 3) has slots 0, 2 at vertex 1 and slot 1 at vertex 2, and
+    # the kernel of P_1 ->> u is slots 1 and 2; an arrow 2 -> 1 that also
+    # hits slot 0 leaves that kernel
+    p0 = oracle._rep(q, alg, Uniserial(1, 3))
+    assert p0.mats[2] == [[0], [1]]
+    p0.mats[2][0][0] = 1
+    with pytest.raises(AssertionError, match="not arrow-stable"):
+        _presentation(q, alg, u, alg.c[u.top - 1])

@@ -574,9 +574,9 @@ def test_cli_oracle_rejects_grid_flags_with_an_algebra(capsys, argv):
 
 
 def test_cli_oracle_single_names_the_mismatched_pair(capsys, monkeypatch):
-    from nakayama import suites
-    hom = suites.oracle_hom_dim
-    monkeypatch.setattr(suites, "oracle_hom_dim",
+    from nakayama import checks
+    hom = checks.oracle_hom_dim
+    monkeypatch.setattr(checks, "oracle_hom_dim",
                         lambda alg, u, v: hom(alg, u, v) + 1)
     assert main(["oracle", "--cyclic", "2,2"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -588,9 +588,9 @@ def test_cli_oracle_single_names_the_mismatched_pair(capsys, monkeypatch):
 
 
 def test_cli_check_and_oracle_json_carry_the_witness(capsys, monkeypatch):
-    from nakayama import suites
-    hom = suites.oracle_hom_dim
-    monkeypatch.setattr(suites, "oracle_hom_dim",
+    from nakayama import checks
+    hom = checks.oracle_hom_dim
+    monkeypatch.setattr(checks, "oracle_hom_dim",
                         lambda alg, u, v: hom(alg, u, v) + 1)
     assert main(["oracle", "--cyclic", "2,2", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
