@@ -25,7 +25,10 @@ the module occupies, and all such maps share one zero row.  Shared rows are
 read-only: nothing here mutates an action row or column once built.
 End(X) is basic and minimal resolutions are unique up to isomorphism
 (ASS I, I.5 and III.2), so a syzygy of dimension 1 is a simple whose
-resolution is stored once per algebra.  Ranks and kernels are exact.
+resolution is stored once per algebra.  The syzygy of the simple S_p is
+Omega(S_p) = rad P_p, the span of the non-identity maps into p, so it is
+read off the product table; only the syzygies of other modules are found
+by elimination.  Ranks and kernels are exact.
 """
 
 from .core import (
@@ -371,11 +374,34 @@ def syzygy_step(algebra, dim, mats):
     return kd, new_mats
 
 
+def _radical_step(algebra, pos):
+    """syzygy_step on the simple of block pos, read off the table: its first
+    syzygy is rad P_pos, on the non-identity maps into pos in `into` order,
+    and g acts on map i as the product g * i.  Only the maps into the blocks
+    those maps start at get rows of their own."""
+    e = algebra.idempotents[pos]
+    rad = {i: c for c, i in enumerate(i for i in algebra.into[pos] if i != e)}
+    if not rad:
+        return 0, []
+    mats = [[{} for _ in rad]] * algebra.dim
+    for q in {algebra.source_pos[i] for i in rad}:
+        for g in algebra.into[q]:
+            row = algebra.table[g]
+            try:
+                mats[g] = [{} if row[i] is None else {rad[row[i]]: 1}
+                           for i in rad]
+            except KeyError:  # a product landed outside rad P_pos
+                raise AssertionError("cover kernel is not action-stable") from None
+    return len(rad), mats
+
+
 def _walk(algebra, module, cap):
     """(dims, period) of the syzygy walk from the module, as resolution_dims
     describes it, unpadded: period is 0, or the period the walk repeats
     after dims once a simple is met twice.  A simple met is the simple of
-    the block its idempotent acts on; one that ended at zero is spliced in."""
+    the block its idempotent acts on; one that ended at zero is spliced in.
+    The syzygy of a simple S_p is rad P_p, read off the product table by
+    _radical_step; only the other modules run syzygy_step."""
     d = module.dim
     # a map acts as zero unless it ends in a block the module occupies (the
     # module's validated pattern); all those maps share one zero row
@@ -400,7 +426,10 @@ def _walk(algebra, module, cap):
         dims.append(d)
         if d == 0 or len(dims) > cap:
             break
-        d, mats = syzygy_step(algebra, d, mats)
+        if d == 1:
+            d, mats = _radical_step(algebra, pos)
+        else:
+            d, mats = syzygy_step(algebra, d, mats)
     if dims[-1] == 0:
         for pos, at in met.items():
             known[pos] = dims[at:]

@@ -324,17 +324,29 @@ def test_endo_suite_rejects_a_dropped_right_unit(monkeypatch):
 def test_construction_runs_no_axiom_check(monkeypatch):
     # the axiom check belongs to the endo suite: building End(T) and a Hom
     # module composes each composable pair of basis maps exactly once, to
-    # fill the table, and building the simples composes nothing
+    # fill the table, building End(T) reads its table entries no more often
+    # than there are such pairs, and building the simples composes nothing
     calls = []
     monkeypatch.setattr(endo, "compose",
                         lambda *args: calls.append(args) or compose(*args))
+    product_table = endo._product_table
+
+    def counted_rows(alg, lefts, rights, index):
+        # End(T)'s own table only: a module's pattern check compares its
+        # rows with lists, which a tuple row never equals
+        table = product_table(alg, lefts, rights, index)
+        return [_Counted(row) for row in table] if lefts is rights else table
+
+    monkeypatch.setattr(endo, "_product_table", counted_rows)
 
     def composable(lefts, rights):
         return sum(f.target == g.source for f in lefts for g in rights)
 
     for alg in (SHARP, LIN5, TWO_AUS):
+        _Counted.reads = 0
         b = end_algebra(alg, canonical_tilting(alg))
         assert len(calls) == composable(b.basis, b.basis) > 0, alg
+        assert 0 < _Counted.reads <= len(calls), alg
         calls.clear()
         m = hom_module(b, basic_gen_cogen(alg))
         assert len(calls) == composable(b.basis, m.labels) > 0, alg
@@ -413,6 +425,47 @@ def test_a_step_reads_only_the_maps_into_the_occupied_blocks():
         assert _Counted.reads <= len(into[pos]) + sum(
             len(into[p]) for p in occupied)
         assert d == resolution_dims(a, s, 1)[1]
+
+
+def test_radical_step_is_the_first_syzygy_of_each_simple():
+    # over End(T) of the 90 tilting algebras of grid_algebras(4, 6) and the
+    # bench endo-ladder rungs, the syzygy of each simple read off the table
+    # is syzygy_step's, dimension and every action column, and reading it
+    # takes no more rows than there are maps into the simple's block and
+    # into the blocks rad P occupies
+    algs = [alg for alg in grid_algebras(4, 6)
+            if canonical_tilting(alg) is not None]
+    algs += [_ladder(n, k) for n, k in [(12, 5), (16, 6), (20, 6)]]
+    checked = 0
+    for alg in algs:
+        a = end_algebra(alg, canonical_tilting(alg))
+        a.source_pos, a.target_pos = _Counted(a.source_pos), _Counted(a.target_pos)
+        a.table = _Counted(a.table)
+        for pos, s in enumerate(simple_modules(a)):
+            want = syzygy_step(a, s.dim, [s.action_matrix(i) for i in range(a.dim)])
+            _Counted.reads = 0
+            d, mats = endo._radical_step(a, pos)
+            assert (d, mats) == want, (format_algebra(alg), pos)
+            occupied = [p for p, e in enumerate(a.idempotents)
+                        if d and any(mats[e])]
+            assert _Counted.reads <= len(a.into[pos]) + sum(
+                len(a.into[p]) for p in occupied)
+            checked += 1
+    assert (len(algs), checked) == (93, 351)
+
+
+def test_radical_step_rejects_a_product_on_the_idempotent():
+    # a product g * i of a radical map i into the simple's block that lands
+    # on the block's idempotent fails the check syzygy_step makes on the cover
+    a = end_algebra(SHARP, canonical_tilting(SHARP))
+    pos, i, g = next((pos, i, g) for pos, rad in enumerate(a.into)
+                     for i in rad if i != a.idempotents[pos]
+                     for g in a.into[a.source_pos[i]]
+                     if a.table[g][i] is not None)
+    a.table = [list(row) for row in a.table]
+    a.table[g][i] = a.idempotents[pos]
+    with pytest.raises(AssertionError, match="not action-stable"):
+        endo._radical_step(a, pos)
 
 
 def test_pd_over_simples_frozen_beyond_the_bench_ladder():
@@ -717,33 +770,33 @@ def test_simple_dims_memo_changes_no_answer():
 
 
 def _count_steps(monkeypatch):
-    calls = [0]
+    """A list that gets the dimension of each module syzygy_step receives."""
+    calls = []
     step = endo.syzygy_step
 
-    def counted(*args):
-        calls[0] += 1
-        return step(*args)
+    def counted(algebra, dim, mats):
+        calls.append(dim)
+        return step(algebra, dim, mats)
 
     monkeypatch.setattr(endo, "syzygy_step", counted)
     return calls
 
 
 def test_each_simple_is_resolved_once(monkeypatch):
-    # each count is the number of steps with every simple resolved once; it
-    # was 166, 62 and 149 when each walk ran to zero or to the cap
+    # each count is the number of steps with every simple resolved once; a
+    # simple's own syzygy, rad P, is read off the table, so no step receives
+    # a one-dimensional module
     calls = _count_steps(monkeypatch)
     alg = _ladder(40, 10)
     assert gldim_over(end_algebra(alg, canonical_tilting(alg))) == 6
-    assert calls[0] <= 87
+    assert len(calls) == 47
     # each simple of End(T) of cyclic:40,40 is its own second syzygy
     alg = AdmissibleSequence("cyclic", (40, 40))
     b = end_algebra(alg, canonical_tilting(alg))
-    calls[0] = 0
     assert gldim_over(b, 30) == OverCap(30)
-    assert calls[0] <= 4
+    assert len(calls) == 47 + 1
     # the bench endo-ladder rungs, simples in shuffled order
     rng = random.Random(0)
-    calls[0] = 0
     for n, k in [(12, 5), (16, 6), (20, 6)]:
         alg = _ladder(n, k)
         b = end_algebra(alg, canonical_tilting(alg))
@@ -751,7 +804,8 @@ def test_each_simple_is_resolved_once(monkeypatch):
         rng.shuffle(simples)
         for s in simples:
             pd_over(b, s)
-    assert calls[0] <= 104
+    assert len(calls) == 47 + 1 + 56
+    assert 1 not in calls
 
 
 def test_drop_check_frozen():
