@@ -27,13 +27,6 @@ from functools import total_ordering
 class _Infinity:
     """Positive infinity for homological dimensions; larger than every int."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __eq__(self, other):
         return isinstance(other, _Infinity)
 
@@ -256,10 +249,11 @@ def parse_module(alg, text):
     text = text.strip()
     if text == "0":
         return None
-    parts = text[2:-1].split(",")
-    if not (text.startswith("M(") and text.endswith(")") and len(parts) == 2):
-        raise ValueError("expected 'M(i,l)' or '0', got %r" % text)
-    i, l = (int(x) for x in parts)
+    inner = text[2:-1] if text.startswith("M(") and text.endswith(")") else ""
+    try:
+        i, l = (int(x) for x in inner.split(","))
+    except ValueError:
+        raise ValueError("expected 'M(i,l)' or '0', got %r" % text) from None
     return make_module(alg, i, l)
 
 

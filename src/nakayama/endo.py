@@ -367,7 +367,7 @@ def syzygy_step(algebra, dim, mats):
                             v, s = coord[f]
                             if x % s == 0:
                                 col[v] = x // s
-                            else:  # rare; see linalg.solve for the import
+                            else:  # lazy, so `import nakayama` skips fractions
                                 from fractions import Fraction
                                 col[v] = Fraction(x, s)
             new_mats[g] = cols

@@ -4,12 +4,12 @@ Matrices are lists of row lists with int or Fraction entries.  Every entry
 point first turns its input into integer rows (`_int_rows`): a row with a
 Fraction entry is multiplied by the lcm of its denominators, which changes
 neither the row space, the pivot columns nor the kernel.  One fraction-free
-Gauss-Jordan reduction (`_rref_int`) then does all the work, read four ways:
+Gauss-Jordan reduction (`_rref_int`) then does all the work, read two ways:
 `pivot_columns` and `rank` read its pivots, `reduced_kernel` and
-`kernel_basis` its kernel, and `solve` the kernel vector of [mat | rhs] at
-the right-hand column.  Every intermediate value is an integer.  Sizes reach
-hundreds of rows and columns; exactness is the point.  `intertwiner_system`
-writes the Hom equations whose rank the oracle and End(X) modules read.
+`kernel_basis` its kernel.  Every intermediate value is an integer, and
+nothing here makes a Fraction.  Sizes reach hundreds of rows and columns;
+exactness is the point.  `intertwiner_system` writes the Hom equations whose
+rank the oracle and End(X) modules read.
 """
 
 from math import gcd, lcm
@@ -114,23 +114,6 @@ def kernel_basis(mat, ncols=None):
     return list(reduced_kernel(mat, ncols)[2].values())
 
 
-def solve(mat, rhs):
-    """One exact solution of mat @ x = rhs (free variables 0), or None.
-
-    The system is consistent iff column n of [mat | rhs] is not a pivot; its
-    reduced_kernel vector v is then zero at the other free columns, and
-    x = -v[:n] / v[n].
-    """
-    # imported here so that `import nakayama` does not load fractions,
-    # which brings in decimal and numbers
-    from fractions import Fraction
-
-    n = len(mat[0]) if mat else 0
-    v = reduced_kernel([list(row) + [b] for row, b in zip(mat, rhs)],
-                       n + 1)[2].get(n)
-    return None if v is None else [Fraction(-x, v[n]) for x in v[:n]]
-
-
 def intertwiner_system(m_dims, n_dims, arrows):
     """(rows, number of variables) of f_w a_M = a_N f_v, which cut Hom(M, N)
     out of prod_v Hom(M_v, N_v) (ASS I, III.1); dim Hom is variables minus
@@ -157,7 +140,3 @@ def intertwiner_system(m_dims, n_dims, arrows):
                     rows.append(row)
     return rows, total
 
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]

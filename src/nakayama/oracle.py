@@ -1,8 +1,8 @@
 """Independent cross-check for the Hom/Ext counting formulas.
 
 A uniserial is realized as a representation of the quiver: one coordinate
-slot per composition factor, arrows acting as index shifts.  Hom spaces are
-intertwiner kernels, found by generic exact elimination over the integers.
+slot per composition factor, arrows acting as index shifts.  dim Hom is read
+off the rank of the intertwiner equations, by exact integer elimination.
 Ext^1(M, N) is a dimension count for an explicitly constructed projective
 presentation 0 -> K -> P_0 -> M -> 0: since Ext^1(P_0, N) = 0, the sequence
 
@@ -13,8 +13,10 @@ Associative Algebras I, IV.2 and A.4).  The cover P_0 -> M sends P_0's slot
 j to M's slot j for j < len(M) and kills the others, so K is read off P_0's
 matrices: at each vertex it is spanned by P_0's slots j >= len(M), and its
 arrow maps are the submatrices of P_0's on those slots, checked to map K
-into K.  Nothing here shares a formula with homology.py: the closed-form
-image-length count and the syzygy index arithmetic never appear.
+into K.  A presentation is kept as K's representation alone; P_0 and M are
+uniserials, kept by (top, length), and the count needs no inclusion map.
+Nothing here shares a formula with homology.py: the closed-form image-length
+count and the syzygy index arithmetic never appear.
 
 The tables are kept per quiver (kind, n) and never emptied, and their keys
 are exact: a uniserial's representation reads only the quiver and its
@@ -51,7 +53,7 @@ class _Quiver:
         self.arrows = [(v, alg.normalize(v - 1)) for v in range(first, alg.n + 1)]
         self.reps = {}           # (top, length) -> MatrixRep
         self.contents = {}       # (dims, arrow matrices) -> MatrixRep
-        self.presentations = {}  # (top, length, c_top) -> (K, incl, P_0, u) reps
+        self.presentations = {}  # (top, length, c_top) -> K's MatrixRep
         self.homs = {}           # (MatrixRep, MatrixRep) -> dim Hom
         self.rotations = {}      # MatrixRep -> (s, its rotations), cyclic only
 
@@ -139,8 +141,8 @@ def _hom(m_rep, n_rep):
     """dim Hom(M, N): variables minus the rank of the intertwiner system.
 
     On a cyclic quiver a miss moves the pair by the rotation that takes M to
-    the least-content member of its rotation class, solves that pair only if
-    it is new, and keeps the answer under both pairs."""
+    the least-content member of its rotation class, eliminates that pair only
+    if it is new, and keeps the answer under both pairs."""
     q = m_rep.quiver
     d = q.homs.get((m_rep, n_rep))
     if d is None:
@@ -180,24 +182,21 @@ def oracle_hom_dim(alg, u, v):
 
 
 def _presentation(q, alg, u, c_top):
-    """(K, incl, P_0, u): the representations of the explicit kernel K of the
-    cover P_0 = M(top u, c_top) ->> u, of P_0 and of u, with K's inclusion
-    matrices.
+    """The representation of the explicit kernel K of the cover
+    P_0 = M(top u, c_top) ->> u.
 
     The cover sends P_0's slot j to u's slot j for j < len(u) and kills the
     rest, so K is spanned, at each vertex, by P_0's slots j >= len(u), and
     its arrow maps are the submatrices of P_0's on those slots."""
     key = (u.top, u.length, c_top)
-    found = q.presentations.get(key)
-    if found is not None:
-        return found
+    k_rep = q.presentations.get(key)
+    if k_rep is not None:
+        return k_rep
     cover = Uniserial(u.top, c_top)
     p0 = _rep(q, alg, cover)
     # K's basis at each vertex: the positions there of P_0's slots j >= len(u)
     kept = [[a for a, j in enumerate(slots) if j >= u.length]
             for slots in _slots(alg, cover)]
-    incl = {v: [[int(a == b) for b in kept[v - 1]] for a in range(p0.dims[v - 1])]
-            for v in range(1, alg.n + 1)}
     kmats = {}
     for v, w in q.arrows:
         m = p0.mats[v]
@@ -206,9 +205,8 @@ def _presentation(q, alg, u, c_top):
                        for b in kept[v - 1]), \
             "kernel is not arrow-stable; presentation is broken"
         kmats[v] = [[m[a][b] for b in kept[v - 1]] for a in kept[w - 1]]
-    return q.presentations.setdefault(key, (
-        q.unique(MatrixRep(q, [len(k) for k in kept], kmats)), incl, p0,
-        _rep(q, alg, u)))
+    return q.presentations.setdefault(
+        key, q.unique(MatrixRep(q, [len(k) for k in kept], kmats)))
 
 
 def oracle_ext1_dim(alg, u, v):
@@ -222,9 +220,11 @@ def oracle_ext1_dim(alg, u, v):
     if e is None:
         q = _quiver(alg)
         u, v = _turn(alg, u, v)
-        k_rep, _, p0_rep, m_rep = _presentation(q, alg, u, c_top)
+        k_rep = _presentation(q, alg, u, c_top)
         n_rep = _rep(q, alg, v)
-        e = _hom(k_rep, n_rep) - _hom(p0_rep, n_rep) + _hom(m_rep, n_rep)
+        # _presentation has kept P_0 = M(top u, c_top) among the reps
+        e = (_hom(k_rep, n_rep) - _hom(q.reps[u.top, c_top], n_rep)
+             + _hom(_rep(q, alg, u), n_rep))
         assert e >= 0
         _ext1_dims[key] = e
     return e

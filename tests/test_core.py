@@ -238,8 +238,9 @@ def test_module_round_trip():
     for text in ("M(9,1)", "M(0,1)"):  # vertex outside 1..n of a linear algebra
         with pytest.raises(ValueError, match="no uniserial"):
             parse_module(RAD2, text)
-    with pytest.raises(ValueError, match="expected 'M"):
-        parse_module(RAD2, "M(1,1,1)")
+    for text in ("M(1,1,1)", "M(a,b)", "M(1,)", "M(,)", "M(1.5,2)"):
+        with pytest.raises(ValueError, match="expected 'M"):
+            parse_module(RAD2, text)
     s = parse_module_sum(SHARP, "M(4,2) + M(1,3) + M(4,2)")
     assert format_module(make_module(SHARP, 6, 2)) == "M(1,2)"  # top wraps
     assert repr(s) == "M(1,3) + M(4,2) + M(4,2)"

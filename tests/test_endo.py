@@ -50,7 +50,7 @@ from nakayama.homology import (
     pdim,
     simples,
 )
-from nakayama.linalg import kernel_basis, solve
+from nakayama.linalg import kernel_basis
 from nakayama.suites import broken_algebra_axiom, broken_module_axiom
 from nakayama.tilting import (
     basic_gen_cogen,
@@ -613,9 +613,29 @@ class _Span:
         return out
 
 
+def _coordinates(cols, vec):
+    """The x with sum_c x[c] cols[c] = vec for independent columns, by
+    Fraction Gauss-Jordan on [cols | vec]; None when vec is not in their
+    span."""
+    n = len(cols)
+    rows = [[Fraction(col[r]) for col in cols] + [Fraction(vec[r])]
+            for r in range(len(vec))]
+    for c in range(n):
+        hit = next(i for i in range(c, len(rows)) if rows[i][c])
+        rows[c], rows[hit] = rows[hit], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(len(rows)):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    if any(row[n] for row in rows[n:]):
+        return None
+    return [rows[c][n] for c in range(n)]
+
+
 def _reference_syzygy_step(algebra, dim, mats):
     """syzygy_step with the kernel taken as its cleared integer basis and the
-    coordinates of each image found by one exact solve."""
+    coordinates of each image found by exact Fraction elimination."""
     if dim == 0:
         return 0, []
     idem = set(algebra.idempotents)
@@ -640,7 +660,6 @@ def _reference_syzygy_step(algebra, dim, mats):
     kd = len(kernel)
     if kd == 0:
         return 0, []
-    kcols = [list(col) for col in zip(*kernel)]
     new_mats = []
     for g in range(algebra.dim):
         cols = []
@@ -651,7 +670,7 @@ def _reference_syzygy_step(algebra, dim, mats):
                 t = algebra.table[g][i]
                 if x and t is not None:
                     out[cover.index((t, u))] += x
-            coords = solve(kcols, out)
+            coords = _coordinates(kernel, out)
             assert coords is not None
             cols.append(coords)
         new_mats.append([[cols[c][r] for c in range(kd)] for r in range(kd)])

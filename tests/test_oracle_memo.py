@@ -86,17 +86,16 @@ def test_tables_are_kept_per_quiver(grid_order_pass):
         reps = set(q.contents.values())
         assert all(rep.quiver is q for rep in reps)
         assert set(q.reps.values()) <= reps
-        assert {k for k, _, _, _ in q.presentations.values()} <= reps
+        assert set(q.presentations.values()) <= reps
         assert q.homs and all(m in reps and k in reps for m, k in q.homs)
         # keys are ints: (top, length) of a uniserial, and (top, length, c_top)
-        # of a presentation, whose record holds the reps of u = M(top, length)
-        # and of its cover M(top, c_top), which has the same top
+        # of a presentation, whose u = M(top, length) and cover M(top, c_top)
+        # have reps of their own, kept with the same top
         assert all(type(x) is int for key in (*q.reps, *q.presentations)
                    for x in key), (kind, n)
-        assert all(m is q.reps[top, length] and p0 is q.reps[top, c_top]
+        assert all((top, length) in q.reps and (top, c_top) in q.reps
                    and length <= c_top
-                   for (top, length, c_top), (_, _, p0, m)
-                   in q.presentations.items()), (kind, n)
+                   for top, length, c_top in q.presentations), (kind, n)
         # a miss on a cyclic quiver is computed from the pair turned so that
         # u's top is 1, so every presentation there has top 1
         assert kind == "linear" or {top for top, _, _ in q.presentations} == {1}, \
@@ -127,8 +126,8 @@ def test_tables_are_kept_per_quiver(grid_order_pass):
             recount = {}
             for tu, lu, c_top, tv, lv in ext1s_here:
                 su, sv = turned(tu, tv)
-                k, _, p0, m = q.presentations[su, lu, c_top]
-                nv = q.reps[sv, lv]
+                k = q.presentations[su, lu, c_top]
+                p0, m, nv = q.reps[su, c_top], q.reps[su, lu], q.reps[sv, lv]
                 recount[tu, lu, c_top, tv, lv] = \
                     oracle._hom(k, nv) - oracle._hom(p0, nv) + oracle._hom(m, nv)
             assert ext1s_here == recount, (kind, n)
@@ -223,7 +222,9 @@ def test_the_rotation_changes_no_answer(monkeypatch):
         q = oracle._quiver(alg)
         mods = indecomposables(alg)
         for u in mods:
-            k, _, p0, m = _presentation(q, alg, u, alg.c[u.top - 1])
+            k = _presentation(q, alg, u, alg.c[u.top - 1])
+            p0 = oracle._rep(q, alg, Uniserial(u.top, alg.c[u.top - 1]))
+            m = oracle._rep(q, alg, u)
             for v in mods:
                 nv = oracle._rep(q, alg, v)
                 assert oracle_hom_dim(alg, u, v) == oracle._hom(m, nv), (alg, u, v)
