@@ -331,7 +331,6 @@ def suite_endo(seed=42, cap=30):
                 mueller_domdim(alg, small) >= mueller_domdim(alg, big),
                 format_algebra(alg))
 
-    checked_pairs = 0
     for alg, t, b in _tilting_algebras(4, 6):
         name = format_algebra(alg)
         rad, simple = radical_and_simples(b)
@@ -352,12 +351,11 @@ def suite_endo(seed=42, cap=30):
             for l in range(1, alg.c[i - 1] + 1):
                 m = Uniserial(i, l)
                 p = pdim(alg, m)
-                if p == INF or p < 1 or checked_pairs >= 120:
+                if p == INF or p < 1:
                     continue
                 w = "%s %s" % (format_algebra(alg), format_module(m))
                 ok = projdim_key_check(b, t, m, cap)
                 key.record(ok is True, w if ok is not None else _over_cap(w, cap))
-                checked_pairs += 1
     return SuiteReport("endo", [dims, hered, antitone, br, key, radical, axioms])
 
 

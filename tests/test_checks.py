@@ -116,10 +116,11 @@ def test_drop_suite_digest():
 
 
 def test_structural_and_endo_suites_digest():
-    # taken before the two suites read the split and End(T) once per algebra
+    # the endo suite's hom-transport property checks all 200 pairs of its
+    # fixed domain, with no cap on their number
     reports = [run_suite("structural", n_max=4, c_max=6), run_suite("endo")]
     text = "\n".join(repr(r) for r in reports)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "c41b2deb9772c03a"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "1b314912e3f1a2e2"
 
 
 def test_structural_suite_reads_one_pdim_table_per_tilting_algebra(monkeypatch):

@@ -514,7 +514,7 @@ def test_cli_check_over_cap_is_a_named_failure(capsys):
     assert "suite drop: FAIL" in out
     assert main(["check", "--suite", "endo", "--cap", "1"]) == 1
     out = capsys.readouterr().out
-    assert ("hom transport drops projective dimension by one: FAIL (59 of 120) "
+    assert ("hom transport drops projective dimension by one: FAIL (108 of 200) "
             "first counterexample: cyclic:2,2,3 M(3,2) "
             "(endo resolution over cap 1)") in out
     assert "suite endo: FAIL" in out
