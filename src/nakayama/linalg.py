@@ -9,7 +9,9 @@ Gauss-Jordan reduction (`_rref_int`) then does all the work, read two ways:
 `kernel_basis` its kernel.  Every intermediate value is an integer, and
 nothing here makes a Fraction.  Sizes reach hundreds of rows and columns;
 exactness is the point.  `intertwiner_system` writes the Hom equations whose
-rank the oracle and End(X) modules read.
+rank End(X) modules read.  The oracle's matrices are partial shifts, whose
+equations all read x = y or x = 0, so `intertwiner_dim` counts classes of
+unknowns instead of eliminating.
 """
 
 from math import gcd, lcm
@@ -140,3 +142,46 @@ def intertwiner_system(m_dims, n_dims, arrows):
                     rows.append(row)
     return rows, total
 
+
+def _unit(line):
+    """The index of line's one nonzero entry, which must be 1, or None."""
+    assert line.count(1) <= 1 and set(line) <= {0, 1}, \
+        "not a partial shift: %r" % (line,)
+    return line.index(1) if 1 in line else None
+
+
+def intertwiner_dim(m_dims, n_dims, arrows):
+    """dim Hom(M, N) for intertwiner_system's inputs, with no elimination.
+
+    Each column of an a_M and each row of an a_N must hold at most one
+    nonzero entry, a 1 (asserted).  Then the equation of (row r of N_w,
+    column c of M_v) reads f_w[r][s] = f_v[t][c], a side being 0 when column
+    c of a_M or row r of a_N is zero.  Union-find joins the unknowns and a
+    node for 0 along these equations, and dim Hom is the number of classes
+    without that node: the unknowns less the joins that merged two classes.
+    """
+    offs = [0]
+    for a, b in zip(m_dims, n_dims):
+        offs.append(offs[-1] + a * b)
+    total = offs[-1]
+    root = list(range(total + 1))  # node total stands for 0
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    dim = total
+    for v, w, ma, na in arrows:
+        mv, mw = m_dims[v], m_dims[w]
+        cols = [_unit(col) for col in zip(*ma)] if mw else [None] * mv
+        for r in range(n_dims[w]):
+            t = _unit(na[r])
+            for c, s in enumerate(cols):
+                x = find(total if s is None else offs[w] + r * mw + s)
+                y = find(total if t is None else offs[v] + t * mv + c)
+                if x != y:
+                    root[x] = y
+                    dim -= 1
+    return dim

@@ -1,8 +1,13 @@
 """Independent cross-check for the Hom/Ext counting formulas.
 
 A uniserial is realized as a representation of the quiver: one coordinate
-slot per composition factor, arrows acting as index shifts.  dim Hom is read
-off the rank of the intertwiner equations, by exact integer elimination.
+slot per composition factor, arrows acting as index shifts.  dim Hom is
+read off the intertwiner equations f_w a_M = a_N f_v.  Every matrix here is a
+partial shift: a uniserial's arrows move slot j to slot j + 1, a
+presentation's kernel takes submatrices of its cover's, and rotations only
+relabel vertices.  So each equation reads x = y or x = 0, and
+`linalg.intertwiner_dim` counts the classes of unknowns that meet no x = 0
+instead of eliminating; it asserts the partial-shift form.
 Ext^1(M, N) is a dimension count for an explicitly constructed projective
 presentation 0 -> K -> P_0 -> M -> 0: since Ext^1(P_0, N) = 0, the sequence
 
@@ -35,12 +40,14 @@ IV.2).  It only relabels vertices and shares no formula with homology.py.
 The table of Hom between representations uses the same fact once more: a
 miss moves the pair (M, N) by the rotation that takes M to the member of
 least content (dims, then arrow matrices) of its rotation class, found by
-rotating M's matrices, and eliminates only when that pair is new.  So the
-K-pairs of different presentations share their eliminations too.
+rotating M's matrices, and counts only when that pair is new.  So the
+K-pairs of different presentations share their counts too.
 """
 
+from operator import mul
+
 from .core import Uniserial
-from .linalg import intertwiner_system, rank
+from .linalg import intertwiner_dim
 
 
 class _Quiver:
@@ -138,10 +145,10 @@ def _rep(q, alg, u):
 
 
 def _hom(m_rep, n_rep):
-    """dim Hom(M, N): variables minus the rank of the intertwiner system.
+    """dim Hom(M, N) by `intertwiner_dim`, called only when there are unknowns.
 
     On a cyclic quiver a miss moves the pair by the rotation that takes M to
-    the least-content member of its rotation class, eliminates that pair only
+    the least-content member of its rotation class, counts that pair only
     if it is new, and keeps the answer under both pairs."""
     q = m_rep.quiver
     d = q.homs.get((m_rep, n_rep))
@@ -152,10 +159,12 @@ def _hom(m_rep, n_rep):
             pair = m_rots[s], q.turns(n_rep)[1][s]
             d = q.homs.get(pair)
         if d is None:
-            rows, total = intertwiner_system(pair[0].dims, pair[1].dims, [
-                (v - 1, w - 1, pair[0].mats[v], pair[1].mats[v])
-                for v, w in q.arrows])
-            d = q.homs[pair] = total - rank(rows) if total else 0
+            m, k = pair
+            d = 0
+            if any(map(mul, m.dims, k.dims)):
+                d = intertwiner_dim(m.dims, k.dims, [
+                    (v - 1, w - 1, m.mats[v], k.mats[v]) for v, w in q.arrows])
+            q.homs[pair] = d
         q.homs[m_rep, n_rep] = d
     return d
 
@@ -169,7 +178,7 @@ def _turn(alg, u, v):
 
 
 def oracle_hom_dim(alg, u, v):
-    """dim Hom(u, v) via intertwiner rank, never via image-length counting."""
+    """dim Hom(u, v) from intertwiner equations, not image-length counting."""
     if u is None or v is None:
         return 0
     key = (alg.kind, alg.n, u.top, u.length, v.top, v.length)

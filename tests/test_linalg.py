@@ -6,16 +6,20 @@ the reference on int and Fraction input alike, kernel_basis must return
 exactly the vectors of reduced_kernel, and a Fraction matrix must give the
 same answers as its row-scaled integer copy, in integers.
 intertwiner_system is checked by hand on the three indecomposables of
-linear:1,2.
+linear:1,2, and intertwiner_dim against its elimination on seeded
+partial-shift systems.
 """
 
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
+
 from nakayama.core import parse_module, validate
 from nakayama.homology import hom_dim
 from nakayama.linalg import (
+    intertwiner_dim,
     intertwiner_system,
     kernel_basis,
     pivot_columns,
@@ -182,3 +186,61 @@ def test_intertwiner_system_by_hand_on_linear_1_2():
         assert intertwiner_system(m_dims, n_dims, [(1, 0, a_m, a_n)]) == (rows, total)
         assert total - rank(rows) == hom_dim(
             alg, parse_module(alg, m), parse_module(alg, n))
+
+
+def _partial_shift(rng, rows, cols, per_column):
+    """A rows x cols 0/1 matrix with at most one 1 in each column, or in
+    each row when per_column is false."""
+    mat = [[0] * cols for _ in range(rows)]
+    for i in range(cols if per_column else rows):
+        j = rng.randrange(-1, rows if per_column else cols)
+        if j >= 0:
+            if per_column:
+                mat[j][i] = 1
+            else:
+                mat[i][j] = 1
+    return mat
+
+
+def _partial_shift_systems():
+    """Seeded intertwiner_system inputs for the cyclic and linear quivers
+    with n = 1..5, arrows v -> v - 1 (the cyclic n = 1 quiver is one loop),
+    dims 0..4 per vertex, a_M with at most one 1 per column and a_N with at
+    most one 1 per row."""
+    rng = random.Random(41)
+    for cyclic in (True, False):
+        for n in range(1, 6):
+            arrows = [(v, (v - 1) % n) for v in range(0 if cyclic else 1, n)]
+            for _ in range(300):
+                m_dims = [rng.randint(0, 4) for _ in range(n)]
+                n_dims = [rng.randint(0, 4) for _ in range(n)]
+                yield m_dims, n_dims, [
+                    (v, w, _partial_shift(rng, m_dims[w], m_dims[v], True),
+                     _partial_shift(rng, n_dims[w], n_dims[v], False))
+                    for v, w in arrows]
+
+
+def test_intertwiner_dim_is_variables_minus_rank_on_partial_shifts():
+    checked = zero_dims = loops = 0
+    for m_dims, n_dims, arrows in _partial_shift_systems():
+        rows, total = intertwiner_system(m_dims, n_dims, arrows)
+        assert intertwiner_dim(m_dims, n_dims, arrows) == total - rank(rows), \
+            (m_dims, n_dims, arrows)
+        checked += 1
+        zero_dims += 0 in m_dims + n_dims
+        loops += any(v == w for v, w, _, _ in arrows)
+    assert checked == 3000 and zero_dims and loops == 300
+
+
+def test_intertwiner_dim_rejects_what_is_not_a_partial_shift():
+    # one arrow 1 -> 0 between dims 2 and 2; a_M may repeat a 1 in a row
+    # and a_N in a column, but not the other way round, and no entry is 2
+    one, fold = [[1, 0], [0, 1]], [[1, 1], [0, 0]]
+    for ma, na in ((fold, one), (one, [[1, 0], [1, 0]])):
+        rows, total = intertwiner_system([2, 2], [2, 2], [(1, 0, ma, na)])
+        assert intertwiner_dim([2, 2], [2, 2], [(1, 0, ma, na)]) == \
+            total - rank(rows) == 4
+    for ma, na in (([[2, 0], [0, 1]], one), (one, [[1, 0], [0, 2]]),
+                   ([[1, 0], [1, 0]], one), (one, fold)):
+        with pytest.raises(AssertionError, match="not a partial shift"):
+            intertwiner_dim([2, 2], [2, 2], [(1, 0, ma, na)])

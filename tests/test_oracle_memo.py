@@ -1,10 +1,10 @@
 """The matrix oracle's tables: one per quiver (kind, n), answers keyed by the
 quiver first, answers free of call order, answers unchanged by turning a
 cyclic pair so that u's top is 1, every kept rep-pair Hom equal to its own
-elimination, one elimination per rotation class of a pair, a quiver lookup
-only on an answer-table miss, no cover rebuilt once a presentation is kept,
-a warm pass answered from the Hom/Ext^1 tables alone, and the
-arrow-stability check on a presentation's kernel."""
+elimination, one `intertwiner_dim` count per rotation class of a pair, a
+quiver lookup only on an answer-table miss, no cover rebuilt once a
+presentation is kept, a warm pass answered from the Hom/Ext^1 tables alone,
+and the arrow-stability check on a presentation's kernel."""
 
 import random
 from collections import defaultdict
@@ -64,17 +64,15 @@ def _counting(calls, real):
 def grid_order_pass():
     """One pass over grid_algebras(4, 6) in grid order from empty tables:
     (the algebras, the per-quiver tables it leaves, its Hom and Ext^1 answer
-    tables, its oracle.rank calls, its oracle.intertwiner_system calls)."""
-    calls, systems = [], []
+    tables, the arguments of its oracle.intertwiner_dim calls)."""
+    calls = []
     with pytest.MonkeyPatch.context() as mp:
         _empty_caches(mp)
-        mp.setattr(oracle, "rank", _counting(calls, oracle.rank))
-        mp.setattr(oracle, "intertwiner_system",
-                   _counting(systems, oracle.intertwiner_system))
+        mp.setattr(oracle, "intertwiner_dim",
+                   _counting(calls, oracle.intertwiner_dim))
         algs = grid_algebras(4, 6)
         _grid_pass(algs)
-        return (algs, oracle._quivers, oracle._hom_dims, oracle._ext1_dims,
-                calls, systems)
+        return algs, oracle._quivers, oracle._hom_dims, oracle._ext1_dims, calls
 
 
 def test_tables_are_kept_per_quiver(grid_order_pass):
@@ -188,22 +186,24 @@ def _system_class(system):
     return min(moved(t) for t in range(n))
 
 
-def test_rank_runs_once_per_distinct_hom(grid_order_pass, monkeypatch):
-    algs, *_, grid_order_calls, systems = grid_order_pass
+def test_intertwiner_dim_runs_once_per_distinct_hom(grid_order_pass,
+                                                    monkeypatch):
+    algs, *_, grid_order_calls = grid_order_pass
     assert len(grid_order_calls) == 449
-    # a system is eliminated only when it has variables, and on a cyclic
-    # quiver (one arrow per vertex) no two eliminated pairs are rotations
+    # a system is counted only when it has variables, and on a cyclic
+    # quiver (one arrow per vertex) no two counted pairs are rotations
     # of each other
-    solved = [args for args in systems
-              if any(a * b for a, b in zip(args[0], args[1]))]
-    assert len(solved) == len(grid_order_calls)
-    cyclic = [_system_class(args) for args in solved if len(args[2]) == len(args[0])]
+    assert all(any(a * b for a, b in zip(args[0], args[1]))
+               for args in grid_order_calls)
+    cyclic = [_system_class(args) for args in grid_order_calls
+              if len(args[2]) == len(args[0])]
     assert cyclic and len(set(cyclic)) == len(cyclic)
     shuffled = algs[:]
     random.Random(12).shuffle(shuffled)
     calls = []
     _empty_caches(monkeypatch)
-    monkeypatch.setattr(oracle, "rank", _counting(calls, oracle.rank))
+    monkeypatch.setattr(oracle, "intertwiner_dim",
+                        _counting(calls, oracle.intertwiner_dim))
     _grid_pass(shuffled)
     assert len(calls) == 449
     calls.clear()
@@ -274,7 +274,7 @@ def test_a_warm_pass_builds_no_cover(monkeypatch):
 def test_a_warm_pass_is_answered_from_the_tables(monkeypatch):
     _empty_caches(monkeypatch)
     calls = []
-    for name in ("_quiver", "_rep", "_presentation", "rank"):
+    for name in ("_quiver", "_rep", "_presentation", "intertwiner_dim"):
         monkeypatch.setattr(oracle, name, _counting(calls, getattr(oracle, name)))
     algs = grid_algebras(3, 4)
     _grid_pass(algs)

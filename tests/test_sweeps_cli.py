@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -32,7 +33,7 @@ from nakayama.sweeps import (
     random_algebra,
     sweep,
 )
-from nakayama.tilting import classify
+from nakayama.tilting import classify, tilting_criterion
 
 
 def test_generation_pin_n2():
@@ -140,6 +141,20 @@ def test_class_census_through_sweep():
     assert [list(x) for x in zip(*counts["linear"])] == [
         [1, 1, 2, 5, 14, 42, 132, 429], [1, 0, 1, 1, 3, 6, 15, 36],
         [1, 0, 1, 0, 1, 0, 1, 0]]
+
+
+def test_linear_counts_are_catalan_and_riordan_numbers():
+    # the linear algebras with n simples number C_(n-1) = binom(2n-2, n-1)/n,
+    # and those passing the tilting criterion the Riordan numbers R_(n-1):
+    # R_0 = 1, R_1 = 0, R_m = (m - 1)(2 R_(m-1) + 3 R_(m-2)) / (m + 1)
+    riordan = [1, 0]
+    for m in range(2, 10):
+        riordan.append((m - 1) * (2 * riordan[-1] + 3 * riordan[-2]) // (m + 1))
+    for n in range(1, 11):
+        seqs = list(generate_sequences("linear", n, n))
+        assert len(seqs) == comb(2 * n - 2, n - 1) // n, n
+        assert sum(tilting_criterion(validate("linear", c)) for c in seqs) == \
+            riordan[n - 1], n
 
 
 def test_elementary_predicates():
