@@ -1,15 +1,17 @@
 """Tilting and cotilting modules cut out by the projective-injectives.
 
-Q denotes the direct sum of all indecomposable projective-injective modules.
-The subcategory of interest consists of the modules generated and cogenerated
-by Q; inside it a distinguished tilting module exists precisely when the
-dominant dimension is at least 2, which a purely numerical test on the
-admissible sequence detects.  Membership, the cotilting module and its
-verification are read through the duality D onto the opposite algebra
-(core.dual).  This module also provides the classification predicates
-(selfinjective, Auslander, minimal Auslander-Gorenstein, ...), the drop
-conditions for the global dimension of the endomorphism algebra, and the
-Igusa-Todorov functions.
+Q denotes the direct sum of all indecomposable projective-injective modules,
+and the set of vertices j with P_j injective; the others are split.  The
+subcategory of interest consists of the modules generated and cogenerated by
+Q; inside it a distinguished tilting module exists precisely when the
+dominant dimension is at least 2.  Both are read off the sequence through
+H = {h_j = j - c_j} (P_j has socle S_{h_j + 1}), which gives the criterion
+and membership, and the runs of _runs, which give the summands of T and X.
+The cotilting module and its verification are read through the duality D
+onto the opposite algebra (core.dual).  This module also provides the
+classification predicates (selfinjective, Auslander, minimal
+Auslander-Gorenstein, ...), the drop conditions for the global dimension of
+the endomorphism algebra, and the Igusa-Todorov functions.
 
 A rotation of a cyclic sequence is a quiver automorphism: it changes no
 invariant and relabels the canonical T and C.  So classify keeps the report
@@ -30,7 +32,6 @@ from .core import (
     injective,
     is_injective,
     is_projective,
-    make_module,
     opposite,
     projective,
     rotation_normal_form,
@@ -74,20 +75,46 @@ def basic_gen_cogen(alg):
     return ModuleSum.of(sorted(mods))
 
 
+def _h_class(alg, x):
+    """The integer x as a possible value of h: mod n when cyclic, as is when linear."""
+    return alg.normalize(x) if alg.kind == "cyclic" else x
+
+
+def _h_values(alg):
+    """H = {h_j = j - c_j : 1 <= j <= n}, taken mod n when cyclic."""
+    return {_h_class(alg, j - c) for j, c in enumerate(alg.c, 1)}
+
+
+def _runs(alg, q):
+    """The runs M(j, l): j in q, l = 1, 2, ... while l < c_j and c_{j-l} = c_j - l.
+
+    pd M(j, l) = 1 iff l < c_j and the syzygy M(j - l, c_j - l) is
+    projective, so these are the modules of pd 1 with top in Q, in the order
+    of indecomposables(alg).  The run of j walks back over the split
+    vertices just before j, so it meets each split vertex i once, as
+    M(i + d, d) with syzygy P_i, i + d the first vertex of Q after i.
+    """
+    for j in sorted(q):
+        c = alg.c_at(j)
+        l = 1
+        while l < c and alg.c_at(j - l) == c - l:
+            yield Uniserial(j, l)
+            l += 1
+
+
 def _subcat_split(alg):
-    """(q, p, member): split_projective_vertices(alg) and the membership
-    test of in_tilting_subcat for one indecomposable, from one split of the
-    algebra and one of its opposite."""
+    """(q, p, member): the split and in_tilting_subcat's test on one indecomposable."""
     q, p = split_projective_vertices(alg)
-    q_op, _ = split_projective_vertices(opposite(alg))
-    return q, p, lambda u: u.top in q and dual(alg, u).top in q_op
+    h = _h_values(alg)
+    return q, p, lambda u: u.top in q and _h_class(alg, u.top - u.length) in h
 
 
 def in_tilting_subcat(alg, m):
     """Whether m is generated and cogenerated by the projective-injectives.
 
-    Concretely, each summand u has its top in Q (its cover is injective),
-    and D u has its top in Q of the opposite (the envelope of u is projective).
+    Each summand u = M(i, l) has its top i in Q (its cover is injective)
+    and i - l in H: its envelope I(S_{i-l+1}) is projective iff it is a P_j,
+    j in Q, with h_j = i - l, and each value of h is h_j for some j in Q.
     """
     _, _, member = _subcat_split(alg)
     return all(member(u) for u in summands(m))
@@ -97,61 +124,37 @@ def syzygy_correspondence(alg):
     """The map u -> syzygy(u) on {u in the subcategory : pd u = 1}.
 
     Returns (X, the map, whether it is a bijection onto the non-injective
-    projectives), X in the order of indecomposables(alg).  That it maps X
-    injectively into the projectives is checked by the tilting suite.
-
-    X is listed by vertex: its tops lie in Q, and pd M(i, l) = 1 exactly when
-    l < c_i and the syzygy M(i - l, c_i - l) is projective, c_{i-l} = c_i - l.
-    Since c_{j-1} >= c_j - 1, those l form a run 1, 2, ... that ends before n,
-    so the cost is O(n^2) whatever the size of the c_i.
+    projectives).  X is the runs (_runs) in the subcategory, in the order of
+    indecomposables(alg).  That it maps X injectively into the projectives
+    is checked by the tilting suite.
     """
     q, p, member = _subcat_split(alg)
-    x = []
-    for i in sorted(q):
-        c = alg.c_at(i)
-        l = 1
-        while l < c and alg.c_at(i - l) == c - l:
-            u = Uniserial(i, l)
-            if member(u):
-                x.append(u)
-            l += 1
+    x = [u for u in _runs(alg, q) if member(u)]
     omega = {u: syzygy(alg, u) for u in x}
     return x, omega, set(omega.values()) == {projective(alg, i) for i in p}
 
 
 def tilting_criterion(alg):
-    """Numerical test equivalent to domdim >= 2: every split vertex i (with
-    c_{i+1} = c_i + 1) must be of the form j - c_j for some vertex j whose
-    projective is injective."""
-    q, p = split_projective_vertices(alg)
-    if alg.kind == "cyclic":
-        return p <= {alg.normalize(j - alg.c_at(j)) for j in q}
-    return p <= {j - alg.c_at(j) for j in q}
+    """Numerical test equivalent to domdim >= 2: every split vertex is a
+    value of h, p <= H.
 
-
-def _gap_to_q(alg, i, q):
-    # smallest k >= 1 with i + k landing in q
-    for k in range(1, alg.n + 1):
-        j = alg.normalize(i + k) if alg.kind == "cyclic" else i + k
-        if j in q:
-            return k
-    raise AssertionError("no projective-injective vertex ahead of %d" % i)
+    The classical form asks for h_j with j in Q; it is the same test.
+    c_{j+1} <= c_j + 1, so the lifted h never decreases, and it stays put
+    from j to j + 1 exactly when j is split.  So each value of h is taken
+    last at a j where h moves on, a j in Q.  (Linear: n is in Q, as
+    c_{n+1} = 0; a cyclic h gains n per turn, so it cannot stay put.)
+    """
+    _, p = split_projective_vertices(alg)
+    return p <= _h_values(alg)
 
 
 def canonical_tilting(alg):
-    """The distinguished tilting module, or None when domdim < 2.
-
-    Summands: the projective-injectives, plus one module of length delta(i)
-    with socle i+1 for each split vertex i.
-    """
+    """The distinguished tilting module, or None when domdim < 2: the
+    projective-injectives plus the runs, one M(i + d, d) per split vertex i."""
     if not tilting_criterion(alg):
         return None
-    q, p = split_projective_vertices(alg)
-    parts = [projective(alg, j) for j in sorted(q)]
-    for i in sorted(p):
-        d = _gap_to_q(alg, i, q)
-        parts.append(make_module(alg, i + d, d))
-    return ModuleSum.of(parts)
+    q, _ = split_projective_vertices(alg)
+    return ModuleSum.of([projective(alg, j) for j in sorted(q)] + list(_runs(alg, q)))
 
 
 def _tilting(alg):

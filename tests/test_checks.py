@@ -138,7 +138,7 @@ def test_structural_suite_reads_one_pdim_table_per_tilting_algebra(monkeypatch):
                       if classify(alg).tilting_exists]
 
 
-def test_suite_tilting_small_threaded():
+def test_suite_tilting_small():
     rep = run_suite("tilting", samples=50, seed=1, n_max=4, c_max=6)
     assert rep.suite == "tilting"
     assert rep.ok
