@@ -28,7 +28,10 @@ End(X) is basic and minimal resolutions are unique up to isomorphism
 resolution is stored once per algebra.  The syzygy of the simple S_p is
 Omega(S_p) = rad P_p, the span of the non-identity maps into p, so it is
 read off the product table; only the syzygies of other modules are found
-by elimination.  Ranks and kernels are exact.
+by elimination.  By Nakayama's lemma (ASS I, I.3) the kernel of a cover P
+of M has dimension dim P - dim M, so a projective M needs no elimination
+and every other kernel is checked against that count.  Ranks and kernels
+are exact.
 """
 
 from .core import (
@@ -141,8 +144,8 @@ class StructureConstantAlgebra:
         self.idempotents = tuple(
             self.index[identity_hom(alg, a)] for a in self.summands)
         self.table = _product_table(alg, self.basis, self.basis, self.index)
-        # syzygy dimensions of the simple of each block, from the simple
-        # (dimension 1) to the first zero, as resolution_dims finds them
+        # (dims, period) of the walk from the simple of each block: dims runs
+        # to the first zero, or through one whole period when period is not 0
         self.simple_dims = {}
         self._validate()
 
@@ -280,7 +283,9 @@ def syzygy_step(algebra, dim, mats):
     the kernel as zero shares one zero row.  Only the maps into the blocks
     that the module and the kernel occupy are visited.  The cover's
     generators are chosen by one fraction-free pivot pass over the radical
-    columns followed by the idempotent blocks.
+    columns followed by the idempotent blocks; they span M / rad M, so by
+    Nakayama's lemma the kernel has dimension len(cover) - dim, which skips
+    the elimination for a projective M and checks every other kernel.
     The kernel is reduced once; the coordinates of each image sit at its
     free columns, and its pivot entries are checked against them, so every
     nonzero image is tested exactly for membership in the kernel.
@@ -310,6 +315,9 @@ def syzygy_step(algebra, dim, mats):
     # pairwise distinct vectors (independent within one idempotent block,
     # zero products across blocks), so numbers stand in for the vectors
     cover = [(i, k) for k, (pos, _) in enumerate(gens) for i in into[pos]]
+    assert len(cover) >= dim, "the cover's generators do not generate"
+    if len(cover) == dim:
+        return 0, []
     theta = [[0] * len(cover) for _ in range(dim)]
     for c, (i, k) in enumerate(cover):
         act = mats[i]
@@ -318,8 +326,7 @@ def syzygy_step(algebra, dim, mats):
                 theta[r][c] += y * x
     red, pivots, kernel = reduced_kernel(theta, len(cover))
     kd = len(kernel)
-    if kd == 0:
-        return 0, []
+    assert kd == len(cover) - dim, "the cover's generators do not generate"
     # kernel vector number and scale of each free column
     coord = {f: (c, vec[f]) for c, (f, vec) in enumerate(kernel.items())}
     position = {}
@@ -397,9 +404,9 @@ def _radical_step(algebra, pos):
 
 def _walk(algebra, module, cap):
     """(dims, period) of the syzygy walk from the module, as resolution_dims
-    describes it, unpadded: period is 0, or the period the walk repeats
-    after dims once a simple is met twice.  A simple met is the simple of
-    the block its idempotent acts on; one that ended at zero is spliced in.
+    describes it, unpadded, at most cap + 1 entries: period is 0, or the
+    period dims repeats once a simple is met twice.  A simple met is the
+    simple of the block its idempotent acts on; a stored one is spliced in.
     The syzygy of a simple S_p is rad P_p, read off the product table by
     _radical_step; only the other modules run syzygy_step."""
     d = module.dim
@@ -411,17 +418,19 @@ def _walk(algebra, module, cap):
             mats[i] = module.action_matrix(i)
     known = algebra.simple_dims
     met = {}   # block of each simple on this walk -> its index in dims
-    dims = []
+    dims, period = [], 0
     while True:
         if d == 1:
             pos = next(p for p, e in enumerate(algebra.idempotents)
                        if mats[e][0])
             if pos in known:
-                dims += known[pos]
+                tail, period = known[pos]
+                dims += tail
                 break
             if pos in met:
                 # the walk repeats what followed the first meeting
-                return dims, len(dims) - met[pos]
+                period = len(dims) - met[pos]
+                break
             met[pos] = len(dims)
         dims.append(d)
         if d == 0 or len(dims) > cap:
@@ -430,10 +439,11 @@ def _walk(algebra, module, cap):
             d, mats = _radical_step(algebra, pos)
         else:
             d, mats = syzygy_step(algebra, d, mats)
-    if dims[-1] == 0:
+    if period or dims[-1] == 0:
+        # dims ends with a whole period; a simple inside it stores it turned
         for pos, at in met.items():
-            known[pos] = dims[at:]
-    return dims[:cap + 1], 0
+            known[pos] = dims[at:] + dims[len(dims) - period:at], period
+    return dims[:cap + 1], period
 
 
 def resolution_dims(algebra, module, cap=30):

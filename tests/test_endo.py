@@ -806,14 +806,26 @@ def test_each_simple_is_resolved_once(monkeypatch):
     # simple's own syzygy, rad P, is read off the table, so no step receives
     # a one-dimensional module
     calls = _count_steps(monkeypatch)
+    eliminations = []
+    reduce = endo.reduced_kernel
+
+    def counted(mat, n):
+        eliminations.append(n)
+        return reduce(mat, n)
+
+    monkeypatch.setattr(endo, "reduced_kernel", counted)
     alg = _ladder(40, 10)
     assert gldim_over(end_algebra(alg, canonical_tilting(alg))) == 6
     assert len(calls) == 47
-    # each simple of End(T) of cyclic:40,40 is its own second syzygy
+    # each simple of End(T) of cyclic:40,40 is its own second syzygy, and
+    # its periodic walk is stored, so a second call runs no step
     alg = AdmissibleSequence("cyclic", (40, 40))
     b = end_algebra(alg, canonical_tilting(alg))
     assert gldim_over(b, 30) == OverCap(30)
     assert len(calls) == 47 + 1
+    assert gldim_over(b, 30) == OverCap(30)
+    assert len(calls) == 47 + 1
+    del eliminations[:]
     # the bench endo-ladder rungs, simples in shuffled order
     rng = random.Random(0)
     for n, k in [(12, 5), (16, 6), (20, 6)]:
@@ -825,6 +837,32 @@ def test_each_simple_is_resolved_once(monkeypatch):
             pd_over(b, s)
     assert len(calls) == 47 + 1 + 56
     assert 1 not in calls
+    # by Nakayama's lemma a projective syzygy is told by its cover's size,
+    # so only half the bench steps eliminate
+    assert len(eliminations) == 28
+
+
+def test_a_dropped_generator_raises_and_answers_nothing_wrong(monkeypatch):
+    # a pivot pass that drops its last pivot loses a generator of the cover;
+    # the kernel's size then contradicts Nakayama's lemma and the step
+    # raises instead of resolving a smaller module
+    algs = [alg for alg in grid_algebras(3, 5)
+            if canonical_tilting(alg) is not None]
+    want = [gldim_over(end_algebra(alg, canonical_tilting(alg)))
+            for alg in algs]
+    pivots = endo.pivot_columns
+    monkeypatch.setattr(endo, "pivot_columns",
+                        lambda dense: pivots(dense)[:-1])
+    raised = 0
+    for alg, value in zip(algs, want):
+        try:
+            got = gldim_over(end_algebra(alg, canonical_tilting(alg)))
+        except AssertionError as e:
+            assert str(e) == "the cover's generators do not generate"
+            raised += 1
+        else:
+            assert got == value
+    assert raised
 
 
 def test_drop_check_frozen():
