@@ -144,8 +144,8 @@ class StructureConstantAlgebra:
         self.idempotents = tuple(
             self.index[identity_hom(alg, a)] for a in self.summands)
         self.table = _product_table(alg, self.basis, self.basis, self.index)
-        # (dims, period) of the walk from the simple of each block: dims runs
-        # to the first zero, or through one whole period when period is not 0
+        # syzygy dimensions of the simple of each block, from the simple
+        # (dimension 1) to the first zero, as resolution_dims finds them
         self.simple_dims = {}
         self._validate()
 
@@ -315,7 +315,6 @@ def syzygy_step(algebra, dim, mats):
     # pairwise distinct vectors (independent within one idempotent block,
     # zero products across blocks), so numbers stand in for the vectors
     cover = [(i, k) for k, (pos, _) in enumerate(gens) for i in into[pos]]
-    assert len(cover) >= dim, "the cover's generators do not generate"
     if len(cover) == dim:
         return 0, []
     theta = [[0] * len(cover) for _ in range(dim)]
@@ -404,9 +403,9 @@ def _radical_step(algebra, pos):
 
 def _walk(algebra, module, cap):
     """(dims, period) of the syzygy walk from the module, as resolution_dims
-    describes it, unpadded, at most cap + 1 entries: period is 0, or the
-    period dims repeats once a simple is met twice.  A simple met is the
-    simple of the block its idempotent acts on; a stored one is spliced in.
+    describes it, unpadded: period is 0, or the period the walk repeats
+    after dims once a simple is met twice.  A simple met is the simple of
+    the block its idempotent acts on; one that ended at zero is spliced in.
     The syzygy of a simple S_p is rad P_p, read off the product table by
     _radical_step; only the other modules run syzygy_step."""
     d = module.dim
@@ -418,19 +417,17 @@ def _walk(algebra, module, cap):
             mats[i] = module.action_matrix(i)
     known = algebra.simple_dims
     met = {}   # block of each simple on this walk -> its index in dims
-    dims, period = [], 0
+    dims = []
     while True:
         if d == 1:
             pos = next(p for p, e in enumerate(algebra.idempotents)
                        if mats[e][0])
             if pos in known:
-                tail, period = known[pos]
-                dims += tail
+                dims += known[pos]
                 break
             if pos in met:
                 # the walk repeats what followed the first meeting
-                period = len(dims) - met[pos]
-                break
+                return dims, len(dims) - met[pos]
             met[pos] = len(dims)
         dims.append(d)
         if d == 0 or len(dims) > cap:
@@ -439,11 +436,10 @@ def _walk(algebra, module, cap):
             d, mats = _radical_step(algebra, pos)
         else:
             d, mats = syzygy_step(algebra, d, mats)
-    if period or dims[-1] == 0:
-        # dims ends with a whole period; a simple inside it stores it turned
+    if dims[-1] == 0:
         for pos, at in met.items():
-            known[pos] = dims[at:] + dims[len(dims) - period:at], period
-    return dims[:cap + 1], period
+            known[pos] = dims[at:]
+    return dims[:cap + 1], 0
 
 
 def resolution_dims(algebra, module, cap=30):
