@@ -319,14 +319,24 @@ def opposite(alg):
     injective envelope I(S_i) here, where i* = n+1-i (linear) or i* = 1-i mod n
     (cyclic).  Applying the map twice returns the original sequence.
 
+    Since c_{i+1} <= c_i + 1, h_i = i - c_i never decreases over the lifted
+    vertices (i in Z when cyclic), and M(i, i - j + 1) exists iff h_i < j, so
+    I(S_j) = M(i*, i* - j + 1) for the last such i*.  One O(n) sweep finds
+    them all, starting when cyclic at j = 1's i*, max r + floor(-h_r / n) n.
+
     Built on the first call and kept on alg, so every later call returns
     the same object.
     """
     op = alg._opposite
     if op is None:
-        cop = [0] * alg.n
-        for i in range(1, alg.n + 1):
-            cop[_star(alg, i) - 1] = injective(alg, i).length
+        n, c, cyclic = alg.n, alg.c, alg.kind == "cyclic"
+        i = max(r + (c[r - 1] - r) // n * n for r in range(1, n + 1)) if cyclic else 1
+        cop = [0] * n
+        for j in range(1, n + 1):
+            # h_{i+1} = i + 1 - c_{i+1}, read mod n when cyclic
+            while (cyclic or i < n) and i + 1 - c[i % n] < j:
+                i += 1
+            cop[_star(alg, j) - 1] = i - j + 1
         op = validate(alg.kind, cop)
         alg._opposite = op
     return op

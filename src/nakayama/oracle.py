@@ -29,14 +29,17 @@ are exact: a uniserial's representation reads only the quiver and its
 (ibid. III.1), so Hom between A-modules is Hom of quiver representations.
 The algebra enters only through the cover P_0 = M(top u, c_top), so dim
 Hom(u, v) is keyed by (kind, n, top u, len u, top v, len v), and dim
-Ext^1(u, v) and the presentation of u also by c_top.
+Ext^1(u, v) also by c_top after len u.
 
-On a cyclic quiver a miss turns the pair (u, v) by the rotation
-sigma: i -> i - top u + 1, so that u's top is 1, and stores the answer under
-the caller's own key.  The rotation is exact: sigma is an automorphism of
-the quiver, so Hom(sigma M, sigma N) = Hom(M, N), and the presentation of
+On a cyclic quiver the rotation sigma: i -> i - top u + 1 is an automorphism
+of the quiver, so Hom(sigma M, sigma N) = Hom(M, N), and the presentation of
 sigma u is sigma applied to that of u, with the same c_top (ibid. III.1 and
-IV.2).  It only relabels vertices and shares no formula with homology.py.
+IV.2).  So the answers there are keyed by rotation class, with
+(top v - top u) mod n in place of both tops, by integer arithmetic alone, and
+a miss counts the pair turned so that u's top is 1.  The rotation only
+relabels vertices and shares no formula with homology.py.  An Ext^1 miss
+reads dim Hom(P_0, N) by Yoneda, Hom(P_i, N) = e_i N, as N's dimension at
+P_0's top i, and dim Hom(u, N) from the Hom table; only Hom(K, N) is counted.
 The table of Hom between representations uses the same fact once more: a
 miss moves the pair (M, N) by the rotation that takes M to the member of
 least content (dims, then arrow matrices) of its rotation class, found by
@@ -92,9 +95,9 @@ class _Quiver:
 
 
 _quivers = {}  # (kind, n) -> _Quiver
-# the answers, keyed by the quiver first: (kind, n, top u, len u, top v, len v)
-# -> dim Hom(u, v), and (kind, n, top u, len u, c_top, top v, len v)
-# -> dim Ext^1(u, v)
+# the answers, keyed by the quiver first: cyclic (kind, n, len u, [c_top,]
+# (top v - top u) mod n, len v) and linear (kind, n, top u, len u, [c_top,]
+# top v, len v) -> dim Hom(u, v) [dim Ext^1(u, v) with c_top]
 _hom_dims = {}
 _ext1_dims = {}
 
@@ -181,7 +184,10 @@ def oracle_hom_dim(alg, u, v):
     """dim Hom(u, v) from intertwiner equations, not image-length counting."""
     if u is None or v is None:
         return 0
-    key = (alg.kind, alg.n, u.top, u.length, v.top, v.length)
+    if alg.kind == "cyclic":
+        key = (alg.kind, alg.n, u.length, (v.top - u.top) % alg.n, v.length)
+    else:
+        key = (alg.kind, alg.n, u.top, u.length, v.top, v.length)
     d = _hom_dims.get(key)
     if d is None:
         q = _quiver(alg)
@@ -224,16 +230,18 @@ def oracle_ext1_dim(alg, u, v):
     if u is None or v is None:
         return 0
     c_top = alg.c[u.top - 1]
-    key = (alg.kind, alg.n, u.top, u.length, c_top, v.top, v.length)
+    if alg.kind == "cyclic":
+        key = (alg.kind, alg.n, u.length, c_top, (v.top - u.top) % alg.n, v.length)
+    else:
+        key = (alg.kind, alg.n, u.top, u.length, c_top, v.top, v.length)
     e = _ext1_dims.get(key)
     if e is None:
         q = _quiver(alg)
+        hom_un = oracle_hom_dim(alg, u, v)
         u, v = _turn(alg, u, v)
-        k_rep = _presentation(q, alg, u, c_top)
         n_rep = _rep(q, alg, v)
-        # _presentation has kept P_0 = M(top u, c_top) among the reps
-        e = (_hom(k_rep, n_rep) - _hom(q.reps[u.top, c_top], n_rep)
-             + _hom(_rep(q, alg, u), n_rep))
+        # dim Hom(P_0, N) = dim e_i N, N's dimension at P_0's top i
+        e = _hom(_presentation(q, alg, u, c_top), n_rep) - n_rep.dims[u.top - 1] + hom_un
         assert e >= 0
         _ext1_dims[key] = e
     return e

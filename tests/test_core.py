@@ -1,4 +1,5 @@
 import re
+import time
 from itertools import product
 
 import pytest
@@ -194,13 +195,30 @@ def test_tau_round_trip():
 def test_opposite_values_and_involution():
     assert opposite(SHARP).c == (2, 3, 3, 3, 4)
     assert opposite(RAD2).c == (1, 2, 2, 2, 2)
-    grid = [validate("cyclic", c) for c in ([2, 2], [2, 2, 3], [3, 4, 4], [3, 2, 2, 3, 3])]
+    # c far above n checks the cyclic start of opposite's sweep
+    grid = [validate("cyclic", c) for c in ([2, 2], [2, 2, 3], [3, 4, 4], [3, 2, 2, 3, 3],
+                                            [200000, 200000], [7], [40, 41, 39], [60, 59, 60])]
     grid += [validate("linear", c) for c in ([1], [1, 2], [1, 2, 3], [1, 2, 2, 3])]
-    for alg in grid:
-        op = opposite(alg)
+    for alg in grid + grid_algebras(5, 9):
+        n = alg.n
+        op = opposite(validate(alg.kind, alg.c))
         assert opposite(op) == alg
         assert sum(op.c) == sum(alg.c)
-        assert sorted(op.c) == sorted(injective(alg, i).length for i in range(1, alg.n + 1))
+        # the opposite's projective at i* is as long as I(S_i) here
+        star = (lambda i: n + 1 - i) if alg.kind == "linear" else (lambda i: (-i) % n + 1)
+        assert [op.c[star(i) - 1] for i in range(1, n + 1)] == \
+            [injective(alg, i).length for i in range(1, n + 1)], alg
+
+
+def test_opposite_costs_order_n():
+    # an envelope scan per vertex made this O(n * max c): seconds at n = 20,000
+    n = 20000
+    for alg in (validate("linear", [min(i, 3) for i in range(1, n + 1)]),
+                validate("cyclic", [2] * n)):
+        start = time.perf_counter()
+        op = opposite(alg)
+        assert opposite(validate(alg.kind, op.c)) == alg
+        assert time.perf_counter() - start < 1.0, alg.kind
 
 
 def test_n_and_the_opposite_are_kept_out_of_equality():

@@ -1,9 +1,13 @@
 """The matrix oracle's tables: one per quiver (kind, n), answers keyed by the
-quiver first, answers free of call order, answers unchanged by turning a
-cyclic pair so that u's top is 1, every kept rep-pair Hom equal to its own
-elimination, one `intertwiner_dim` count per rotation class of a pair, a
-quiver lookup only on an answer-table miss, no cover rebuilt once a
-presentation is kept, a warm pass answered from the Hom/Ext^1 tables alone,
+quiver first and, on a cyclic quiver, by rotation class ((top v - top u)
+mod n in place of both tops), so every rotation of an algebra is answered
+from the tables its cold pass left; answers free of call order; answers
+unchanged by turning a cyclic pair so that u's top is 1; each Ext^1 answer
+equal to a full recount through Hom(P_0, N), which the oracle reads by
+Yoneda as N's dimension at P_0's top; every kept rep-pair Hom equal to its
+own elimination; one `intertwiner_dim` count per rotation class of a pair; a
+quiver lookup only on an answer-table miss; no cover rebuilt once a
+presentation is kept; a warm pass answered from the Hom/Ext^1 tables alone;
 and the arrow-stability check on a presentation's kernel."""
 
 import random
@@ -99,14 +103,13 @@ def test_tables_are_kept_per_quiver(grid_order_pass):
         assert kind == "linear" or {top for top, _, _ in q.presentations} == {1}, \
             (kind, n)
 
-        def turned(tu, tv):
-            return (1, (tv - tu) % n + 1) if kind == "cyclic" else (tu, tv)
-
-        # the answers under this quiver's prefix:
-        # (top u, len u, top v, len v) -> dim Hom and
-        # (top u, len u, c_top, top v, len v) -> dim Ext^1, each equal to a
-        # recount from the reps of the turned pair with the pass's Hom table
-        # set aside
+        # the answers under this quiver's prefix: on a cyclic quiver, keyed
+        # by rotation class, (len u, dt, len v) -> dim Hom and
+        # (len u, c_top, dt, len v) -> dim Ext^1 with dt = (top v - top u) mod n;
+        # on a linear one (top u, len u, top v, len v) and
+        # (top u, len u, c_top, top v, len v).  Each is a pair turned so that
+        # u's top is 1 on a cyclic quiver, and equal to a recount from the
+        # reps of that pair with the pass's Hom table set aside
         homs_here = {key[2:]: d for key, d in hom_dims.items()
                      if key[:2] == (kind, n)}
         ext1s_here = {key[2:]: e for key, e in ext1_dims.items()
@@ -114,19 +117,26 @@ def test_tables_are_kept_per_quiver(grid_order_pass):
         assert homs_here and ext1s_here, (kind, n)
         assert all(type(x) is int for key in (*homs_here, *ext1s_here)
                    for x in key), (kind, n)
+        if kind == "cyclic":
+            assert all(len(key) == 3 and 0 <= key[1] < n for key in homs_here)
+            assert all(len(key) == 4 and 0 <= key[2] < n for key in ext1s_here)
+            hom_pairs = {(lu, dt, lv): (1, lu, dt + 1, lv)
+                         for lu, dt, lv in homs_here}
+            ext1_pairs = {(lu, c_top, dt, lv): (1, lu, c_top, dt + 1, lv)
+                          for lu, c_top, dt, lv in ext1s_here}
+        else:
+            hom_pairs = {key: key for key in homs_here}
+            ext1_pairs = {key: key for key in ext1s_here}
         kept, q.homs = q.homs, {}
         try:
-            recount = {}
-            for tu, lu, tv, lv in homs_here:
-                su, sv = turned(tu, tv)
-                recount[tu, lu, tv, lv] = oracle._hom(q.reps[su, lu], q.reps[sv, lv])
+            recount = {key: oracle._hom(q.reps[su, lu], q.reps[sv, lv])
+                       for key, (su, lu, sv, lv) in hom_pairs.items()}
             assert homs_here == recount, (kind, n)
             recount = {}
-            for tu, lu, c_top, tv, lv in ext1s_here:
-                su, sv = turned(tu, tv)
+            for key, (su, lu, c_top, sv, lv) in ext1_pairs.items():
                 k = q.presentations[su, lu, c_top]
                 p0, m, nv = q.reps[su, c_top], q.reps[su, lu], q.reps[sv, lv]
-                recount[tu, lu, c_top, tv, lv] = \
+                recount[key] = \
                     oracle._hom(k, nv) - oracle._hom(p0, nv) + oracle._hom(m, nv)
             assert ext1s_here == recount, (kind, n)
         finally:
@@ -282,6 +292,28 @@ def test_a_warm_pass_is_answered_from_the_tables(monkeypatch):
     calls.clear()
     _grid_pass(algs)
     assert calls == []
+
+
+def test_a_cold_pass_answers_every_rotation_of_its_algebra(monkeypatch):
+    # the answers on a cyclic quiver are keyed by rotation class, so once one
+    # algebra's pairs are answered, every rotation of it is answered from the
+    # tables: no quiver lookup, no new entry, and each answer still the
+    # counting formulas'
+    _empty_caches(monkeypatch)
+    c = [3, 4, 4, 5, 4]
+    _grid_pass([validate("cyclic", c)])
+    sizes = len(oracle._hom_dims), len(oracle._ext1_dims)
+    assert all(sizes)
+    lookups = []
+    monkeypatch.setattr(oracle, "_quiver", _counting(lookups, oracle._quiver))
+    for t in range(1, len(c)):
+        alg = validate("cyclic", c[t:] + c[:t])
+        mods = indecomposables(alg)
+        calls = [(alg, u, v) for u in mods for v in mods]
+        assert _answers(calls) == \
+            [(hom_dim(*call), ext_dim(*call, 1)) for call in calls], alg
+    assert lookups == []
+    assert (len(oracle._hom_dims), len(oracle._ext1_dims)) == sizes
 
 
 def test_presentation_rejects_a_kernel_that_is_not_arrow_stable(monkeypatch):
