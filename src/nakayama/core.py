@@ -276,16 +276,10 @@ def is_projective(alg, u):
 
 
 def injective(alg, j):
-    """Injective envelope of S_j: the longest uniserial with socle S_j."""
-    j = alg.normalize(j)
-    top = max(alg.c)
-    if alg.kind == "linear":
-        top = min(top, alg.n - j + 1)
-    # valid lengths form an interval, so the first hit from above is maximal
-    for l in range(top, 0, -1):
-        if l <= alg.c_at(alg.normalize(j + l - 1)):
-            return Uniserial(alg.normalize(j + l - 1), l)
-    raise AssertionError("no injective envelope for S_%d" % j)
+    """Injective envelope of S_j: D of the opposite's projective at j*
+    (see opposite), so O(1) once the opposite is built."""
+    op = opposite(alg)
+    return dual(op, projective(op, _star(alg, j)))
 
 
 def is_injective(alg, u):

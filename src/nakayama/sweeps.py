@@ -3,7 +3,7 @@
 from collections import namedtuple
 
 from .core import check_kind, rotation_normal_form, validate
-from .tilting import ClassificationReport, classify
+from .tilting import ClassificationReport, _classify, classify
 
 REPORT_KEYS = ClassificationReport._fields
 
@@ -105,11 +105,14 @@ def sweep(spec):
         seqs = filter(is_elementary, seqs)
     if spec.absolutely_elementary:
         seqs = filter(is_absolutely_elementary, seqs)
+    compute = classify
     if spec.up_to_rotation:
+        # each class is met once, so classify's table could only grow
         seqs = (c for c in seqs if min_rotation(c) == c)
+        compute = _classify
     rows = []
     for c in seqs:
-        rep = classify(validate(spec.kind, c))
+        rep = compute(validate(spec.kind, c))
         if all(getattr(rep, f) for f in spec.filters):
             rows.append(rep)
             if len(rows) == spec.row_cap:

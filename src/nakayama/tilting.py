@@ -15,8 +15,9 @@ the endomorphism algebra, and the Igusa-Todorov functions.
 
 A rotation of a cyclic sequence is a quiver automorphism: it changes no
 invariant and relabels the canonical T and C.  So classify keeps the report
-of each rotation class met away from its normal form r in _reports, keyed by
-r, and never empties it; linear algebras and normal forms never touch it.
+of each rotation class it meets in _reports, keyed by the normal form r and
+relabeled to cyclic:r, answers every later rotation of the class from it,
+and never empties it; linear algebras never touch it.
 """
 
 from collections import namedtuple
@@ -241,16 +242,18 @@ def _rotated(rep, c, t):
 
 
 def classify(alg):
-    """The ClassificationReport of alg; a cyclic sequence other than its
-    rotation normal form is answered from its class's report in _reports."""
-    r, t = rotation_normal_form(alg.c) if alg.kind == "cyclic" else (None, 0)
-    if not t:
+    """The ClassificationReport of alg.  A cyclic algebra is computed only
+    for the first rotation met of its class; the report is kept in _reports
+    and every later rotation, the normal form too, is answered from it."""
+    if alg.kind != "cyclic":
         return _classify(alg)
-    if r not in _reports:
+    r, t = rotation_normal_form(alg.c)
+    rep = _reports.get(r)
+    if rep is None:
         rep = _classify(alg)
-        _reports[r] = _rotated(rep, r, -t)
+        _reports[r] = _rotated(rep, r, -t) if t else rep
         return rep
-    return _rotated(_reports[r], alg.c, t)
+    return _rotated(rep, alg.c, t) if t else rep
 
 
 def _classify(alg):

@@ -330,7 +330,6 @@ def test_suites_and_endo_command_build_each_object_once(monkeypatch, capsys):
     count("split_projective_vertices", tilting)
     count("canonical_tilting", tilting, suites, cli)
     count("end_algebra", endo, suites, cli)
-    monkeypatch.setattr(tilting, "_reports", {})
 
     def run(*args, **params):
         calls.update(dict.fromkeys(calls, 0))

@@ -23,6 +23,7 @@ from nakayama.core import (
     opposite,
     parse_module_sum,
     projective,
+    rotation_normal_form,
     socle_vertex,
     validate,
 )
@@ -176,7 +177,6 @@ def computed(monkeypatch):
         out.append(alg)
         return original(alg)
 
-    monkeypatch.setattr(tilting, "_reports", {})
     monkeypatch.setattr(tilting, "_classify", counted)
     return out
 
@@ -241,10 +241,14 @@ def test_classify_answers_each_rotation_from_its_class(computed):
         got = classify(alg).json_dict()
         want = _classify(validate(alg.kind, alg.c)).json_dict()
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), alg
-    assert 0 < len(tilting._reports) and len(computed) < len(algs)
+    # one computation per rotation class, whichever rotation comes first
+    classes = {rotation_normal_form(a.c)[0] for a in algs if a.kind == "cyclic"}
+    linear = sum(a.kind == "linear" for a in algs)
+    assert len(computed) == len(classes) + linear
+    assert set(tilting._reports) == classes
 
 
-def test_classify_of_a_normal_form_ignores_the_table(monkeypatch):
+def test_classify_stores_each_rotation_class_once(monkeypatch):
     criteria = []
     original = tilting.tilting_criterion
 
@@ -253,12 +257,16 @@ def test_classify_of_a_normal_form_ignores_the_table(monkeypatch):
         return original(alg)
 
     monkeypatch.setattr(tilting, "tilting_criterion", counted)
-    monkeypatch.setattr(tilting, "_reports", {})
     classify(validate("cyclic", [4, 4, 3, 3]))
     assert list(tilting._reports) == [(3, 3, 4, 4)]
     criteria.clear()
-    classify(validate("cyclic", [3, 3, 4, 4]))
+    normal = validate("cyclic", [3, 3, 4, 4])
+    got = classify(normal)
+    assert criteria == [] and got == _classify(normal)
+    criteria.clear()
+    classify(validate("cyclic", [2, 3, 3]))
     assert len(criteria) == 3
+    assert list(tilting._reports) == [(3, 3, 4, 4), (2, 3, 3)]
     monkeypatch.setattr(tilting, "_reports", {})
     rows, _ = sweep(SweepSpec("cyclic", 5, 7, up_to_rotation=True))
     assert rows and tilting._reports == {}
