@@ -13,6 +13,10 @@ Conventions used everywhere in this package:
   composition factors S_i, S_{i-1}, ..., S_{i-l+1} from top to socle.
   In the cyclic case indices wrap and l may exceed n; in the linear case
   l <= i always.  M(i, c_i) is the projective P_i.
+* A linear sequence is a cyclic one with c_1 = 1: P_1 = S_1, so the arrow
+  1 -> n acts as zero and mod A is a full subcategory of the cyclic quiver's
+  representations (Assem-Simson-Skowronski I, III.1).  So indices, and
+  c_{n+1} = c_1, are read mod n, and every formula holds for both kinds.
 * The zero module is represented by None; its textual form is "0".
 
 Textual forms: algebras serialize as "cyclic:3,2,3,4,3" / "linear:1,2,2",
@@ -141,12 +145,8 @@ class AdmissibleSequence:
         return i
 
     def c_at(self, i):
-        """c_i with cyclic wrapping; linear uses the c_{n+1} := 0 convention."""
-        if self.kind == "cyclic":
-            return self.c[(i - 1) % self.n]
-        if i == self.n + 1:
-            return 0
-        return self.c[i - 1]
+        """c_i with the index read mod n."""
+        return self.c[(i - 1) % self.n]
 
     def __repr__(self):
         return "AdmissibleSequence(%r, %r)" % (self.kind, list(self.c))
@@ -154,15 +154,27 @@ class AdmissibleSequence:
 
 def rotation_normal_form(c):
     """(r, t): r = c_{t+1}, ..., c_n, c_1, ..., c_t is the least rotation of c,
-    with the least such t; vertex j of cyclic:r is vertex j + t of cyclic:c."""
+    with the least such t; vertex j of cyclic:r is vertex j + t of cyclic:c.
+    O(n): where the rotations at i and j first differ, after k equal entries,
+    the larger one's starts i .. i + k (or j .. j + k) are none of them least."""
+    c = tuple(c)
     n = len(c)
-    cc = tuple(c) * 2
-    best, best_t = cc[:n], 0
-    for t in range(1, n):
-        r = cc[t:t + n]
-        if r < best:
-            best, best_t = r, t
-    return best, best_t
+    cc = c * 2
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = cc[i + k], cc[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    t = min(i, j)
+    return c[t:] + c[:t], t
 
 
 def validate(kind, c):
@@ -279,7 +291,7 @@ def injective(alg, j):
     """Injective envelope of S_j: D of the opposite's projective at j*
     (see opposite), so O(1) once the opposite is built."""
     op = opposite(alg)
-    return dual(op, projective(op, _star(alg, j)))
+    return dual(op, projective(op, _star(alg, alg.normalize(j))))
 
 
 def is_injective(alg, u):
@@ -302,33 +314,34 @@ def tau_inv(alg, u):
 
 
 def _star(alg, i):
-    """The label i* over the opposite algebra of the vertex i here."""
-    return alg.n + 1 - i if alg.kind == "linear" else alg.normalize(1 - i)
+    """The label i* = 1 - i mod n over the opposite algebra of the vertex i here."""
+    return -i % alg.n + 1
 
 
 def opposite(alg):
     """The opposite algebra, relabeled so arrows again run (i+1 -> i).
 
-    The projective of the opposite at the new label i* has the length of the
-    injective envelope I(S_i) here, where i* = n+1-i (linear) or i* = 1-i mod n
-    (cyclic).  Applying the map twice returns the original sequence.
+    The projective of the opposite at the new label i* = 1 - i mod n has the
+    length of the injective envelope I(S_i) here.  Applying the map twice
+    returns the original sequence.
 
     Since c_{i+1} <= c_i + 1, h_i = i - c_i never decreases over the lifted
-    vertices (i in Z when cyclic), and M(i, i - j + 1) exists iff h_i < j, so
+    vertices i in Z, and M(i, i - j + 1) exists iff h_i < j, so
     I(S_j) = M(i*, i* - j + 1) for the last such i*.  One O(n) sweep finds
-    them all, starting when cyclic at j = 1's i*, max r + floor(-h_r / n) n.
+    them all, starting at j = 1's i*, max r + floor(-h_r / n) n.  A linear
+    sweep stops by n, since h_{n+1} = n + 1 - c_1 = n >= j.
 
     Built on the first call and kept on alg, so every later call returns
     the same object.
     """
     op = alg._opposite
     if op is None:
-        n, c, cyclic = alg.n, alg.c, alg.kind == "cyclic"
-        i = max(r + (c[r - 1] - r) // n * n for r in range(1, n + 1)) if cyclic else 1
+        n, c = alg.n, alg.c
+        i = max(r + (c[r - 1] - r) // n * n for r in range(1, n + 1))
         cop = [0] * n
         for j in range(1, n + 1):
-            # h_{i+1} = i + 1 - c_{i+1}, read mod n when cyclic
-            while (cyclic or i < n) and i + 1 - c[i % n] < j:
+            # h_{i+1} = i + 1 - c_{i+1}, with c read mod n
+            while i + 1 - c[i % n] < j:
                 i += 1
             cop[_star(alg, j) - 1] = i - j + 1
         op = validate(alg.kind, cop)

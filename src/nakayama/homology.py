@@ -2,10 +2,11 @@
 
 A nonzero map M(i,k_u) -> M(j,l_v) factors as quotient-of-source onto
 submodule-of-target; its isomorphism class is pinned by the image length k,
-which must satisfy k = top(u) - top(v) + len(v) modulo n (exactly, in the
-linear case) and 1 <= k <= min(len u, len v).  These canonical maps form a
-basis of the Hom space, and compositions of canonical maps are canonical with
-structure constant 1 (or zero), so all Hom/Ext arithmetic is integral.
+which must satisfy k = top(u) - top(v) + len(v) modulo n and
+1 <= k <= min(len u, len v), for both kinds (core's convention).  These
+canonical maps form a basis of the Hom space, and compositions of canonical
+maps are canonical with structure constant 1 (or zero), so all Hom/Ext
+arithmetic is integral.
 _hom_count counts the image lengths in one step and hom_basis lists them,
 two derivations of the same number.  Ext^1(W, v) is its own one-step
 count, _ext1_count: the maps Omega W -> v that do not extend to the cover
@@ -70,45 +71,33 @@ class HomMap:
         return "Hom[%r -> %r, k=%d]" % (self.source, self.target, self.k)
 
 
-def _first_image_length(n, cyclic, top_u, len_u, top_v, len_v):
-    """Smallest admissible image length of a map M(top_u, len_u) ->
-    M(top_v, len_v), or 0 if there is none."""
-    k = top_u - top_v + len_v
-    if cyclic:
-        k = (k - 1) % n + 1
-    return k if 1 <= k <= (len_u if len_u < len_v else len_v) else 0
-
-
-def _hom_count(n, cyclic, top_u, len_u, top_v, len_v):
+def _hom_count(n, top_u, len_u, top_v, len_v):
     """dim Hom(M(top_u, len_u), M(top_v, len_v)): the number of image
     lengths j in 1..m, m = min(len_u, len_v), with j = k mod n for
     k = top_u - top_v + len_v, in one step.  The first such j is
     (k - 1) % n + 1, so there are (m + n - 1 - (k - 1) % n) // n of them,
-    0 when the first exceeds m.  In the linear case j = k exactly, so there
-    is at most one."""
+    0 when the first exceeds m.  A linear pair has 0 <= top v - len v < n
+    and m <= top u, so k - n < 1 and k + n > m: only j = k can count."""
     k = top_u - top_v + len_v
     m = len_u if len_u < len_v else len_v
-    if cyclic:
-        return (m + n - 1 - (k - 1) % n) // n
-    return 1 if 1 <= k <= m else 0
+    return (m + n - 1 - (k - 1) % n) // n
 
 
 def hom_dim(alg, u, v):
     """dim Hom(u, v); zero modules give 0."""
     if u is None or v is None:
         return 0
-    return _hom_count(alg.n, alg.kind == "cyclic", u.top, u.length, v.top, v.length)
+    return _hom_count(alg.n, u.top, u.length, v.top, v.length)
 
 
 def hom_basis(alg, u, v):
     """The canonical maps u -> v, ordered by ascending image length: the
-    lengths _hom_count counts."""
+    lengths _hom_count counts, from the first, k mod n in 1..n, on by n."""
     if u is None or v is None:
         return []
-    k = _first_image_length(alg.n, alg.kind == "cyclic", u.top, u.length, v.top, v.length)
-    if k == 0:
-        return []
-    return [HomMap(u, v, j) for j in range(k, min(u.length, v.length) + 1, alg.n)]
+    k = (u.top - v.top + v.length - 1) % alg.n + 1
+    m = u.length if u.length < v.length else v.length
+    return [HomMap(u, v, j) for j in range(k, m + 1, alg.n)] if k <= m else []
 
 
 def identity_hom(alg, u):
@@ -129,9 +118,8 @@ def compose(alg, f, g):
 
 def _syzygy_pair(n, c, top, length):
     """(top, length) of the syzygy M(top - length, c_top - length) of
-    M(top, length), or None when that module is projective.  The top is
-    taken mod n; a linear non-projective has length < c_top <= top, so its
-    syzygy's top already lies in 1..n-1."""
+    M(top, length), with the top mod n, or None when that module is
+    projective."""
     c_top = c[top - 1]
     if length == c_top:
         return None
@@ -241,8 +229,8 @@ def domdim_module(alg, u):
     By duality that coresolution is the dual of the minimal projective
     resolution of D u over the opposite, so the walk follows syzygies there
     and counts covers P(i) that are injective, c_{i+1} <= c_i over the
-    opposite (with c_{n+1} = 0 in the linear case).  A zero syzygy or a
-    repeated module means the resolution stays projective-injective.
+    opposite.  A zero syzygy or a repeated module means the resolution
+    stays projective-injective.
     """
     op = opposite(alg)
     return _first_syzygy(op, dual(alg, u),
@@ -273,7 +261,7 @@ def gorenstein_dim(alg):
 
 # --- ext groups --------------------------------------------------------------
 
-def _ext1_count(n, cyclic, c_top, top, length, top_v, len_v):
+def _ext1_count(n, c_top, top, length, top_v, len_v):
     """dim Ext^1(W, v) for W = M(top, length) with cover P(top) of length
     c_top, and v = M(top_v, len_v), in one step.
 
@@ -282,9 +270,11 @@ def _ext1_count(n, cyclic, c_top, top, length, top_v, len_v):
     i - length, or to zero when i <= length.  So the maps Omega W -> v that
     do not extend to the cover, which span Ext^1(W, v), have the image
     lengths j with lo < j <= hi, lo = max(0, min(c_top, len_v) - length)
-    and hi = min(c_top - length, len_v), and j = r for
-    r = top - length - top_v + len_v, mod n in the cyclic case.  There are
-    (hi - r) // n - (lo - r) // n of them.  A projective W has lo = hi = 0.
+    and hi = min(c_top - length, len_v), and j = r mod n for
+    r = top - length - top_v + len_v.  There are (hi - r) // n - (lo - r) // n
+    of them.  A projective W has lo = hi = 0.  Over a linear algebra only
+    j = r can count: r - n < 0 <= lo, and r + n > len v >= hi, as
+    top - length >= 1 for a W that is not projective.
     """
     hi = c_top - length
     if len_v < hi:
@@ -293,9 +283,7 @@ def _ext1_count(n, cyclic, c_top, top, length, top_v, len_v):
     if lo < 0:
         lo = 0
     r = top - length - top_v + len_v
-    if cyclic:
-        return (hi - r) // n - (lo - r) // n
-    return 1 if lo < r <= hi else 0
+    return (hi - r) // n - (lo - r) // n
 
 
 def ext_dim(alg, u, v, k):
@@ -314,15 +302,15 @@ def ext_dim(alg, u, v, k):
         raise ValueError("Ext degree must be >= 0, got %d" % k)
     if u is None or v is None:
         return 0
-    n, cyclic, c = alg.n, alg.kind == "cyclic", alg.c
+    n, c = alg.n, alg.c
     if k == 0:
-        return _hom_count(n, cyclic, u.top, u.length, v.top, v.length)
+        return _hom_count(n, u.top, u.length, v.top, v.length)
     top, length = u.top, u.length
     for _ in range(k - 1):
         w = _syzygy_pair(n, c, top, length)
         if w is None:
             return 0
         top, length = w
-    e = _ext1_count(n, cyclic, c[top - 1], top, length, v.top, v.length)
+    e = _ext1_count(n, c[top - 1], top, length, v.top, v.length)
     assert e >= 0
     return e

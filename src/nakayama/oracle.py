@@ -23,21 +23,23 @@ uniserials, kept by (top, length), and the count needs no inclusion map.
 Nothing here shares a formula with homology.py: the closed-form image-length
 count and the syzygy index arithmetic never appear.
 
-The tables are kept per quiver (kind, n) and never emptied, and their keys
-are exact: a uniserial's representation reads only the quiver and its
-(top, length), and A-mod = rep(Q, I) is a full subcategory of rep(Q)
-(ibid. III.1), so Hom between A-modules is Hom of quiver representations.
-The algebra enters only through the cover P_0 = M(top u, c_top), so dim
-Hom(u, v) is keyed by (kind, n, top u, len u, top v, len v), and dim
-Ext^1(u, v) also by c_top after len u.
+Every algebra with n vertices lives on one quiver, the cyclic quiver with
+n vertices, and the tables are kept per n and never emptied.  A-mod =
+rep(Q, I) is a full subcategory of rep(Q) (ibid. III.1), so Hom between
+A-modules is Hom of quiver representations.  A linear algebra's quiver
+lacks the arrow 1 -> n, and extending its representations by zero on that
+arrow is fully faithful: the new equation reads 0 = 0.  So a uniserial's
+representation reads only n and its (top, length), and the algebra enters
+only through the cover P_0 = M(top u, c_top).
 
-On a cyclic quiver the rotation sigma: i -> i - top u + 1 is an automorphism
-of the quiver, so Hom(sigma M, sigma N) = Hom(M, N), and the presentation of
+The rotation sigma: i -> i - top u + 1 is an automorphism of the cyclic
+quiver, so Hom(sigma M, sigma N) = Hom(M, N), and the presentation of
 sigma u is sigma applied to that of u, with the same c_top (ibid. III.1 and
-IV.2).  So the answers there are keyed by rotation class, with
-(top v - top u) mod n in place of both tops, by integer arithmetic alone, and
-a miss counts the pair turned so that u's top is 1.  The rotation only
-relabels vertices and shares no formula with homology.py.  An Ext^1 miss
+IV.2).  So dim Hom(u, v) is keyed by rotation class,
+(n, len u, (top v - top u) mod n, len v), and dim Ext^1(u, v) also by
+c_top after len u, by integer arithmetic alone, for both kinds; a miss
+counts the pair turned so that u's top is 1.  The rotation only relabels
+vertices and shares no formula with homology.py.  An Ext^1 miss
 reads dim Hom(P_0, N) by Yoneda, Hom(P_i, N) = e_i N, as N's dimension at
 P_0's top i, and dim Hom(u, N) from the Hom table; only Hom(K, N) is counted.
 The table of Hom between representations uses the same fact once more: a
@@ -54,18 +56,16 @@ from .linalg import intertwiner_dim
 
 
 class _Quiver:
-    """The quiver (kind, n) of an algebra and the oracle's tables over it."""
+    """The cyclic quiver with n vertices and the oracle's tables over it."""
 
-    def __init__(self, alg):
-        self.cyclic = alg.kind == "cyclic"
-        first = 1 if self.cyclic else 2
-        # (v, w) for each arrow v -> w = v - 1
-        self.arrows = [(v, alg.normalize(v - 1)) for v in range(first, alg.n + 1)]
+    def __init__(self, n):
+        # (v, w) for each arrow v -> w = v - 1 mod n
+        self.arrows = [(v, (v - 2) % n + 1) for v in range(1, n + 1)]
         self.reps = {}           # (top, length) -> MatrixRep
         self.contents = {}       # (dims, arrow matrices) -> MatrixRep
         self.presentations = {}  # (top, length, c_top) -> K's MatrixRep
         self.homs = {}           # (MatrixRep, MatrixRep) -> dim Hom
-        self.rotations = {}      # MatrixRep -> (s, its rotations), cyclic only
+        self.rotations = {}      # MatrixRep -> (s, its rotations)
 
     def _content(self, rep):
         return (tuple(rep.dims),
@@ -76,9 +76,9 @@ class _Quiver:
         return self.contents.setdefault(self._content(rep), rep)
 
     def turns(self, rep):
-        """(s, rots) for a representation of a cyclic quiver: rots[t] is rep
-        moved by the rotation i -> i + t, unique'd by content, and rots[s] is
-        the one of least content (dims first, then arrow matrices)."""
+        """(s, rots) for a representation: rots[t] is rep moved by the
+        rotation i -> i + t, unique'd by content, and rots[s] is the one of
+        least content (dims first, then arrow matrices)."""
         found = self.rotations.get(rep)
         if found is None:
             n = len(rep.dims)
@@ -94,18 +94,17 @@ class _Quiver:
         return found
 
 
-_quivers = {}  # (kind, n) -> _Quiver
-# the answers, keyed by the quiver first: cyclic (kind, n, len u, [c_top,]
-# (top v - top u) mod n, len v) and linear (kind, n, top u, len u, [c_top,]
-# top v, len v) -> dim Hom(u, v) [dim Ext^1(u, v) with c_top]
+_quivers = {}  # n -> _Quiver
+# the answers, keyed by the quiver first: (n, len u, [c_top,]
+# (top v - top u) mod n, len v) -> dim Hom(u, v) [dim Ext^1(u, v) with c_top]
 _hom_dims = {}
 _ext1_dims = {}
 
 
 def _quiver(alg):
-    q = _quivers.get((alg.kind, alg.n))
+    q = _quivers.get(alg.n)
     if q is None:
-        q = _quivers[alg.kind, alg.n] = _Quiver(alg)
+        q = _quivers[alg.n] = _Quiver(alg.n)
     return q
 
 
@@ -113,7 +112,7 @@ def _slots(alg, u):
     """Slot numbers j (0 at the top) of u's composition factors, per vertex."""
     slots_at = [[] for _ in range(alg.n)]
     for j in range(u.length):
-        slots_at[alg.normalize(u.top - j) - 1].append(j)
+        slots_at[(u.top - j - 1) % alg.n].append(j)
     return slots_at
 
 
@@ -150,17 +149,15 @@ def _rep(q, alg, u):
 def _hom(m_rep, n_rep):
     """dim Hom(M, N) by `intertwiner_dim`, called only when there are unknowns.
 
-    On a cyclic quiver a miss moves the pair by the rotation that takes M to
-    the least-content member of its rotation class, counts that pair only
-    if it is new, and keeps the answer under both pairs."""
+    A miss moves the pair by the rotation that takes M to the least-content
+    member of its rotation class, counts that pair only if it is new, and
+    keeps the answer under both pairs."""
     q = m_rep.quiver
     d = q.homs.get((m_rep, n_rep))
     if d is None:
-        pair = m_rep, n_rep
-        if q.cyclic:
-            s, m_rots = q.turns(m_rep)
-            pair = m_rots[s], q.turns(n_rep)[1][s]
-            d = q.homs.get(pair)
+        s, m_rots = q.turns(m_rep)
+        pair = m_rots[s], q.turns(n_rep)[1][s]
+        d = q.homs.get(pair)
         if d is None:
             m, k = pair
             d = 0
@@ -173,10 +170,7 @@ def _hom(m_rep, n_rep):
 
 
 def _turn(alg, u, v):
-    """(u, v) turned by the rotation i -> i - top u + 1 of a cyclic quiver,
-    so that u's top is 1; on a linear quiver, (u, v) as they are."""
-    if alg.kind != "cyclic":
-        return u, v
+    """(u, v) turned by the rotation i -> i - top u + 1, so that u's top is 1."""
     return Uniserial(1, u.length), Uniserial((v.top - u.top) % alg.n + 1, v.length)
 
 
@@ -184,10 +178,7 @@ def oracle_hom_dim(alg, u, v):
     """dim Hom(u, v) from intertwiner equations, not image-length counting."""
     if u is None or v is None:
         return 0
-    if alg.kind == "cyclic":
-        key = (alg.kind, alg.n, u.length, (v.top - u.top) % alg.n, v.length)
-    else:
-        key = (alg.kind, alg.n, u.top, u.length, v.top, v.length)
+    key = (alg.n, u.length, (v.top - u.top) % alg.n, v.length)
     d = _hom_dims.get(key)
     if d is None:
         q = _quiver(alg)
@@ -230,10 +221,7 @@ def oracle_ext1_dim(alg, u, v):
     if u is None or v is None:
         return 0
     c_top = alg.c[u.top - 1]
-    if alg.kind == "cyclic":
-        key = (alg.kind, alg.n, u.length, c_top, (v.top - u.top) % alg.n, v.length)
-    else:
-        key = (alg.kind, alg.n, u.top, u.length, c_top, v.top, v.length)
+    key = (alg.n, u.length, c_top, (v.top - u.top) % alg.n, v.length)
     e = _ext1_dims.get(key)
     if e is None:
         q = _quiver(alg)

@@ -26,7 +26,6 @@ from .core import (
     format_algebra,
     format_module,
     indecomposables,
-    injective,
     is_injective,
     is_projective,
     opposite,
@@ -160,8 +159,10 @@ def suite_structural(n_max=5, c_max=7):
         w = format_algebra(alg)
         rep = classify(alg)
         q, split, member = _subcat_split(alg)
-        # injectivity by the envelope, not by the inequality the split reads
-        envelope = {j: injective(alg, j) for j in range(1, alg.n + 1)}
+        # injectivity by the envelope, the longest module with its socle, not
+        # by the inequality the split reads nor through the opposite
+        mods = sorted(indecomposables(alg), key=lambda u: u.length)
+        envelope = {socle_vertex(alg, u): u for u in mods}
         pi_vertices.record(
             q == {u.top for u in envelope.values() if is_projective(alg, u)}, w)
         op = opposite(alg)
@@ -179,7 +180,6 @@ def suite_structural(n_max=5, c_max=7):
         basic_n.record(all(len(m) == alg.n and m.is_basic()
                            for m in (rep.t_c, rep.c_c)), w)
         gl = rep.gldim
-        mods = indecomposables(alg)
         pds = pdim_table(alg)
         members = {u for u in mods if member(u)}
         ids = idim_table(alg) if gl != INF else {}
@@ -207,7 +207,8 @@ def suite_structural(n_max=5, c_max=7):
             top = max(ids[projective(alg, i)] for i in range(1, alg.n + 1))
             gorenstein.record(rep.gdim == gl and top == gl, w)
         pi_count.record(len(q) + sum(pds[u] == 1 for u in members) <= alg.n, w)
-        tc_is_1ag.record(rep.tilting_cotilting == rep.one_aus_gorenstein, w)
+        # the full n^2 Ext^1 test, not classify's id T <= 1 reading
+        tc_is_1ag.record(verify_cotilting(alg, rep.t_c) == rep.one_aus_gorenstein, w)
         uniserial.record(all(
             m is None or isinstance(m, Uniserial)
             for u in mods for m in (syzygy(alg, u), cosyzygy(alg, u))), w)

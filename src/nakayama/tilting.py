@@ -47,6 +47,7 @@ from .homology import (
     ext_dim,
     gldim,
     gorenstein_dim,
+    idim,
     idim_table,
     pdim,
     syzygy,
@@ -77,12 +78,12 @@ def basic_gen_cogen(alg):
 
 
 def _h_class(alg, x):
-    """The integer x as a possible value of h: mod n when cyclic, as is when linear."""
-    return alg.normalize(x) if alg.kind == "cyclic" else x
+    """The integer x as a possible value of h, taken mod n into 1..n."""
+    return (x - 1) % alg.n + 1
 
 
 def _h_values(alg):
-    """H = {h_j = j - c_j : 1 <= j <= n}, taken mod n when cyclic."""
+    """H = {h_j = j - c_j : 1 <= j <= n}, taken mod n."""
     return {_h_class(alg, j - c) for j, c in enumerate(alg.c, 1)}
 
 
@@ -142,8 +143,7 @@ def tilting_criterion(alg):
     The classical form asks for h_j with j in Q; it is the same test.
     c_{j+1} <= c_j + 1, so the lifted h never decreases, and it stays put
     from j to j + 1 exactly when j is split.  So each value of h is taken
-    last at a j where h moves on, a j in Q.  (Linear: n is in Q, as
-    c_{n+1} = 0; a cyclic h gains n per turn, so it cannot stay put.)
+    last at a j where h moves on, a j in Q, since h gains n per turn.
     """
     _, p = split_projective_vertices(alg)
     return p <= _h_values(alg)
@@ -278,7 +278,8 @@ def _classify(alg):
     crit = tilting_criterion(alg)
     t_c = canonical_tilting(alg)
     c_c = canonical_cotilting(alg)
-    tilting_cotilting = bool(crit and verify_cotilting(alg, t_c))
+    # T is basic tilting with n summands, so cotilting iff id T <= 1
+    tilting_cotilting = crit and idim(alg, t_c) <= 1
 
     return ClassificationReport(
         kind=alg.kind, c=alg.c, gldim=gl, domdim=dd,

@@ -86,6 +86,41 @@ def test_oracle_shares_only_core_and_linalg_with_the_package():
     assert _package_imports("linalg.py") == set()
 
 
+def _kind_readers(name):
+    """The functions of src/nakayama/<name> that read an attribute `.kind`,
+    by dotted name inside the module ("" for module level)."""
+    tree = ast.parse((Path(nakayama.__file__).parent / name).read_text())
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "kind"
+                    and isinstance(child.ctx, ast.Load)):
+                readers.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return readers
+
+
+def test_formulas_do_not_read_the_kind():
+    # a linear algebra is the cyclic quiver with c_1 = 1, so every formula
+    # is kind-free; the kind decides only which sequences and modules exist,
+    # what an algebra is equal to and prints as, which kind the opposite
+    # has, and classify's table of rotation classes and its report field
+    for name in ("homology", "oracle", "endo", "linalg", "checks", "suites"):
+        assert _kind_readers(name + ".py") == set(), name
+    assert _kind_readers("core.py") == {
+        "AdmissibleSequence.__eq__", "AdmissibleSequence.__hash__",
+        "AdmissibleSequence.__repr__", "AdmissibleSequence.normalize",
+        "format_algebra", "valid_uniserial", "make_module", "opposite"}
+    assert _kind_readers("tilting.py") == {
+        "ClassificationReport.json_dict", "classify", "_classify"}
+
+
 def test_import_loads_neither_fractions_nor_decimal():
     # a fresh interpreter, so the modules already loaded here do not count;
     # comparing before and after keeps whatever site loads out of it

@@ -1,8 +1,9 @@
-"""The matrix oracle's tables: one per quiver (kind, n), answers keyed by the
-quiver first and, on a cyclic quiver, by rotation class ((top v - top u)
-mod n in place of both tops), so every rotation of an algebra is answered
-from the tables its cold pass left; answers free of call order; answers
-unchanged by turning a cyclic pair so that u's top is 1; each Ext^1 answer
+"""The matrix oracle's tables: one per cyclic quiver n, shared by the linear
+and cyclic algebras on n vertices, answers keyed by n first and by rotation
+class ((top v - top u) mod n in place of both tops), so every rotation of an
+algebra is answered from the tables its cold pass left; answers free of call
+order, the order of the kinds included; answers unchanged by turning a
+cyclic pair so that u's top is 1; each Ext^1 answer
 equal to a full recount through Hom(P_0, N), which the oracle reads by
 Yoneda as N's dimension at P_0's top; every kept rep-pair Hom equal to its
 own elimination; one `intertwiner_dim` count per rotation class of a pair; a
@@ -83,8 +84,8 @@ def test_tables_are_kept_per_quiver(grid_order_pass):
     algs, quivers, hom_dims, ext1_dims, *_ = grid_order_pass
     assert not [name for name, obj in vars(oracle).items()
                 if hasattr(obj, "cache_info")]
-    assert set(quivers) == {(alg.kind, alg.n) for alg in algs}
-    for (kind, n), q in quivers.items():
+    assert set(quivers) == {alg.n for alg in algs}
+    for n, q in quivers.items():
         reps = set(q.contents.values())
         assert all(rep.quiver is q for rep in reps)
         assert set(q.reps.values()) <= reps
@@ -94,62 +95,49 @@ def test_tables_are_kept_per_quiver(grid_order_pass):
         # of a presentation, whose u = M(top, length) and cover M(top, c_top)
         # have reps of their own, kept with the same top
         assert all(type(x) is int for key in (*q.reps, *q.presentations)
-                   for x in key), (kind, n)
+                   for x in key), n
         assert all((top, length) in q.reps and (top, c_top) in q.reps
                    and length <= c_top
-                   for top, length, c_top in q.presentations), (kind, n)
-        # a miss on a cyclic quiver is computed from the pair turned so that
-        # u's top is 1, so every presentation there has top 1
-        assert kind == "linear" or {top for top, _, _ in q.presentations} == {1}, \
-            (kind, n)
+                   for top, length, c_top in q.presentations), n
+        # a miss is computed from the pair turned so that u's top is 1, so
+        # every presentation has top 1
+        assert {top for top, _, _ in q.presentations} == {1}, n
 
-        # the answers under this quiver's prefix: on a cyclic quiver, keyed
-        # by rotation class, (len u, dt, len v) -> dim Hom and
-        # (len u, c_top, dt, len v) -> dim Ext^1 with dt = (top v - top u) mod n;
-        # on a linear one (top u, len u, top v, len v) and
-        # (top u, len u, c_top, top v, len v).  Each is a pair turned so that
-        # u's top is 1 on a cyclic quiver, and equal to a recount from the
-        # reps of that pair with the pass's Hom table set aside
-        homs_here = {key[2:]: d for key, d in hom_dims.items()
-                     if key[:2] == (kind, n)}
-        ext1s_here = {key[2:]: e for key, e in ext1_dims.items()
-                      if key[:2] == (kind, n)}
-        assert homs_here and ext1s_here, (kind, n)
+        # the answers under this quiver's prefix, keyed by rotation class:
+        # (len u, dt, len v) -> dim Hom and (len u, c_top, dt, len v) ->
+        # dim Ext^1 with dt = (top v - top u) mod n.  Each is a pair turned
+        # so that u's top is 1, and equal to a recount from the reps of that
+        # pair with the pass's Hom table set aside
+        homs_here = {key[1:]: d for key, d in hom_dims.items() if key[0] == n}
+        ext1s_here = {key[1:]: e for key, e in ext1_dims.items() if key[0] == n}
+        assert homs_here and ext1s_here, n
         assert all(type(x) is int for key in (*homs_here, *ext1s_here)
-                   for x in key), (kind, n)
-        if kind == "cyclic":
-            assert all(len(key) == 3 and 0 <= key[1] < n for key in homs_here)
-            assert all(len(key) == 4 and 0 <= key[2] < n for key in ext1s_here)
-            hom_pairs = {(lu, dt, lv): (1, lu, dt + 1, lv)
-                         for lu, dt, lv in homs_here}
-            ext1_pairs = {(lu, c_top, dt, lv): (1, lu, c_top, dt + 1, lv)
-                          for lu, c_top, dt, lv in ext1s_here}
-        else:
-            hom_pairs = {key: key for key in homs_here}
-            ext1_pairs = {key: key for key in ext1s_here}
+                   for x in key), n
+        assert all(len(key) == 3 and 0 <= key[1] < n for key in homs_here)
+        assert all(len(key) == 4 and 0 <= key[2] < n for key in ext1s_here)
         kept, q.homs = q.homs, {}
         try:
-            recount = {key: oracle._hom(q.reps[su, lu], q.reps[sv, lv])
-                       for key, (su, lu, sv, lv) in hom_pairs.items()}
-            assert homs_here == recount, (kind, n)
+            recount = {(lu, dt, lv): oracle._hom(q.reps[1, lu], q.reps[dt + 1, lv])
+                       for lu, dt, lv in homs_here}
+            assert homs_here == recount, n
             recount = {}
-            for key, (su, lu, c_top, sv, lv) in ext1_pairs.items():
-                k = q.presentations[su, lu, c_top]
-                p0, m, nv = q.reps[su, c_top], q.reps[su, lu], q.reps[sv, lv]
-                recount[key] = \
+            for lu, c_top, dt, lv in ext1s_here:
+                k = q.presentations[1, lu, c_top]
+                p0, m, nv = q.reps[1, c_top], q.reps[1, lu], q.reps[dt + 1, lv]
+                recount[lu, c_top, dt, lv] = \
                     oracle._hom(k, nv) - oracle._hom(p0, nv) + oracle._hom(m, nv)
-            assert ext1s_here == recount, (kind, n)
+            assert ext1s_here == recount, n
         finally:
             q.homs = kept
     # every answer lies under the prefix of a quiver the pass kept
-    assert {key[:2] for key in (*hom_dims, *ext1_dims)} == set(quivers)
+    assert {key[0] for key in (*hom_dims, *ext1_dims)} == set(quivers)
 
 
 def test_a_uniserials_representation_depends_only_on_the_quiver():
-    seen = defaultdict(dict)  # (kind, n) -> {u: (dims, mats)}
+    seen = defaultdict(dict)  # n -> {u: (dims, mats)}, both kinds
     compared = 0
     for alg in grid_algebras(4, 6):
-        table = seen[alg.kind, alg.n]
+        table = seen[alg.n]
         for u in indecomposables(alg):
             rep = MatrixRep.of_uniserial(oracle._quiver(alg), alg, u)
             compared += u in table
@@ -171,11 +159,9 @@ def test_every_kept_rep_pair_hom_is_its_own_elimination(grid_order_pass):
     # the presentations included, against an elimination of their own
     _, quivers, *_ = grid_order_pass
     checked = shared = 0
-    for (kind, n), q in quivers.items():
-        if kind != "cyclic":
-            continue
+    for n, q in quivers.items():
         for (m, k), d in q.homs.items():
-            assert d == _own_hom(m, k), (kind, n, m.dims, k.dims)
+            assert d == _own_hom(m, k), (n, m.dims, k.dims)
             checked += 1
         shared += sum(s != 0 for s, _ in q.rotations.values())
     assert checked and shared
@@ -199,15 +185,15 @@ def _system_class(system):
 def test_intertwiner_dim_runs_once_per_distinct_hom(grid_order_pass,
                                                     monkeypatch):
     algs, *_, grid_order_calls = grid_order_pass
-    assert len(grid_order_calls) == 449
-    # a system is counted only when it has variables, and on a cyclic
-    # quiver (one arrow per vertex) no two counted pairs are rotations
-    # of each other
+    assert len(grid_order_calls) == 345
+    # a system is counted only when it has variables, every system is on a
+    # cyclic quiver (one arrow per vertex), and no two counted pairs are
+    # rotations of each other
     assert all(any(a * b for a, b in zip(args[0], args[1]))
                for args in grid_order_calls)
-    cyclic = [_system_class(args) for args in grid_order_calls
-              if len(args[2]) == len(args[0])]
-    assert cyclic and len(set(cyclic)) == len(cyclic)
+    assert all(len(args[2]) == len(args[0]) for args in grid_order_calls)
+    classes = [_system_class(args) for args in grid_order_calls]
+    assert len(set(classes)) == len(classes)
     shuffled = algs[:]
     random.Random(12).shuffle(shuffled)
     calls = []
@@ -215,10 +201,31 @@ def test_intertwiner_dim_runs_once_per_distinct_hom(grid_order_pass,
     monkeypatch.setattr(oracle, "intertwiner_dim",
                         _counting(calls, oracle.intertwiner_dim))
     _grid_pass(shuffled)
-    assert len(calls) == 449
+    assert len(calls) == 345
     calls.clear()
     _grid_pass(shuffled)
     assert calls == []
+
+
+def test_a_linear_first_cold_pass_leaves_the_same_tables(grid_order_pass,
+                                                         monkeypatch):
+    # grid order meets every cyclic algebra first; here each n's linear
+    # algebras come before its cyclic ones, so the linear pairs fill the
+    # shared tables that the cyclic pairs then read
+    algs, _, hom_dims, ext1_dims, grid_order_calls = grid_order_pass
+    linear_first = sorted(algs, key=lambda alg: (alg.n, alg.kind != "linear"))
+    assert linear_first[0].kind == "linear"
+    _empty_caches(monkeypatch)
+    calls = []
+    monkeypatch.setattr(oracle, "intertwiner_dim",
+                        _counting(calls, oracle.intertwiner_dim))
+    for alg in linear_first:
+        mods = indecomposables(alg)
+        pairs = [(alg, u, v) for u in mods for v in mods]
+        assert _answers(pairs) == \
+            [(hom_dim(*call), ext_dim(*call, 1)) for call in pairs], alg
+    assert (oracle._hom_dims, oracle._ext1_dims) == (hom_dims, ext1_dims)
+    assert len(calls) == len(grid_order_calls)
 
 
 def test_the_rotation_changes_no_answer(monkeypatch):

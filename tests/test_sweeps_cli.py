@@ -157,6 +157,16 @@ def test_linear_counts_are_catalan_and_riordan_numbers():
             riordan[n - 1], n
 
 
+def test_linear_tilting_cotilting_algebras_for_n_up_to_8():
+    # exactly the linear Auslander algebras, one per odd n: linear:1, then
+    # 1,2,2 with 3,2 repeated, and none for even n; the 626 = sum of C_(n-1)
+    # sequences classified pin the generator too
+    rows = [r for n in range(1, 9) for r in sweep(SweepSpec("linear", n, n))[0]]
+    assert len(rows) == 626
+    assert [r.c for r in rows if r.tilting_cotilting] == [
+        (1,), (1, 2, 2), (1, 2, 2, 3, 2), (1, 2, 2, 3, 2, 3, 2)]
+
+
 def test_elementary_predicates():
     assert is_elementary((4, 4, 4))
     assert not is_elementary((5, 5, 5))
